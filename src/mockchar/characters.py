@@ -41,10 +41,6 @@ def epsilon_fn(ell: int) -> Fraction:
     return Fraction(0)
 
 
-def epsilon_pair(ell: int, ell2: int) -> Fraction:
-    return epsilon_fn(ell) + epsilon_fn(ell2) - epsilon_fn(ell + ell2)
-
-
 def conformal_dim(n, e) -> complex:
     n = as_complex(n)
     e = as_complex(e)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidParameter
 
@@ -27,14 +26,6 @@ def as_complex(x) -> complex:
 def floor_re(e) -> int:
     """Largest integer smaller or equal to the real part of e."""
     return math.floor(complex(e).real)
-
-
-def minus_one_pow(x) -> complex:
-    """(-1)^x for possibly non-integer x, with the branch e^{i pi x}."""
-    xc = complex(x)
-    if xc.imag == 0.0 and xc.real == int(xc.real):
-        return complex(1.0 if int(xc.real) % 2 == 0 else -1.0)
-    return cmath.exp(PI_I * xc)
 
 
 @dataclass(frozen=True)
@@ -138,6 +129,14 @@ DEFAULT_QUAD = QuadratureSpec()
 
 POLE_CLEARANCE = 1e-6
 
+# Depth of a contour that steps off a kernel pole on the real axis.  When one
+# pole of the 1/cosh kernels (Mordell, rank-one lemma) or of the S-matrix 1/sin
+# kernel sits on the real axis, all of them sit on iZ, so R -+ i/2 runs midway
+# between the on-axis pole and the next one.  The trapezoid error falls like
+# e^{-2 pi d/h} in the distance d to the nearest pole, so this depth needs the
+# fewest nodes; by Cauchy every depth in (0, 1) gives the same value.
+CONTOUR_EPS = 0.5
+
 
 def lattice_distance(w: complex, tau: complex) -> float:
     """Distance of w from the lattice Z + tau*Z (metric used for pole clearance)."""
@@ -223,10 +222,3 @@ class RegulatorSpec:
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise InvalidParameter("epsilon must be positive")
-
-
-def frac(x) -> Fraction:
-    """Exact Fraction from int/Fraction/str; floats are rejected."""
-    if isinstance(x, float):
-        raise InvalidParameter("exact context requires int/Fraction, got float %r" % x)
-    return Fraction(x)

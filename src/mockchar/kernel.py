@@ -136,13 +136,24 @@ class QuadratureResult:
         return self.value
 
 
-def _eval_line(f, pts: np.ndarray, vectorized: bool) -> np.ndarray:
-    if vectorized:
-        out = np.asarray(f(pts), dtype=complex)
-        if out.shape != pts.shape:
-            raise ValueError("vectorized integrand returned shape %s" % (out.shape,))
-        return out
-    return np.array([f(complex(p)) for p in pts], dtype=complex)
+# Points per vectorized integrand call.  Node doubling can reach 2^19 points,
+# and an integrand builds several complex temporaries of its input's length;
+# evaluating in slices keeps those small while the sum still runs over the
+# whole array.
+_EVAL_CHUNK = 1 << 14
+
+
+def _eval_line(f, xs: np.ndarray, shift: complex, vectorized: bool) -> np.ndarray:
+    if not vectorized:
+        return np.array([f(complex(x) + shift) for x in xs], dtype=complex)
+    out = np.empty(xs.shape, dtype=complex)
+    for start in range(0, xs.size, _EVAL_CHUNK):
+        pts = xs[start:start + _EVAL_CHUNK] + shift
+        vals = np.asarray(f(pts), dtype=complex)
+        if vals.shape != pts.shape:
+            raise ValueError("vectorized integrand returned shape %s" % (vals.shape,))
+        out[start:start + _EVAL_CHUNK] = vals
+    return out
 
 
 def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = False) -> QuadratureResult:
@@ -155,13 +166,13 @@ def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = Fa
     shift = 1j * spec.contour_shift
     n = spec.nodes
     xs = np.linspace(-half, half, n + 1)
-    vals = _eval_line(f, xs + shift, vectorized)
+    vals = _eval_line(f, xs, shift, vectorized)
     h = 2.0 * half / n
     current = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
     refinements = 0
     while True:
         mids = np.linspace(-half + h / 2.0, half - h / 2.0, n)
-        mid_vals = _eval_line(f, mids + shift, vectorized)
+        mid_vals = _eval_line(f, mids, shift, vectorized)
         refined = current / 2.0 + (h / 2.0) * mid_vals.sum()
         err = abs(refined - current)
         n *= 2
@@ -229,9 +240,3 @@ def gauss_identity_check(alpha, beta, quad: QuadratureSpec = DEFAULT_QUAD) -> di
         "rel_err": abs_err / max(abs(lhs), abs(rhs), 1.0),
         "nodes": res.nodes,
     }
-
-
-def clear_caches() -> None:
-    _theta1_cached.cache_clear()
-    _theta3_cached.cache_clear()
-    _eta_cached.cache_clear()

@@ -34,6 +34,7 @@ from .characters import (
     curve_prefactor,
 )
 from .domain import (
+    CONTOUR_EPS,
     DEFAULT_QUAD,
     DEFAULT_TRUNC,
     POLE_CLEARANCE,
@@ -53,7 +54,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
     PoleOnContour,
-    QuadratureNoConvergence,
     SingularEntry,
 )
 from .kernel import integrate_line
@@ -107,7 +107,11 @@ __all__ = [
 #   LEMMA_HALF_SIGN   sign of the 1/2 in front of the cosh-kernel integral in
 #                     the rank-one transformation lemma.
 #   SINGULAR_CONTOUR_SIDE  which side the x-contour is pushed to when a kernel
-#                     pole lands on the real axis (+1 means Im x = +CONTOUR_EPS).
+#                     pole lands on the real axis (+1 means Im x = +CONTOUR_EPS,
+#                     "pv" averages both sides).  The 1/sin and cosh kernels
+#                     have their poles on iZ, so CONTOUR_EPS = 1/2 (from
+#                     domain) runs midway to the next pole; any side times
+#                     CONTOUR_EPS must stay below 1, the gap to that pole.
 #   T_PHASE_VARIANT   "K" uses (a-r)^2/K in the typical T-phase; "K2" keeps
 #                     (a-r)^2/K^2.  Only "K" is consistent with tau -> tau + 1
 #                     applied directly to the character.
@@ -117,7 +121,6 @@ S_AT_PARITY = True
 AT_BLOCK_SIGN = 1.0
 LEMMA_HALF_SIGN = 1.0
 SINGULAR_CONTOUR_SIDE = 1.0
-CONTOUR_EPS = 1e-3
 T_PHASE_VARIANT = "K"
 DEF_AM_VARIANT = "mp+1/2,m+1/2"
 
@@ -457,36 +460,24 @@ def _line_spec(half: float, quad: QuadratureSpec, shift: float = 0.0, tol: float
     )
 
 
-def _fourier_on_line(kernel, freqs, half: float, tail_tol: float, max_nodes: int = 1 << 16):
-    """integral over [-L, L] of kernel(w) e^{2 pi i f w} dw for each f in freqs.
+def _gaussian_integral(alpha: complex, beta):
+    """int_R e^{-alpha w^2 + beta w} dw = sqrt(pi/alpha) e^{beta^2/(4 alpha)}.
 
-    Trapezoid with node doubling; converges when the sup over frequencies of
-    successive refinements drops below tail_tol."""
-    fr = np.asarray(freqs, dtype=float)
-    n = 64
-    ws = np.linspace(-half, half, n + 1)
-    vals = np.asarray(kernel(ws), dtype=complex)
-    h = 2.0 * half / n
-    ew = np.exp(TWO_PI_I * np.outer(fr, ws))
-    current = h * (ew @ vals - 0.5 * (ew[:, 0] * vals[0] + ew[:, -1] * vals[-1]))
-    refinements = 0
-    while True:
-        mids = np.linspace(-half + h / 2.0, half - h / 2.0, n)
-        mvals = np.asarray(kernel(mids), dtype=complex)
-        em = np.exp(TWO_PI_I * np.outer(fr, mids))
-        refined = current / 2.0 + (h / 2.0) * (em @ mvals)
-        err = float(np.max(np.abs(refined - current)))
-        n *= 2
-        h /= 2.0
-        current = refined
-        refinements += 1
-        if refinements >= 2 and err <= tail_tol:
-            return current
-        if n >= max_nodes:
-            raise QuadratureNoConvergence(
-                "Fourier line integral stalled at %d nodes (delta %.3e, tol %.3e)"
-                % (n, err, tail_tol)
-            )
+    Needs Re alpha > 0 (principal square root); vectorised over beta.  The
+    curve Gaussians have alpha = -pi i tau K, with Re alpha = pi K Im tau."""
+    return cmath.sqrt(math.pi / alpha) * np.exp(np.asarray(beta) ** 2 / (4.0 * alpha))
+
+
+def _singular_shift(side) -> float:
+    """Signed depth of the contour of a row whose kernel pole sits on the real
+    axis.  Depth 0 runs through the pole (left to the PoleOnContour checks);
+    depth 1 or more crosses the next pole on iZ and would change the value."""
+    shift = float(side) * CONTOUR_EPS
+    if abs(shift) >= 1.0:
+        raise InvalidParameter(
+            "contour depth %g crosses the next kernel pole (need < 1)" % abs(shift)
+        )
+    return shift
 
 
 def _dist_to_half_integers(y: float) -> float:
@@ -556,7 +547,8 @@ def s_transform_atypical_check(
     """chi_A(u/tau, v/tau; -1/tau) against the S-matrix expansion.
 
     Rows with integer e_r(0) put the 1/sin pole at x = 0; those integrals run
-    along R + i*side*CONTOUR_EPS (side="pv" averages both sides)."""
+    along R + i*side*CONTOUR_EPS, midway to the next pole (side="pv" averages
+    both sides).  A side with |side|*CONTOUR_EPS >= 1 raises InvalidParameter."""
     t, tp = _require_s_pair(params, row)
     u, v = _uv(args)
     tt = as_modular(tau).tau
@@ -594,7 +586,7 @@ def s_transform_atypical_check(
                 )
                 at_total += 0.5 * (plus + minus)
                 continue
-            shift = float(side) * CONTOUR_EPS
+            shift = _singular_shift(side)
         else:
             shift = 0.0
         at_total += _at_integral(
@@ -611,38 +603,22 @@ def s_transform_atypical_check(
     )
 
 
-def _typical_bracket_at(
-    params: AlgebraParams,
-    r: Fraction,
-    xs,
-    u,
-    v,
-    tau,
-    quad: QuadratureSpec,
-    trunc: TruncationSpec,
-    rel_scale: float,
-):
+def _typical_bracket_at(params: AlgebraParams, r: Fraction, xs, u, v, tau, trunc: TruncationSpec):
     """sum_c integral dw S_tt((r,x),(c,w)) chi_T-curve(c,w)(u,v) at each x in xs.
 
     The entry factorizes exactly as S_tt((r,0),(c,0)) e^{-2 pi i K x w} (the
     zero-drift identity K e_c(0) + c - 2a - 1/2 = 0 removes all other x and w
-    dependence), so each c contributes a Gaussian Fourier transform."""
+    dependence), so each c contributes the Fourier transform of the curve
+    Gaussian e^{-2 pi B_c w + pi i tau K w^2}, which has a closed form."""
     K = params.K
     xs_arr = np.asarray(xs, dtype=float)
+    alpha = -math.pi * 1j * tau * K
     total = np.zeros(xs_arr.shape, dtype=complex)
-    atol = max(quad.tail_tol, 1e-10 * rel_scale)
     for c in index_sets(params).m_values:
         s0 = _s_tt_curve_raw(params, r, 0.0, c, 0.0)
         pref = curve_prefactor(params, c, u, v, tau, trunc)
-        drift_re = curve_drift(params, c, u, v, tau).real
-        half = _gauss_half_width(K, tau, drift_re)
-        scale = max(abs(pref), 1.0)
-
-        def g(wNodes, _c=c):
-            return curve_gaussian(params, _c, wNodes, u, v, tau)
-
-        ft = _fourier_on_line(g, -K * xs_arr, half, atol / scale, quad.max_nodes)
-        total = total + complex(s0) * pref * ft
+        beta = -2.0 * math.pi * curve_drift(params, c, u, v, tau) - TWO_PI_I * K * xs_arr
+        total = total + complex(s0) * pref * _gaussian_integral(alpha, beta)
     return total
 
 
@@ -654,16 +630,17 @@ def s_transform_typical_check(
     quad: QuadratureSpec = DEFAULT_QUAD,
     trunc: TruncationSpec = DEFAULT_TRUNC,
 ) -> dict:
-    """chi_T-curve(r, x)(u/tau, v/tau; -1/tau) against the S_tt expansion."""
+    """chi_T-curve(r, x)(u/tau, v/tau; -1/tau) against the S_tt expansion.
+
+    The Gaussian integrals of the expansion are taken in closed form, so
+    ``quad`` is not used; it is kept for signature compatibility."""
     r, x = row
     rf = _coerce_m(params, r, "r", window=True)
     xf = float(x)
     u, v = _uv(args)
     tt = as_modular(tau).tau
     lhs = chi_w_typical_curve(params, rf, xf, u / tt, v / tt, -1.0 / tt, trunc)
-    bracket = _typical_bracket_at(
-        params, rf, np.array([xf]), u, v, tt, quad, trunc, abs(lhs)
-    )[0]
+    bracket = _typical_bracket_at(params, rf, np.array([xf]), u, v, tt, trunc)[0]
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * bracket
     return _report("s_transform_typical", lhs, rhs, row=(rf, xf))
 
@@ -724,7 +701,8 @@ def lemma_trafoatyp_check(
     chi_A(u/tau, v/tau + s/ell; -1/tau) against the flowed atypical plus the
     cosh-kernel integral over the 2a+1 typical curves.  The kernel pole hits
     the contour exactly when m = 2a and s = -ell/2; that term integrates along
-    R + i*side*CONTOUR_EPS."""
+    R + i*side*CONTOUR_EPS, midway to the next pole.  A side with
+    |side|*CONTOUR_EPS >= 1 raises InvalidParameter."""
     if a < 0 or ell <= 0:
         raise InvalidParameter("need a >= 0 and ell >= 1")
     pr = AlgebraParams(a, 1)
@@ -757,7 +735,7 @@ def lemma_trafoatyp_check(
                     + _cosh_kernel_integral(pr, r, c_f, u, v - tv / ell, tt, quad, trunc, -CONTOUR_EPS, scale)
                 )
                 continue
-            shift = float(side) * CONTOUR_EPS
+            shift = _singular_shift(side)
         else:
             shift = 0.0
         total += _cosh_kernel_integral(
@@ -829,7 +807,9 @@ def lemma_trafotypchar_check(
 
     chi_T-curve(m - s/ell, x)(u/tau, v/tau + t/ell; -1/tau) against the sum of
     2a+1 Fourier-Gaussian integrals with phase A_{m'}(w).  The quadratic term
-    of A_{m'} is selected by ``phase_variant``."""
+    of A_{m'} is selected by ``phase_variant``.  The integrals are taken in
+    closed form, so ``quad`` is not used; it is kept for signature
+    compatibility."""
     if a < 0 or ell <= 0:
         raise InvalidParameter("need a >= 0 and ell >= 1")
     if not (0 <= m <= 2 * a):
@@ -860,13 +840,13 @@ def lemma_trafotypchar_check(
 
     r_left = Fraction(m) - Fraction(sv, ell)
     lhs = chi_w_typical_curve(pr, r_left, xf, u / tt, v / tt + tv / ell, -1.0 / tt, trunc)
-    scale = abs(lhs)
 
+    alpha = -math.pi * 1j * tt * K
     total = 0.0 + 0.0j
     for mp in range(mp_start, mp_start + K):
         quad_term = _def_am_quadratic(which, mp, m)
         # w-independent part of A_{m'}; the w-linear part -i w s/ell - w K x
-        # is folded into the integrand below
+        # is folded into the Gaussian's linear coefficient beta below
         const_phase = cmath.exp(
             TWO_PI_I
             * (-1j * xf * tv / ell + sv * tv / (ell * ell * K) - quad_term / K + quarter)
@@ -874,16 +854,8 @@ def lemma_trafotypchar_check(
         r_right = Fraction(mp) - Fraction(tv, ell)
         pref = curve_prefactor(pr, r_right, u, v - sv / ell, tt, trunc)
         drift = curve_drift(pr, r_right, u, v - sv / ell, tt)
-        drift_re = drift.real - sv / ell
-        half = _gauss_half_width(K, tt, drift_re)
-        atol = max(quad.tail_tol, 1e-9 * scale / max(abs(pref), 1.0))
-
-        def g(ws, _r=r_right):
-            lin = np.exp(TWO_PI_I * ((-1j * sv / ell) * ws - K * xf * ws))
-            return curve_gaussian(pr, _r, ws, u, v - sv / ell, tt) * lin
-
-        ft = _fourier_on_line(g, np.array([0.0]), half, atol, quad.max_nodes)[0]
-        total += const_phase * pref * ft
+        beta = -2.0 * math.pi * drift + 2.0 * math.pi * sv / ell - TWO_PI_I * K * xf
+        total += const_phase * pref * complex(_gaussian_integral(alpha, beta))
 
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * boundary_sign * total
     return _report(
@@ -979,9 +951,7 @@ def s_compose_check(
             xs_re = np.real(xs)
             e = curve_base_labels(params, _r)[1] - 1j * xs_re
             s_at = _s_at_raw(params, (t, tp), _r, e, _sign)
-            bracket = _typical_bracket_at(
-                params, _r, xs_re, u, v, tt, quad, trunc, scale
-            )
+            bracket = _typical_bracket_at(params, _r, xs_re, u, v, tt, trunc)
             return s_at * bracket
 
         res = integrate_line(f_outer, _line_spec(half_out, quad, tol=atol), vectorized=True)
@@ -1213,13 +1183,10 @@ def unitarity_aa_check(params: AlgebraParams) -> dict:
     return {"check": "unitarity_aa", "max_abs_err": worst}
 
 
-def _gaussian_hat(width: float, freqs, tail_tol: float = 1e-10):
-    """Fourier transform of the unit-mass Gaussian centered at 0."""
-
-    def g(sig):
-        return np.exp(-(sig * sig) / (2.0 * width * width)) / (width * math.sqrt(2.0 * math.pi))
-
-    return _fourier_on_line(g, -np.asarray(freqs, dtype=float).ravel(), 8.0 * width, tail_tol)
+def _gaussian_hat(width: float, freqs):
+    """Fourier transform int g(s) e^{-2 pi i f s} ds of the unit-mass Gaussian
+    g of the given width centered at 0, at each f in freqs (same shape)."""
+    return np.exp(-2.0 * (math.pi * width * np.asarray(freqs, dtype=float)) ** 2)
 
 
 def unitarity_tt_weak_check(
@@ -1269,7 +1236,7 @@ def unitarity_tt_weak_check(
     def integrand(ep):
         ep = np.real(ep)
         nu = K * ep[None, :] - (mp_arr[:, None] - 0.5)
-        ghat = np.exp(-TWO_PI_I * ef * nu) * _gaussian_hat(w, nu).reshape(nu.shape)
+        ghat = np.exp(-TWO_PI_I * ef * nu) * _gaussian_hat(w, nu)
         osc = np.exp(TWO_PI_I * (ef * nu - ep[None, :] * dm))
         return (osc * ghat).sum(axis=0) / (ell * ell)
 
@@ -1331,7 +1298,7 @@ def structure_constant_weak_check(
     def integrand(xs):
         xs = np.real(xs)
         nu = K * xs[None, :] - (k_arr[:, None] - 0.5)
-        ghat = np.exp(-TWO_PI_I * center * nu) * _gaussian_hat(w, nu).reshape(nu.shape)
+        ghat = np.exp(-TWO_PI_I * center * nu) * _gaussian_hat(w, nu)
         xphase = np.exp(TWO_PI_I * (xs[None, :] * (K * ef + float(delta_shift))))
         kphase = np.exp(-TWO_PI_I * (k_arr[:, None] * (ef + tp)))
         return (xphase * kphase * ghat).sum(axis=0) * (

@@ -3,8 +3,10 @@
 h(u; tau)   = int_R e^{pi i tau x^2 - 2 pi u x} / cosh(pi x) dx
 h_s(u; tau) = int_R q^{x^2/2} z^{ix} / cosh(pi(x - is)) dx   for 0 <= |s| <= 1
 
-At s = +-1/2 the integrand has a pole on the real axis; the contour drops to
-R - i*eps with a small fixed eps.
+At s = +-1/2 the integrand has a pole on the real axis, and its other poles
+lie on iZ as well; the contour drops to R - i*eps with eps = CONTOUR_EPS = 1/2,
+midway to the next pole, where the trapezoid rule needs the fewest nodes.  Any
+eps in (0, 1) gives the same value.  Other s stay on the real axis.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ import math
 
 import numpy as np
 
-from .domain import DEFAULT_QUAD, QuadratureSpec, as_complex, as_modular
+from .domain import CONTOUR_EPS, DEFAULT_QUAD, QuadratureSpec, as_complex, as_modular
 from .errors import InvalidParameter
 from .kernel import QuadratureResult, integrate_line
-
-CONTOUR_EPS = 1e-3
 
 _TWO_PI = 2.0 * math.pi
 _PI_I = 1j * math.pi
@@ -60,6 +60,8 @@ def mordell_h_s_quad(
     quad: QuadratureSpec | None = None,
     eps: float = CONTOUR_EPS,
 ) -> QuadratureResult:
+    """h_s with its quadrature error and node count.  At |s| = 1/2 the
+    contour is R - i*eps, and eps must lie in (0, 1)."""
     if isinstance(s, complex):
         if s.imag != 0.0:
             raise InvalidParameter("s must be real, got %r" % (s,))
@@ -67,6 +69,9 @@ def mordell_h_s_quad(
     s = float(s)
     if abs(s) > 1.0:
         raise InvalidParameter("|s| must be at most 1, got %g" % s)
+    # the contour must not reach the next pole, 1 below the one it avoids
+    if not 0.0 < eps < 1.0:
+        raise InvalidParameter("contour depth eps must lie in (0, 1), got %r" % (eps,))
     uu = as_complex(u)
     tt = as_modular(tau).tau
     on_pole = abs(abs(s) - 0.5) < 1e-12

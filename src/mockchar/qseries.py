@@ -78,7 +78,6 @@ class GRat:
         return "%s%s%si" % (self.re, sign, abs(self.im))
 
 
-ONE = GRat(Fraction(1))
 MINUS_I = GRat(Fraction(0), Fraction(-1))
 
 
@@ -128,15 +127,6 @@ class SparseSeries:
         out = SparseSeries(self.order)
         for key, c in self.terms.items():
             out.add_term(*key, c * coeff)
-        return out
-
-    def monomial_mul(self, q_exp, z_pow, y_pow, coeff: GRat = ONE) -> "SparseSeries":
-        out = SparseSeries(self.order)
-        dq = as_fraction(q_exp, "q_exp")
-        dz = as_fraction(z_pow, "z_pow")
-        dy = as_fraction(y_pow, "y_pow")
-        for (qa, za, ya), c in self.terms.items():
-            out.add_term(qa + dq, za + dz, ya + dy, c * coeff)
         return out
 
     def sorted_items(self):
@@ -292,6 +282,11 @@ def chi_w_atypical_series(
     lead = theta1_over_eta3_series(out_order).scaled(MINUS_I)
 
     body = SparseSeries(out_order)
+    # The leading q exponent base + floor_extra is convex in j with its
+    # minimum at |j| <= |2n'| + 1, and m walks j outwards on both sides; a
+    # pass that places nothing ends the loop only once both j are past that
+    # minimum, as an empty pass before it can still be followed by terms.
+    past_minimum = abs(label.ell_prime) + abs(2 * n_rat) + 1
     m = 0
     while True:
         placed = False
@@ -309,7 +304,7 @@ def chi_w_atypical_series(
                         Fraction(j),
                         GRat(Fraction(sign * gsign)),
                     )
-        if not placed:
+        if not placed and m * ell > past_minimum:
             break
         m += 1
     return _window_filter(lead * body, window)

@@ -57,10 +57,6 @@ class VerificationReport:
         if self.status not in (PASS, FAIL, SKIP_SINGULAR):
             raise ValueError("bad status %r" % (self.status,))
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
     def to_record(self, volatile: bool = True) -> dict:
         rec = {
             "schema": SCHEMA,

@@ -326,11 +326,13 @@ def _mordell_h1(ctx: RunContext):
 
 @_check("mordell.eps-independence", "mordell", "half-integer shift contour stability", 1e-8)
 def _mordell_eps(ctx: RunContext):
+    # the default contour runs midway between poles; eps = 1e-3 hugs the
+    # on-axis pole, so the two routes share no node
     for s in (0.5, -0.5):
         tau = rand_tau(ctx.rng, im_lo=0.9, im_hi=1.6)
         u = rand_arg(ctx.rng, im_max=0.2)
-        v1 = mordell.mordell_h_s(s, u, tau, eps=1e-3)
-        v2 = mordell.mordell_h_s(s, u, tau, eps=2e-3)
+        v1 = mordell.mordell_h_s(s, u, tau)
+        v2 = mordell.mordell_h_s(s, u, tau, eps=1e-3)
         ctx.add("mordell.eps-independence.s%+0.1f" % s, "contour epsilon independence",
                 abs(v1 - v2) / max(abs(v1), 1.0), s=s, u=u, tau=tau)
 

@@ -4,11 +4,12 @@ transformation laws, truncation errors, and the compiled backend."""
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mockchar import backend
+from mockchar import backend, kernel
 from mockchar.domain import QuadratureSpec, TruncationSpec
 from mockchar.errors import PoleProximity, QuadratureNoConvergence, TailBoundExceeded
 from mockchar.kernel import (
@@ -132,6 +133,26 @@ def test_integrate_line_refines_to_tolerance():
     assert abs(res.value - math.sqrt(math.pi)) < 1e-12
     assert res.error < 1e-10
     assert res.nodes > 32
+
+
+def test_integrate_line_evaluates_in_bounded_slices(monkeypatch):
+    # poles at +-0.003i need more nodes than one slice holds; the vectorized
+    # integrand must never see more points than a slice, and slicing must not
+    # change a bit of the result
+    seen = []
+
+    def near_pole(xs):
+        seen.append(xs.size)
+        return np.exp(-xs * xs) / (xs * xs + 1e-5)
+
+    spec = QuadratureSpec(half_width=6.0, nodes=64, tail_tol=1e-9, max_nodes=1 << 18)
+    chunk = kernel._EVAL_CHUNK
+    sliced = integrate_line(near_pole, spec, vectorized=True)
+    assert sliced.nodes > chunk
+    assert max(seen) <= chunk
+    monkeypatch.setattr(kernel, "_EVAL_CHUNK", 1 << 30)
+    assert integrate_line(near_pole, spec, vectorized=True) == sliced
+    assert max(seen) > chunk
 
 
 def test_quadrature_no_convergence_when_capped():

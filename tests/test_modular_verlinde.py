@@ -10,16 +10,18 @@ transformations get 1e-5..1e-6.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import mockchar.modular_verlinde as mv
-from mockchar.domain import AlgebraParams, RegulatorSpec
+from mockchar.domain import AlgebraParams, QuadratureSpec, RegulatorSpec
 from mockchar.errors import (
     IndexOutOfRange,
     InvalidParameter,
     PoleOnContour,
     SingularEntry,
 )
+from mockchar.kernel import integrate_line
 
 ARGS = (0.07 + 0.11j, 0.13 + 0.05j)
 TAU = 0.1 + 1.1j
@@ -157,6 +159,59 @@ def test_lemma_trafoatyp_singular_cell():
 def test_lemma_trafoatyp_pole_on_contour():
     with pytest.raises(PoleOnContour):
         mv.lemma_trafoatyp_check(1, 2, -1, 0, ARGS, TAU, singular_side=0.0)
+
+
+def test_singular_contour_depth_must_stay_below_next_pole():
+    # side 2 puts the contour at depth 1, on the next pole of the kernel
+    with pytest.raises(InvalidParameter):
+        mv.lemma_trafoatyp_check(1, 2, -1, 0, ARGS, TAU, singular_side=2.0)
+    with pytest.raises(InvalidParameter):
+        mv.s_transform_atypical_check(AlgebraParams(2, 2), (0, 0), ARGS, TAU, singular_side=-3.0)
+
+
+@pytest.mark.parametrize("tau", [1.1j, 0.1 + 1.1j, -0.45 + 0.8j, 0.3 + 1.9j])
+def test_gaussian_integral_matches_quadrature(tau):
+    # the curve Gaussians: alpha = -pi i tau K, complex beta
+    for K in (1, 3, 5):
+        alpha = -math.pi * 1j * tau * K
+        for beta in (0.0, -2.0 * math.pi * (0.3 - 0.2j), -2.0 * math.pi * (0.1 + 0.4j) - 2j * math.pi * K * 0.7):
+            # window: |integrand| < e^{-40} outside
+            b = abs(beta)
+            half = (b + math.sqrt(b * b + 4.0 * alpha.real * 40.0)) / (2.0 * alpha.real)
+            spec = QuadratureSpec(half_width=half, tail_tol=1e-15, max_nodes=1 << 16)
+            quad = integrate_line(lambda w: np.exp(-alpha * w * w + beta * w), spec, vectorized=True)
+            closed = complex(mv._gaussian_integral(alpha, beta))
+            assert abs(quad.value - closed) <= 1e-12 * max(abs(closed), 1.0), (K, beta, quad, closed)
+
+
+def test_gaussian_hat_matches_quadrature():
+    width = 0.05
+    freqs = [[0.0, 1.5, -4.0], [7.25, -11.0, 2.0]]
+    got = mv._gaussian_hat(width, freqs)
+    assert got.shape == (2, 3)
+    spec = QuadratureSpec(half_width=10.0 * width, tail_tol=1e-14)
+    for f, g in zip([f for row in freqs for f in row], got.ravel()):
+        quad = integrate_line(
+            lambda s: np.exp(-s * s / (2.0 * width * width) - 2j * math.pi * f * s)
+            / (width * math.sqrt(2.0 * math.pi)),
+            spec,
+            vectorized=True,
+        )
+        assert abs(quad.value - g) < 1e-12, (f, quad, g)
+
+
+def test_closed_form_checks_run_no_quadrature(monkeypatch):
+    # the typical S-transformation and the typical lemma take every Gaussian
+    # integral in closed form; quadrature must not creep back into them
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("integrate_line called from a closed-form path")
+
+    monkeypatch.setattr(mv, "integrate_line", no_quadrature)
+    pr = AlgebraParams(1, 1)
+    rep = mv.s_transform_typical_check(pr, (Fraction(0), 0.17), ARGS, TAU)
+    assert rep["rel_err"] < 1e-10, rep
+    rep = mv.lemma_trafotypchar_check(1, 2, 1, 0, -1, 0.13, ARGS, TAU)
+    assert rep["rel_err"] < 1e-10, rep
 
 
 def test_lemma_trafotypchar_interior():

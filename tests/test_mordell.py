@@ -15,6 +15,7 @@ from mockchar.mordell import (
     mordell_h_contour,
     mordell_h_quad,
     mordell_h_s,
+    mordell_h_s_quad,
     verify_contour_identity,
     verify_h1_reflection,
     verify_mordell_shift,
@@ -59,6 +60,23 @@ def test_half_shift_epsilon_independence(s):
     v3 = mordell_h_s(s, u, tau, eps=5e-4)
     assert abs(v1 - v2) < 1e-10
     assert abs(v1 - v3) < 1e-10
+
+
+@pytest.mark.parametrize("s", [0.5, -0.5])
+def test_half_shift_midway_contour(s):
+    # the default contour runs midway between poles: it agrees with the
+    # contour that hugs the on-axis pole, with a few hundred nodes
+    u, tau = 0.12 + 0.03j, 1.15j
+    res = mordell_h_s_quad(s, u, tau)
+    assert res.nodes <= 1025, res
+    assert abs(res.value - mordell_h_s(s, u, tau, eps=1e-3)) < 1e-10
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.2, 1.0, 1.5])
+def test_half_shift_contour_depth_domain(eps):
+    # at depth 1 the contour runs into the next pole
+    with pytest.raises(InvalidParameter):
+        mordell_h_s(0.5, 0.1, 1j, eps=eps)
 
 
 @pytest.mark.parametrize("s", [-0.4, -0.15, 0.0, 0.2, 0.45])

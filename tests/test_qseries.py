@@ -122,3 +122,17 @@ def test_chi_atypical_series_matches_numeric():
     got = series.eval_at(u, v, tau)
     want = chi_w_atypical(pr, AtypicalWLabel(0.5, 0), u, v, tau)
     assert abs(got - want) / abs(want) < 1e-7
+
+
+def test_chi_atypical_series_past_empty_pass():
+    # with ell' = -1 the first pass of the j loop places no term, but later
+    # passes do: the expansion starts at q^0 and must not come back empty
+    from mockchar.characters import chi_w_atypical
+
+    pr = AlgebraParams(2, 1)
+    series = qexpand("chi_atypical", F(2), params=pr, label=AtypicalWLabel(F(0), -1))
+    assert dict(series.sorted_items())[(F(0), F(0), F(0))] == GRat(F(1), F(0))
+    u, v, tau = 0.13 + 0.21j, 0.29 + 0.04j, 1.9j
+    got = series.eval_at(u, v, tau)
+    want = chi_w_atypical(pr, AtypicalWLabel(0, -1), u, v, tau)
+    assert abs(got - want) / abs(want) < 1e-7
