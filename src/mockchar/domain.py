@@ -138,6 +138,28 @@ POLE_CLEARANCE = 1e-6
 CONTOUR_EPS = 0.5
 
 
+def contour_depth(depth) -> float:
+    """depth, checked to lie in (0, 1): depth 0 runs through the on-axis pole
+    and depth 1 or more reaches or crosses the next one, changing the value."""
+    d = float(depth)
+    if not 0.0 < d < 1.0:
+        raise InvalidParameter("contour depth must lie in (0, 1), got %r" % (depth,))
+    return d
+
+
+def midway_depth(tilt: float) -> float:
+    """Default depth for a Gaussian kernel e^{pi i tau K x^2} with tilt = K |Re tau|.
+
+    On R - i*d the Gaussian gains the factor e^{2 pi d tilt |t|}, which must
+    not outgrow the kernel's e^{-pi |t|} decay, or the quadrature sums large
+    cancelling terms over windows sized for the real axis.  So the depth is
+    CONTOUR_EPS, lowered to 1/(2 tilt) where that is smaller."""
+    tilt = abs(float(tilt))
+    if 2.0 * CONTOUR_EPS * tilt <= 1.0:
+        return CONTOUR_EPS
+    return 0.5 / tilt
+
+
 def lattice_distance(w: complex, tau: complex) -> float:
     """Distance of w from the lattice Z + tau*Z (metric used for pole clearance)."""
     w = complex(w)

@@ -48,7 +48,9 @@ from .domain import (
     TypicalWLabel,
     as_complex,
     as_modular,
+    contour_depth,
     floor_re,
+    midway_depth,
 )
 from .errors import (
     IndexOutOfRange,
@@ -107,11 +109,13 @@ __all__ = [
 #   LEMMA_HALF_SIGN   sign of the 1/2 in front of the cosh-kernel integral in
 #                     the rank-one transformation lemma.
 #   SINGULAR_CONTOUR_SIDE  which side the x-contour is pushed to when a kernel
-#                     pole lands on the real axis (+1 means Im x = +CONTOUR_EPS,
+#                     pole lands on the real axis (+1 means Im x = +d,
 #                     "pv" averages both sides).  The 1/sin and cosh kernels
-#                     have their poles on iZ, so CONTOUR_EPS = 1/2 (from
-#                     domain) runs midway to the next pole; any side times
-#                     CONTOUR_EPS must stay below 1, the gap to that pole.
+#                     have their poles on iZ, so d = CONTOUR_EPS = 1/2 (from
+#                     domain) runs midway to the next pole; domain.midway_depth
+#                     lowers d where K |Re tau| > 1 would let the Gaussian's
+#                     tilt outgrow the kernel decay.  |side| * d must stay
+#                     below 1, the gap to the next pole.
 #   T_PHASE_VARIANT   "K" uses (a-r)^2/K in the typical T-phase; "K2" keeps
 #                     (a-r)^2/K^2.  Only "K" is consistent with tau -> tau + 1
 #                     applied directly to the character.
@@ -468,16 +472,17 @@ def _gaussian_integral(alpha: complex, beta):
     return cmath.sqrt(math.pi / alpha) * np.exp(np.asarray(beta) ** 2 / (4.0 * alpha))
 
 
-def _singular_shift(side) -> float:
-    """Signed depth of the contour of a row whose kernel pole sits on the real
-    axis.  Depth 0 runs through the pole (left to the PoleOnContour checks);
-    depth 1 or more crosses the next pole on iZ and would change the value."""
-    shift = float(side) * CONTOUR_EPS
-    if abs(shift) >= 1.0:
-        raise InvalidParameter(
-            "contour depth %g crosses the next kernel pole (need < 1)" % abs(shift)
-        )
-    return shift
+def _singular_shifts(side, K: int, tau: complex) -> tuple:
+    """Signed depths of the contours of a row whose kernel pole sits on the
+    real axis: one for a numeric side, both for "pv".  Side 0 runs through the
+    pole (left to the PoleOnContour checks)."""
+    depth = midway_depth(K * tau.real)
+    if side == "pv":
+        return (depth, -depth)
+    shift = float(side) * depth
+    if shift != 0.0:
+        contour_depth(abs(shift))
+    return (shift,)
 
 
 def _dist_to_half_integers(y: float) -> float:
@@ -518,7 +523,8 @@ def _at_integral(
         )
     sign = _parity(e0) if parity_on else 1.0
     pref = curve_prefactor(params, r, u, v, tau, trunc)
-    drift_re = curve_drift(params, r, u, v, tau).real + t / ell
+    # on R + i*shift the Gaussian's linear coefficient gains K*shift*tau
+    drift_re = curve_drift(params, r, u, v, tau).real + t / ell + K * shift * tau.real
 
     def f(xs):
         e = e0 - 1j * xs
@@ -547,8 +553,9 @@ def s_transform_atypical_check(
     """chi_A(u/tau, v/tau; -1/tau) against the S-matrix expansion.
 
     Rows with integer e_r(0) put the 1/sin pole at x = 0; those integrals run
-    along R + i*side*CONTOUR_EPS, midway to the next pole (side="pv" averages
-    both sides).  A side with |side|*CONTOUR_EPS >= 1 raises InvalidParameter."""
+    along R + i*side*d with d = midway_depth(K Re tau), midway to the next
+    pole (side="pv" averages both sides).  A side with |side|*d >= 1 raises
+    InvalidParameter."""
     t, tp = _require_s_pair(params, row)
     u, v = _uv(args)
     tt = as_modular(tau).tau
@@ -577,21 +584,11 @@ def s_transform_atypical_check(
         singular = _dist_to_integers(e0) < 1e-9
         if singular:
             singular_rows.append(r)
-            if side == "pv":
-                plus = _at_integral(
-                    params, (t, tp), r, u, v, tt, quad, trunc, parity_on, CONTOUR_EPS, scale
-                )
-                minus = _at_integral(
-                    params, (t, tp), r, u, v, tt, quad, trunc, parity_on, -CONTOUR_EPS, scale
-                )
-                at_total += 0.5 * (plus + minus)
-                continue
-            shift = _singular_shift(side)
-        else:
-            shift = 0.0
-        at_total += _at_integral(
-            params, (t, tp), r, u, v, tt, quad, trunc, parity_on, shift, scale
-        )
+        shifts = _singular_shifts(side, params.K, tt) if singular else (0.0,)
+        at_total += sum(
+            _at_integral(params, (t, tp), r, u, v, tt, quad, trunc, parity_on, shift, scale)
+            for shift in shifts
+        ) / len(shifts)
 
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * (aa + sign * at_total)
     return _report(
@@ -701,8 +698,8 @@ def lemma_trafoatyp_check(
     chi_A(u/tau, v/tau + s/ell; -1/tau) against the flowed atypical plus the
     cosh-kernel integral over the 2a+1 typical curves.  The kernel pole hits
     the contour exactly when m = 2a and s = -ell/2; that term integrates along
-    R + i*side*CONTOUR_EPS, midway to the next pole.  A side with
-    |side|*CONTOUR_EPS >= 1 raises InvalidParameter."""
+    R + i*side*d with d = midway_depth(K Re tau), midway to the next pole.  A
+    side with |side|*d >= 1 raises InvalidParameter."""
     if a < 0 or ell <= 0:
         raise InvalidParameter("need a >= 0 and ell >= 1")
     pr = AlgebraParams(a, 1)
@@ -729,18 +726,11 @@ def lemma_trafoatyp_check(
         singular = (2 * c_m == -K) or _dist_to_half_integers(c_f) < 1e-12
         if singular:
             singular_terms.append(m)
-            if side == "pv":
-                total += 0.5 * (
-                    _cosh_kernel_integral(pr, r, c_f, u, v - tv / ell, tt, quad, trunc, CONTOUR_EPS, scale)
-                    + _cosh_kernel_integral(pr, r, c_f, u, v - tv / ell, tt, quad, trunc, -CONTOUR_EPS, scale)
-                )
-                continue
-            shift = _singular_shift(side)
-        else:
-            shift = 0.0
-        total += _cosh_kernel_integral(
-            pr, r, c_f, u, v - tv / ell, tt, quad, trunc, shift, scale
-        )
+        shifts = _singular_shifts(side, K, tt) if singular else (0.0,)
+        total += sum(
+            _cosh_kernel_integral(pr, r, c_f, u, v - tv / ell, tt, quad, trunc, shift, scale)
+            for shift in shifts
+        ) / len(shifts)
 
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * (base + hs * 0.5 * total)
     return _report(
@@ -778,7 +768,8 @@ def _cosh_kernel_integral(
     if _dist_to_half_integers(c + shift) < POLE_CLEARANCE:
         raise PoleOnContour("cosh pole on the shifted contour (c=%r, shift=%r)" % (c, shift))
     pref = curve_prefactor(params, r, u, v, tau, trunc)
-    drift_re = curve_drift(params, r, u, v, tau).real
+    # on R + i*shift the Gaussian's linear coefficient gains K*shift*tau
+    drift_re = curve_drift(params, r, u, v, tau).real + params.K * shift * tau.real
     half = _gauss_half_width(params.K, tau, drift_re)
     atol = max(quad.tail_tol, 1e-9 * rel_scale)
 

@@ -4,9 +4,11 @@ h(u; tau)   = int_R e^{pi i tau x^2 - 2 pi u x} / cosh(pi x) dx
 h_s(u; tau) = int_R q^{x^2/2} z^{ix} / cosh(pi(x - is)) dx   for 0 <= |s| <= 1
 
 At s = +-1/2 the integrand has a pole on the real axis, and its other poles
-lie on iZ as well; the contour drops to R - i*eps with eps = CONTOUR_EPS = 1/2,
-midway to the next pole, where the trapezoid rule needs the fewest nodes.  Any
-eps in (0, 1) gives the same value.  Other s stay on the real axis.
+lie on iZ as well; the contour drops to R - i*eps.  By default eps is
+CONTOUR_EPS = 1/2, midway to the next pole, where the trapezoid rule needs the
+fewest nodes, lowered to 1/(2|Re tau|) where the Gaussian's tilt on the shifted
+line would outgrow the 1/cosh decay (domain.midway_depth).  Any eps in (0, 1)
+gives the same value.  Other s stay on the real axis.
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ import math
 
 import numpy as np
 
-from .domain import CONTOUR_EPS, DEFAULT_QUAD, QuadratureSpec, as_complex, as_modular
+from .domain import (  # CONTOUR_EPS is re-exported as the default depth
+    CONTOUR_EPS,
+    DEFAULT_QUAD,
+    QuadratureSpec,
+    as_complex,
+    as_modular,
+    contour_depth,
+    midway_depth,
+)
 from .errors import InvalidParameter
 from .kernel import QuadratureResult, integrate_line
 
@@ -58,10 +68,10 @@ def mordell_h_s_quad(
     u,
     tau,
     quad: QuadratureSpec | None = None,
-    eps: float = CONTOUR_EPS,
+    eps: float | None = None,
 ) -> QuadratureResult:
     """h_s with its quadrature error and node count.  At |s| = 1/2 the
-    contour is R - i*eps, and eps must lie in (0, 1)."""
+    contour is R - i*eps, with eps in (0, 1); None takes midway_depth."""
     if isinstance(s, complex):
         if s.imag != 0.0:
             raise InvalidParameter("s must be real, got %r" % (s,))
@@ -69,22 +79,21 @@ def mordell_h_s_quad(
     s = float(s)
     if abs(s) > 1.0:
         raise InvalidParameter("|s| must be at most 1, got %g" % s)
-    # the contour must not reach the next pole, 1 below the one it avoids
-    if not 0.0 < eps < 1.0:
-        raise InvalidParameter("contour depth eps must lie in (0, 1), got %r" % (eps,))
     uu = as_complex(u)
     tt = as_modular(tau).tau
-    on_pole = abs(abs(s) - 0.5) < 1e-12
-    shift = -eps if on_pole else 0.0
+    shift = 0.0
+    if abs(abs(s) - 0.5) < 1e-12:
+        shift = -(midway_depth(tt.real) if eps is None else contour_depth(eps))
     s_c = complex(0.0, s)
 
     def integrand(x):
         return np.exp(_PI_I * tt * x * x - _TWO_PI * uu * x) / np.cosh(math.pi * (x - s_c))
 
-    return integrate_line(integrand, _quad_for(uu, tt, quad, shift), vectorized=True)
+    # on R + i*shift the Gaussian peak sits where it would for u + shift*tau
+    return integrate_line(integrand, _quad_for(uu + shift * tt, tt, quad, shift), vectorized=True)
 
 
-def mordell_h_s(s, u, tau, quad: QuadratureSpec | None = None, eps: float = CONTOUR_EPS) -> complex:
+def mordell_h_s(s, u, tau, quad: QuadratureSpec | None = None, eps: float | None = None) -> complex:
     return mordell_h_s_quad(s, u, tau, quad, eps).value
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mockchar.modular_verlinde as mv
-from mockchar.domain import AlgebraParams, QuadratureSpec, RegulatorSpec
+from mockchar.domain import AlgebraParams, QuadratureSpec, RegulatorSpec, midway_depth
 from mockchar.errors import (
     IndexOutOfRange,
     InvalidParameter,
@@ -167,6 +167,22 @@ def test_singular_contour_depth_must_stay_below_next_pole():
         mv.lemma_trafoatyp_check(1, 2, -1, 0, ARGS, TAU, singular_side=2.0)
     with pytest.raises(InvalidParameter):
         mv.s_transform_atypical_check(AlgebraParams(2, 2), (0, 0), ARGS, TAU, singular_side=-3.0)
+
+
+@pytest.mark.parametrize("tau", [1.2 + 0.5j, 2.0 + 0.3j, -1.5 + 0.4j])
+def test_singular_rows_at_large_re_tau(tau):
+    # K |Re tau| > 1 (K = 3 in both cells): the default depth is lowered so
+    # the Gaussian's tilt on the shifted line cannot outgrow the kernel decay;
+    # it must agree with a contour 1e-3 off the pole
+    near_side = 1e-3 / midway_depth(3 * tau.real)
+    for check in (
+        lambda **kw: mv.lemma_trafoatyp_check(1, 2, -1, 0, ARGS, tau, **kw),
+        lambda **kw: mv.s_transform_atypical_check(AlgebraParams(2, 2), (0, 0), ARGS, tau, **kw),
+    ):
+        rep = check()
+        near = check(singular_side=near_side)
+        assert rep["rel_err"] < 1e-10, rep
+        assert abs(rep["rhs"] - near["rhs"]) < 1e-10 * abs(near["rhs"]), (rep, near)
 
 
 @pytest.mark.parametrize("tau", [1.1j, 0.1 + 1.1j, -0.45 + 0.8j, 0.3 + 1.9j])

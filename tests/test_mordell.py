@@ -7,7 +7,7 @@ contour identity below, which are computed through independent code paths.
 
 import pytest
 
-from mockchar.domain import QuadratureSpec
+from mockchar.domain import QuadratureSpec, contour_depth, midway_depth
 from mockchar.errors import InvalidParameter, QuadratureNoConvergence
 from mockchar.mordell import (
     h_window,
@@ -77,6 +77,41 @@ def test_half_shift_contour_depth_domain(eps):
     # at depth 1 the contour runs into the next pole
     with pytest.raises(InvalidParameter):
         mordell_h_s(0.5, 0.1, 1j, eps=eps)
+
+
+@pytest.mark.parametrize("tau", [2 + 0.1j, 1.2 + 0.05j, -2 + 0.1j, 5 + 0.2j])
+def test_half_shift_midway_contour_at_large_re_tau(tau):
+    # on R - i/2 the Gaussian gains e^{pi Re(tau) t}, which outgrows the
+    # 1/cosh decay once |Re tau| > 1: the default depth drops to
+    # 1/(2|Re tau|) and the window follows the shifted Gaussian peak
+    u = 0.1
+    res = mordell_h_s_quad(0.5, u, tau)
+    assert res.nodes <= 4097, res
+    assert abs(res.value - mordell_h_s(0.5, u, tau, eps=1e-3)) < 1e-10
+
+
+def test_half_shift_explicit_depth_window_follows_tilt():
+    # an explicit eps = 1/2 at Re tau = 2 keeps the tilt; the window must
+    # still cover the Gaussian peak it moves to t ~ 5
+    u, tau = 0.0, 2 + 0.1j
+    ref = mordell_h_s(0.5, u, tau, eps=1e-3)
+    assert abs(mordell_h_s(0.5, u, tau, eps=0.5) - ref) < 1e-10
+
+
+def test_depth_is_ignored_off_the_pole():
+    u, tau = 0.12 + 0.03j, 1.15j
+    assert mordell_h_s(0.3, u, tau, eps=1.5) == mordell_h_s(0.3, u, tau)
+
+
+def test_contour_depth_helpers():
+    assert contour_depth(0.5) == 0.5
+    for bad in (0.0, -0.1, 1.0, 2.0):
+        with pytest.raises(InvalidParameter):
+            contour_depth(bad)
+    assert midway_depth(0.0) == 0.5
+    assert midway_depth(-1.0) == 0.5
+    assert midway_depth(2.0) == 0.25
+    assert midway_depth(-4.0) == 0.125
 
 
 @pytest.mark.parametrize("s", [-0.4, -0.15, 0.0, 0.2, 0.45])
