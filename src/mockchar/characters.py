@@ -27,6 +27,7 @@ from .domain import (
     as_complex,
     as_modular,
     floor_re,
+    identity_report,
 )
 from .errors import InvalidParameter, PoleProximity
 from .kernel import eta, gaussian_cutoff, require_pole_clearance, theta1, theta3
@@ -359,14 +360,6 @@ def chi_via_appell(
     )
 
 
-def _report(check: str, lhs: complex, rhs: complex, **extra) -> dict:
-    abs_err = abs(lhs - rhs)
-    rel_err = abs_err / max(abs(lhs), abs(rhs), 1.0)
-    out = {"check": check, "lhs": lhs, "rhs": rhs, "abs_err": abs_err, "rel_err": rel_err}
-    out.update(extra)
-    return out
-
-
 def elliptic_shift_atypical(
     params: AlgebraParams,
     label: AtypicalWLabel,
@@ -405,7 +398,7 @@ def elliptic_shift_atypical(
         )
     else:
         raise InvalidParameter("unknown shift %r" % (shift,))
-    return _report("elliptic_atypical_" + shift, lhs, rhs, shift=shift, alpha=alpha)
+    return identity_report("elliptic_atypical_" + shift, lhs, rhs, shift=shift, alpha=alpha)
 
 
 def elliptic_shift_typical(
@@ -445,7 +438,7 @@ def elliptic_shift_typical(
         )
     else:
         raise InvalidParameter("unknown shift %r" % (shift,))
-    return _report("elliptic_typical_" + shift, lhs, rhs, shift=shift, alpha=alpha)
+    return identity_report("elliptic_typical_" + shift, lhs, rhs, shift=shift, alpha=alpha)
 
 
 def verify_atyp_typ_difference(
@@ -469,7 +462,7 @@ def verify_atyp_typ_difference(
         tau,
         trunc,
     )
-    return _report("atyp_typ_difference", lhs, rhs)
+    return identity_report("atyp_typ_difference", lhs, rhs)
 
 
 def verify_typical_periodicity(
@@ -478,7 +471,7 @@ def verify_typical_periodicity(
     shifted = TypicalWLabel(as_complex(label.n_prime) + params.n, as_complex(label.e_prime) + params.ell)
     lhs = chi_w_typical(params, label, u, v, tau, trunc)
     rhs = chi_w_typical(params, shifted, u, v, tau, trunc)
-    return _report("typical_periodicity", lhs, rhs)
+    return identity_report("typical_periodicity", lhs, rhs)
 
 
 def verify_atypical_periodicity(
@@ -487,7 +480,7 @@ def verify_atypical_periodicity(
     shifted = AtypicalWLabel(label.n_prime, label.ell_prime + params.ell)
     lhs = chi_w_atypical(params, label, u, v, tau, trunc)
     rhs = chi_w_atypical(params, shifted, u, v, tau, trunc)
-    return _report("atypical_periodicity", lhs, rhs)
+    return identity_report("atypical_periodicity", lhs, rhs)
 
 
 def _unity_window(params: AlgebraParams) -> range:
@@ -548,7 +541,7 @@ def chiunity_decompose(
         )
     else:
         raise InvalidParameter("unknown direction %r" % (direction,))
-    return _report("chiunity_" + direction, lhs, rhs, index=index)
+    return identity_report("chiunity_" + direction, lhs, rhs, index=index)
 
 
 def chi_lattice(alpha_sq: int, n: int, u, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:

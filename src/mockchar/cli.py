@@ -141,7 +141,7 @@ def _algebra(args) -> AlgebraParams:
 
 
 def _eval_registry():
-    """name -> callable(args) -> (value, bound)."""
+    """name -> callable(args) -> (value, bound) or (value, bound, extra JSON fields)."""
     tail = DEFAULT_TRUNC.tail_tol
 
     def uvt(args):
@@ -171,15 +171,16 @@ def _eval_registry():
         u, v, tau = uvt(args)
         return aK(parse_int(_require(args, "K"), "K"), u, v, tau), tail
 
+    def quadrature(res):
+        return res.value, res.error, {"nodes": res.nodes}
+
     def do_h(args):
-        res = mordell.mordell_h_quad(*ut(args))
-        return res.value, res.error
+        return quadrature(mordell.mordell_h_quad(*ut(args)))
 
     def do_h_s(args):
         s = parse_real(_require(args, "s"))
         u, tau = ut(args)
-        res = mordell.mordell_h_s_quad(s, u, tau)
-        return res.value, res.error
+        return quadrature(mordell.mordell_h_s_quad(s, u, tau))
 
     def do_chi_gl11_typical(args):
         n = parse_int(_require(args, "n"), "n")
@@ -275,12 +276,12 @@ def cmd_eval(args) -> int:
         raise InvalidParameter(
             "unknown function %r; known: %s" % (args.name, ", ".join(sorted(registry)))
         )
-    value, bound = registry[key](args)
+    value, bound, *extra = registry[key](args)
     if args.format == "json":
-        out = json.dumps(
-            {"name": key, "re": complex(value).real, "im": complex(value).imag, "bound": bound},
-            sort_keys=True,
-        )
+        doc = {"name": key, "re": complex(value).real, "im": complex(value).imag, "bound": bound}
+        for fields in extra:
+            doc.update(fields)
+        out = json.dumps(doc, sort_keys=True)
     else:
         out = "%s  (bound %.3e)" % (format_value(value), float(bound))
     _emit(args, out + "\n")

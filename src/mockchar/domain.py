@@ -28,6 +28,19 @@ def floor_re(e) -> int:
     return math.floor(complex(e).real)
 
 
+def rel_err(lhs, rhs) -> float:
+    """|lhs - rhs| / max(|lhs|, |rhs|, 1): relative for values above 1,
+    absolute below."""
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+
+
+def identity_report(check: str, lhs, rhs, **extra) -> dict:
+    """The dict an identity check returns: both sides and both errors."""
+    out = {"check": check, "lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs), "rel_err": rel_err(lhs, rhs)}
+    out.update(extra)
+    return out
+
+
 @dataclass(frozen=True)
 class ModularPoint:
     """tau in the upper half-plane with derived nome q = e^{2 pi i tau}."""

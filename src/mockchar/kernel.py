@@ -3,7 +3,7 @@
 Series are summed over a symmetric window whose width is chosen so that the
 Gaussian tail bound falls below the requested tolerance.  Quadrature is the
 trapezoid rule on a finite window with node doubling until two successive
-refinements agree.
+refinements agree to the tolerance or to the sum's rounding floor.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .domain import (
     TruncationSpec,
     as_complex,
     as_modular,
+    identity_report,
     lattice_distance,
 )
 from .errors import PoleProximity, QuadratureNoConvergence, TailBoundExceeded
@@ -156,11 +157,22 @@ def _eval_line(f, xs: np.ndarray, shift: complex, vectorized: bool) -> np.ndarra
     return out
 
 
+# Rounding floor of a trapezoid sum, per unit of h * sum|f|.  Each term
+# carries the rounding of its node and of an exponent that reaches tens of
+# units, so its relative error is tens of ulps, not one: against mpmath,
+# Mordell integrals with heavy cancellation were off by up to 33 eps * h *
+# sum|f|.  Where the terms cancel so strongly that this floor exceeds tail_tol,
+# no refinement can meet tail_tol.
+_ROUNDING_ULPS = 64.0 * np.finfo(float).eps
+
+
 def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = False) -> QuadratureResult:
     """Trapezoid quadrature of f over [-L, L] + i*contour_shift with node doubling.
 
-    Stops once two successive refinements agree to spec.tail_tol (at least two
-    doublings are always performed).
+    Stops once two successive refinements agree to the larger of
+    spec.tail_tol and the rounding floor _ROUNDING_ULPS * h * sum|f| (at least
+    two doublings are always performed).  The error is the last difference
+    or the floor, whichever is larger.
     """
     half = spec.half_width
     shift = 1j * spec.contour_shift
@@ -169,21 +181,25 @@ def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = Fa
     vals = _eval_line(f, xs, shift, vectorized)
     h = 2.0 * half / n
     current = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+    mass = h * (np.abs(vals).sum() - 0.5 * (abs(vals[0]) + abs(vals[-1])))
     refinements = 0
     while True:
         mids = np.linspace(-half + h / 2.0, half - h / 2.0, n)
         mid_vals = _eval_line(f, mids, shift, vectorized)
         refined = current / 2.0 + (h / 2.0) * mid_vals.sum()
+        mass = mass / 2.0 + (h / 2.0) * np.abs(mid_vals).sum()
         err = abs(refined - current)
+        floor = _ROUNDING_ULPS * mass
         n *= 2
         h /= 2.0
         current = refined
         refinements += 1
-        if refinements >= 2 and err <= spec.tail_tol:
-            return QuadratureResult(complex(current), float(err), n + 1)
+        if refinements >= 2 and err <= max(spec.tail_tol, floor):
+            return QuadratureResult(complex(current), float(max(err, floor)), n + 1)
         if n >= spec.max_nodes:
             raise QuadratureNoConvergence(
-                "no convergence with %d nodes (last delta %.3g, tol %g)" % (n, err, spec.tail_tol)
+                "no convergence with %d nodes (last delta %.3g, tol %g, rounding floor %.3g)"
+                % (n, err, spec.tail_tol, floor)
             )
 
 
@@ -202,15 +218,7 @@ def theta1_rescaling_check(
         shift = n - (level - 1) / 2.0
         pref = cmath.exp(2j * math.pi * (tt * shift * shift / (2.0 * kk) + shift * (uu + 0.5)))
         rhs += pref * theta1(kk * uu + tt * shift + (level - 1) / 2.0, kk * tt, trunc)
-    abs_err = abs(lhs - rhs)
-    return {
-        "check": "theta1_rescaling",
-        "level": level,
-        "lhs": lhs,
-        "rhs": rhs,
-        "abs_err": abs_err,
-        "rel_err": abs_err / max(abs(lhs), abs(rhs), 1.0),
-    }
+    return identity_report("theta1_rescaling", lhs, rhs, level=level)
 
 
 def gauss_identity_check(alpha, beta, quad: QuadratureSpec = DEFAULT_QUAD) -> dict:
@@ -231,12 +239,4 @@ def gauss_identity_check(alpha, beta, quad: QuadratureSpec = DEFAULT_QUAD) -> di
     res = integrate_line(lambda xs: np.exp(-al * xs * xs + be * xs), spec, vectorized=True)
     lhs = res.value
     rhs = sqrt_principal(math.pi / al) * cmath.exp(be * be / (4.0 * al))
-    abs_err = abs(lhs - rhs)
-    return {
-        "check": "gauss_identity",
-        "lhs": lhs,
-        "rhs": rhs,
-        "abs_err": abs_err,
-        "rel_err": abs_err / max(abs(lhs), abs(rhs), 1.0),
-        "nodes": res.nodes,
-    }
+    return identity_report("gauss_identity", lhs, rhs, nodes=res.nodes)

@@ -50,7 +50,9 @@ from .domain import (
     as_modular,
     contour_depth,
     floor_re,
+    identity_report,
     midway_depth,
+    rel_err,
 )
 from .errors import (
     IndexOutOfRange,
@@ -436,14 +438,6 @@ def _uv(args) -> tuple:
     return as_complex(u), as_complex(v)
 
 
-def _report(check: str, lhs: complex, rhs: complex, **extra) -> dict:
-    abs_err = abs(lhs - rhs)
-    rel_err = abs_err / max(abs(lhs), abs(rhs), 1.0)
-    out = {"check": check, "lhs": lhs, "rhs": rhs, "abs_err": abs_err, "rel_err": rel_err}
-    out.update(extra)
-    return out
-
-
 def _gauss_half_width(K: int, tau, drift_re: float, tol: float = 1e-13) -> float:
     """Half width L with exp(-pi K Im(tau) L^2 + 2 pi |drift| L) <= tol."""
     im = as_modular(tau).tau.imag
@@ -591,7 +585,7 @@ def s_transform_atypical_check(
         ) / len(shifts)
 
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * (aa + sign * at_total)
-    return _report(
+    return identity_report(
         "s_transform_atypical",
         lhs,
         rhs,
@@ -639,7 +633,7 @@ def s_transform_typical_check(
     lhs = chi_w_typical_curve(params, rf, xf, u / tt, v / tt, -1.0 / tt, trunc)
     bracket = _typical_bracket_at(params, rf, np.array([xf]), u, v, tt, trunc)[0]
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * bracket
-    return _report("s_transform_typical", lhs, rhs, row=(rf, xf))
+    return identity_report("s_transform_typical", lhs, rhs, row=(rf, xf))
 
 
 def t_transform_check(
@@ -660,7 +654,7 @@ def t_transform_check(
         lhs = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), u, v, tt + 1.0, trunc)
         base = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), u, v, tt, trunc)
         rhs = cmath.exp(TWO_PI_I * t * tp / ell) * base
-        return _report("t_transform_atyp", lhs, rhs, label=(t, tp))
+        return identity_report("t_transform_atyp", lhs, rhs, label=(t, tp))
     if family == "typ":
         r, x = label
         rf = Fraction(r) if not isinstance(r, Fraction) else r
@@ -673,7 +667,7 @@ def t_transform_check(
         expo = math.pi * 1j * (quad_term + beta + a / 2.0 + 0.25 + K * xf * xf)
         lhs = chi_w_typical_curve(params, rf, xf, u, v, tt + 1.0, trunc)
         rhs = cmath.exp(expo) * chi_w_typical_curve(params, rf, xf, u, v, tt, trunc)
-        return _report("t_transform_typ", lhs, rhs, label=(rf, xf), variant=which)
+        return identity_report("t_transform_typ", lhs, rhs, label=(rf, xf), variant=which)
     raise InvalidParameter("family must be 'atyp' or 'typ'")
 
 
@@ -733,7 +727,7 @@ def lemma_trafoatyp_check(
         ) / len(shifts)
 
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * (base + hs * 0.5 * total)
-    return _report(
+    return identity_report(
         "lemma_trafoatyp",
         lhs,
         rhs,
@@ -849,7 +843,7 @@ def lemma_trafotypchar_check(
         total += const_phase * pref * complex(_gaussian_integral(alpha, beta))
 
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * boundary_sign * total
-    return _report(
+    return identity_report(
         "lemma_trafotypchar",
         lhs,
         rhs,
@@ -948,7 +942,7 @@ def s_compose_check(
         res = integrate_line(f_outer, _line_spec(half_out, quad, tol=atol), vectorized=True)
         rhs += AT_BLOCK_SIGN * res.value
 
-    return _report("s_compose", lhs, rhs, row=(t, tp))
+    return identity_report("s_compose", lhs, rhs, row=(t, tp))
 
 
 def s_periodicity_check(params: AlgebraParams, seed: int = 0, trials: int = 10) -> dict:
@@ -1065,7 +1059,7 @@ def verlinde_product_at(
 
     chi_direct = chi_w_typical(params, direct, u, v, tt, trunc)
     chi_windowed = chi_w_typical(params, windowed, u, v, tt, trunc)
-    window_err = abs(chi_direct - chi_windowed) / max(abs(chi_direct), abs(chi_windowed), 1.0)
+    window_err = rel_err(chi_direct, chi_windowed)
 
     sc = structure_constant(params, (t, tp), (mf, ee), (ft["m_windowed"], windowed.e_prime))
 
@@ -1129,7 +1123,7 @@ def verlinde_product_aa(
         ladder += chi_w_typical(
             params, TypicalWLabel(x0 + i + y * a + 0.5, y), u, v, tt, trunc
         )
-    tel = _report("telescope", upper - lower, ladder)
+    tel = identity_report("telescope", upper - lower, ladder)
 
     # ell'-periodicity lets the summed flow label be reduced into the window
     reduced = y - ell * ((y + ell // 2) // ell)

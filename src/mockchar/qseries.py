@@ -113,14 +113,20 @@ class SparseSeries:
             out.add_term(*key, coeff)
         return out
 
-    def __mul__(self, other: "SparseSeries") -> "SparseSeries":
+    def mul(self, other: "SparseSeries", z_window: int) -> "SparseSeries":
+        """Product truncated at the lower order and to |z_pow| <= z_window;
+        pairs outside the window are skipped before their coefficients are
+        multiplied."""
         out = SparseSeries(min(self.order, other.order))
         for (qa, za, ya), ca in self.terms.items():
             for (qb, zb, yb), cb in other.terms.items():
                 qe = qa + qb
                 if qe > out.order:
                     continue
-                out.add_term(qe, za + zb, ya + yb, ca * cb)
+                ze = za + zb
+                if abs(ze) > z_window:
+                    continue
+                out.add_term(qe, ze, ya + yb, ca * cb)
         return out
 
     def scaled(self, coeff: GRat) -> "SparseSeries":
@@ -307,7 +313,7 @@ def chi_w_atypical_series(
         if not placed and m * ell > past_minimum:
             break
         m += 1
-    return _window_filter(lead * body, window)
+    return lead.mul(body, window)
 
 
 def qexpand(

@@ -51,6 +51,7 @@ from .domain import (
     TWO_PI_I,
     TypicalWLabel,
     as_modular,
+    rel_err,
 )
 from .errors import ConvergenceError, PoleOnContour, PoleProximity, SingularEntry
 from .kernel import eta, eta_pentagonal, theta1, theta3
@@ -169,7 +170,7 @@ def _theta1_laws(ctx: RunContext):
             ),
         ]
         for name, lhs, rhs in checks:
-            err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+            err = rel_err(lhs, rhs)
             ctx.add("kernel.theta1-laws.%s.%d" % (name, k), "theta1 %s law" % name, err,
                     u=u, tau=tau)
 
@@ -196,7 +197,7 @@ def _theta3_half(ctx: RunContext):
         lhs = theta3(w + 0.5 + tau / 2.0, tau)
         rhs = 1j * cmath.exp(-PI_I * tau / 4.0) * cmath.exp(-PI_I * w) * theta1(w, tau)
         ctx.add("kernel.theta3-half-period.%d" % k, "theta3 half-period shift",
-                abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0), w=w, tau=tau)
+                rel_err(lhs, rhs), w=w, tau=tau)
 
 
 @_check("kernel.theta-rescaling", "kernel", "theta1 at tau/K as K thetas at K tau", 1e-10)
@@ -233,7 +234,7 @@ def _rel1(ctx: RunContext):
             lhs = aK(level, u, v, tau)
             rhs = aK_via_rel1(level, u, v, tau)
             ctx.add("appell.rel1.K%d.%d" % (level, k), "A_K via level-one sums",
-                    abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0), level=level, u=u, v=v, tau=tau)
+                    rel_err(lhs, rhs), level=level, u=u, v=v, tau=tau)
 
 
 @_check("appell.rel2", "appell", "level decomposition with rescaled second argument", 1e-9)
@@ -246,7 +247,7 @@ def _rel2(ctx: RunContext):
             lhs = aK(level, u, v, tau)
             rhs = aK_via_rel2(level, u, v, tau)
             ctx.add("appell.rel2.K%d.%d" % (level, k), "A_K via level-one sums, dual form",
-                    abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0), level=level, u=u, v=v, tau=tau)
+                    rel_err(lhs, rhs), level=level, u=u, v=v, tau=tau)
 
 
 @_check("appell.elliptic", "appell", "four elliptic shift laws of A_K", 1e-9)
@@ -266,7 +267,7 @@ def _ak_elliptic(ctx: RunContext):
                 rhs = aK_elliptic_rhs(level, which, u, v, tau)
                 ctx.add("appell.elliptic.K%d.%s.%d" % (level, which, k),
                         "A_K elliptic shift %s" % which,
-                        abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0),
+                        rel_err(lhs, rhs),
                         level=level, u=u, v=v, tau=tau)
 
 
@@ -279,7 +280,7 @@ def _ak_tau1(ctx: RunContext):
         lhs = aK_tau_plus_one(level, u, v, tau)
         rhs = aK(level, u, v, tau)
         ctx.add("appell.tau1.K%d" % level, "A_K T law",
-                abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0), level=level, u=u, v=v, tau=tau)
+                rel_err(lhs, rhs), level=level, u=u, v=v, tau=tau)
 
 
 @_check("appell.s-law", "appell", "A_K S-transformation with Mordell corrections", 1e-6)
@@ -367,7 +368,7 @@ def _typ_routes(ctx: RunContext):
             lhs = chi_w_typical(pr, label, u, v, tau, route="sum")
             rhs = chi_w_typical(pr, label, u, v, tau, route="theta")
             ctx.add("characters.typ-routes.n%d.l%d.%d" % (n, l, k), "two typical evaluations",
-                    abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0), n=n, ell=l)
+                    rel_err(lhs, rhs), n=n, ell=l)
 
 
 @_check("characters.periodicity", "characters", "label periodicity of both families", 1e-12)
@@ -411,7 +412,7 @@ def _chi_as_appell(ctx: RunContext):
             lhs = chi_w_atypical(pr, AtypicalWLabel(npr, 0), u, v, tau)
             rhs = chi_via_appell(pr, npr, u, v, tau)
             ctx.add("characters.chi-as-appell.n%d.%d" % (n, k), "atypical through A_{2a+1}",
-                    abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0), n=n)
+                    rel_err(lhs, rhs), n=n)
 
 
 @_check("characters.elliptic", "characters", "elliptic shift laws of both families", 1e-10)

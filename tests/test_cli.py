@@ -81,6 +81,16 @@ def test_eval_json_format(capsys):
     assert doc["bound"] < 1e-10
 
 
+def test_eval_json_reports_quadrature_nodes(capsys):
+    for args in (("h", "--u", "0", "--tau", "i"), ("h_s", "--s", "0.5", "--u", "0.1", "--tau", "i")):
+        code, out, _ = run(capsys, "eval", *args, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert isinstance(doc["nodes"], int) and 64 < doc["nodes"] <= 1025, doc
+    code, out, _ = run(capsys, "eval", "theta1", "--u", "0.1", "--tau", "i", "--format", "json")
+    assert "nodes" not in json.loads(out)
+
+
 def test_eval_unknown_function_is_usage_error(capsys):
     code, _, err = run(capsys, "eval", "zeta", "--u", "0", "--tau", "i")
     assert code == 2

@@ -155,6 +155,17 @@ def test_integrate_line_evaluates_in_bounded_slices(monkeypatch):
     assert max(seen) > chunk
 
 
+def test_integrate_line_stops_at_rounding_floor():
+    # the terms reach 1e7 while the integral is ~1e-37: no refinement can meet
+    # tail_tol 1e-11, so the rule stops at the rounding floor and reports it
+    # instead of doubling to max_nodes
+    spec = QuadratureSpec(half_width=8.0, nodes=64, tail_tol=1e-11)
+    res = integrate_line(lambda x: 1e7 * np.exp(-x * x) * np.cos(20.0 * x), spec, vectorized=True)
+    assert res.nodes < spec.max_nodes
+    assert 1e-11 < res.error < 1e-6
+    assert abs(res.value) <= res.error
+
+
 def test_quadrature_no_convergence_when_capped():
     spec = QuadratureSpec(half_width=6.0, nodes=4, max_nodes=8)
     with pytest.raises(QuadratureNoConvergence):

@@ -185,6 +185,40 @@ def test_singular_rows_at_large_re_tau(tau):
         assert abs(rep["rhs"] - near["rhs"]) < 1e-10 * abs(near["rhs"]), (rep, near)
 
 
+@pytest.mark.parametrize("tau", [0.4 + 1.1j, -0.3 + 0.9j])
+def test_singular_row_window_follows_contour_tilt(monkeypatch, tau):
+    # On R + i*d the Gaussian e^{pi i tau K x^2} gains the drift K d Re(tau),
+    # and the window of a singular row must be sized for it.  Within the
+    # default depth the kernel decay hides a window sized without it, so the
+    # drift is read where the window is sized: halving the depth moves each
+    # singular row's drift by K (d/2) Re(tau) and leaves the other rows alone.
+    K = 3
+    depth = midway_depth(K * tau.real)
+    seen = []
+    sized = mv._gauss_half_width
+
+    def spy(k, tau_, drift_re, *rest):
+        seen.append(drift_re)
+        return sized(k, tau_, drift_re, *rest)
+
+    monkeypatch.setattr(mv, "_gauss_half_width", spy)
+    for check in (
+        lambda side: mv.lemma_trafoatyp_check(1, 2, -1, 0, ARGS, tau, singular_side=side),
+        lambda side: mv.s_transform_atypical_check(AlgebraParams(2, 2), (0, 0), ARGS, tau,
+                                                   singular_side=side),
+    ):
+        drifts = []
+        for side in (1.0, 0.5):
+            seen.clear()
+            check(side)
+            drifts.append(list(seen))
+        tilt = K * depth / 2 * abs(tau.real)
+        moved = [abs(a - b) for a, b in zip(*drifts)]
+        assert 0 < moved.count(0.0) < len(moved), moved
+        for m in moved:
+            assert m == 0.0 or m == pytest.approx(tilt, rel=1e-12), moved
+
+
 @pytest.mark.parametrize("tau", [1.1j, 0.1 + 1.1j, -0.45 + 0.8j, 0.3 + 1.9j])
 def test_gaussian_integral_matches_quadrature(tau):
     # the curve Gaussians: alpha = -pi i tau K, complex beta

@@ -5,10 +5,14 @@ two different node caps during development; it also survives every shift and
 contour identity below, which are computed through independent code paths.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from mockchar.domain import QuadratureSpec, contour_depth, midway_depth
 from mockchar.errors import InvalidParameter, QuadratureNoConvergence
+from mockchar.kernel import integrate_line
 from mockchar.mordell import (
     h_window,
     mordell_h,
@@ -88,6 +92,59 @@ def test_half_shift_midway_contour_at_large_re_tau(tau):
     res = mordell_h_s_quad(0.5, u, tau)
     assert res.nodes <= 4097, res
     assert abs(res.value - mordell_h_s(0.5, u, tau, eps=1e-3)) < 1e-10
+
+
+@pytest.mark.parametrize("eps", [5e-4, 1e-3, 2e-3])
+def test_half_shift_near_pole_node_count(eps):
+    # the pole eps from the line is subtracted in closed form, so the
+    # trapezoid sees the next pole, 1 - eps away, not this one
+    res = mordell_h_s_quad(0.5, 0.12 + 0.03j, 1.15j, eps=eps)
+    assert res.nodes <= 1025, res
+
+
+def test_near_axis_pole_node_count():
+    # at s = 0.49 a kernel pole sits 0.01 below the real axis
+    res = mordell_h_s_quad(0.49, 0.12 + 0.03j, 1.15j)
+    assert res.nodes <= 1025, res
+    assert verify_mordell_shift(0.49, 0.12 + 0.03j, 1.15j)["rel_err"] < 1e-13
+
+
+@pytest.mark.parametrize("s", [0.5, -0.5])
+def test_subtracted_pole_matches_raw_trapezoid(s):
+    # independent reference: the plain trapezoid on R - 1e-3 i, with the pole
+    # left in the integrand, refined until it resolves it (~2^18 nodes)
+    u, tau, eps = 0.12 + 0.03j, 1.15j, 1e-3
+
+    def raw(x):
+        return np.exp(1j * math.pi * tau * x * x - 2.0 * math.pi * u * x) / np.cosh(math.pi * (x - 1j * s))
+
+    ref = integrate_line(raw, QuadratureSpec(half_width=h_window(u - eps * tau, tau), contour_shift=-eps),
+                         vectorized=True)
+    assert ref.nodes > 1 << 16
+    res = mordell_h_s_quad(s, u, tau, eps=eps)
+    assert abs(res.value - ref.value) < 1e-10
+
+
+# inputs from the appell.s-law check at verify seeds 1044 and 1068: h * sum|f|
+# is ~8e5 for a value of ~0.1, so tail_tol 1e-11 lies below the rounding floor
+STALL_INPUTS = [
+    (5.487252167525026 - 3.8118117734703665j, -2.4554381934446483 + 5.652835056997337j),
+    (5.307207960713834 - 3.6839248572266023j, -1.874882345998095 + 5.324689671854745j),
+]
+
+
+@pytest.mark.parametrize("u,tau", STALL_INPUTS)
+def test_h_with_heavy_cancellation_meets_its_reported_error(u, tau):
+    mp = pytest.importorskip("mpmath")
+    res = mordell_h_quad(u, tau)
+    assert res.nodes <= 1 << 14, res
+    with mp.workdps(30):
+        uu, tt = mp.mpc(u), mp.mpc(tau)
+        ref = complex(mp.quad(
+            lambda x: mp.exp(mp.pi * 1j * tt * x * x - 2 * mp.pi * uu * x) / mp.cosh(mp.pi * x),
+            [-mp.inf, -2, -1, 0, mp.inf],
+        ))
+    assert abs(res.value - ref) <= res.error, (res, ref)
 
 
 def test_half_shift_explicit_depth_window_follows_tilt():
