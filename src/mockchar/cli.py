@@ -39,7 +39,6 @@ from .report import summary_lines, write_jsonl
 from .suites import (
     DEFAULT_GRID,
     SuiteConfig,
-    default_jobs,
     exit_code,
     rng_for,
     run_suites,
@@ -360,14 +359,12 @@ def cmd_verify(args) -> int:
     suites = []
     for chunk in args.suite or ["all"]:
         suites.extend(s.strip() for s in chunk.split(",") if s.strip())
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     config = SuiteConfig(
         suites=tuple(suites),
         samples=args.samples,
         seed=args.seed,
         tol_override=args.tol,
         params_grid=_grid_from_params(parse_kv_bag(args.params or "")),
-        jobs=max(1, jobs),
     )
     reports = run_suites(config)
 
@@ -510,6 +507,7 @@ def _add_common_flags(sub) -> None:
     sub.add_argument("--tol", type=float)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--samples", type=int, default=5)
+    # Accepted so existing command lines keep working; checks run serially.
     sub.add_argument("--jobs", type=int)
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.add_argument("--out")

@@ -1,9 +1,11 @@
 """Verification suite registry and runner.
 
 Every identity the library implements is wrapped as a named check producing
-VerificationReport records.  Checks are independent and pure, so the runner
-may execute them concurrently; determinism is guaranteed by giving each check
-its own RNG derived from (seed, check_id) and sorting reports by check id.
+VerificationReport records.  Checks are independent and pure; each gets its
+own RNG derived from (seed, check_id) and reports are sorted by check id, so
+the output depends only on the suites and the seed.  The runner executes the
+checks one after another in the calling thread: they are pure-Python and hold
+the GIL, so worker threads would only contend for it.
 """
 
 from __future__ import annotations
@@ -11,10 +13,8 @@ from __future__ import annotations
 import cmath
 import hashlib
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -98,7 +98,6 @@ class SuiteConfig:
     seed: int = 0
     tol_override: float | None = None
     params_grid: tuple | None = None
-    jobs: int = 1
 
 
 @dataclass
@@ -800,25 +799,10 @@ def _run_one(spec: CheckSpec, config: SuiteConfig) -> list:
     ]
 
 
-def default_jobs() -> int:
-    env = os.environ.get("MOCKCHAR_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def run_suites(config: SuiteConfig) -> list:
-    checks = resolve_checks(config.suites)
-    jobs = max(1, config.jobs)
     reports: list = []
-    if jobs == 1:
-        for spec in checks:
-            reports.extend(_run_one(spec, config))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(lambda s: _run_one(s, config), checks):
-                reports.extend(batch)
+    for spec in resolve_checks(config.suites):
+        reports.extend(_run_one(spec, config))
     reports.sort(key=lambda r: r.check_id)
     return reports
 
