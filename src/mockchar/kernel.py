@@ -172,7 +172,9 @@ def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = Fa
     Stops once two successive refinements agree to the larger of
     spec.tail_tol and the rounding floor _ROUNDING_ULPS * h * sum|f| (at least
     two doublings are always performed).  The error is the last difference
-    or the floor, whichever is larger.
+    or the floor, whichever is larger.  Refinement cannot see what lies
+    outside the window, so a result whose integrand at +-L still exceeds that
+    limit raises QuadratureNoConvergence instead of returning a cut-off value.
     """
     half = spec.half_width
     shift = 1j * spec.contour_shift
@@ -181,6 +183,7 @@ def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = Fa
     vals = _eval_line(f, xs, shift, vectorized)
     h = 2.0 * half / n
     current = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+    edge = max(abs(vals[0]), abs(vals[-1]))
     mass = h * (np.abs(vals).sum() - 0.5 * (abs(vals[0]) + abs(vals[-1])))
     refinements = 0
     while True:
@@ -194,7 +197,13 @@ def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = Fa
         h /= 2.0
         current = refined
         refinements += 1
-        if refinements >= 2 and err <= max(spec.tail_tol, floor):
+        limit = max(spec.tail_tol, floor)
+        if refinements >= 2 and err <= limit:
+            if edge > limit:
+                raise QuadratureNoConvergence(
+                    "window [-%g, %g] cuts the integrand off (|f| = %.3g at its edge, limit %.3g)"
+                    % (half, half, edge, limit)
+                )
             return QuadratureResult(complex(current), float(max(err, floor)), n + 1)
         if n >= spec.max_nodes:
             raise QuadratureNoConvergence(

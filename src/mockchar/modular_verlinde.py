@@ -190,7 +190,7 @@ def _coerce_m(params: AlgebraParams, m, name: str = "m", window: bool = False) -
     demands membership in the centered window M (curve rows of the
     S-transformation live there, generic (m, e) labels need not)."""
     ell, K = params.ell, params.K
-    mf = Fraction(m) if not isinstance(m, Fraction) else m
+    mf = Fraction(m)
     p = mf * ell
     if p.denominator != 1:
         raise IndexOutOfRange("%s=%s is not in (1/ell)Z" % (name, mf))
@@ -231,7 +231,7 @@ class LabelCurvePoint:
 
 
 def label_curve_point(params: AlgebraParams, r, x) -> LabelCurvePoint:
-    rf = Fraction(r) if not isinstance(r, Fraction) else r
+    rf = Fraction(r)
     xx = as_complex(x)
     a_val = curve_label_a(params, rf, xx)
     e_val = curve_label_e(params, rf, xx)
@@ -366,7 +366,7 @@ def s_entry_at(
         return SMatrixEntry("at", row, (mf, ee), value)
     if label_kind == "r":
         r, x = label
-        rf = Fraction(r) if not isinstance(r, Fraction) else r
+        rf = Fraction(r)
         _, e0 = curve_base_labels(params, rf)
         xx = as_complex(x)
         ee = e0 - 1j * xx
@@ -395,8 +395,8 @@ def s_entry_tt_curve(params: AlgebraParams, row, col) -> SMatrixEntry:
     """Typical-typical entry between curve points (r, x) and (c, w)."""
     r, x = row
     c, w = col
-    rf = Fraction(r) if not isinstance(r, Fraction) else r
-    cf = Fraction(c) if not isinstance(c, Fraction) else c
+    rf = Fraction(r)
+    cf = Fraction(c)
     value = _s_tt_curve_raw(params, rf, as_complex(x), cf, as_complex(w))
     return SMatrixEntry("tt_curve", (rf, as_complex(x)), (cf, as_complex(w)), complex(value))
 
@@ -406,8 +406,8 @@ def s_entry_consistency_check(params: AlgebraParams, r, x, c, w) -> dict:
     m = 2a - r, e = e_r(x): the curve entry is the real-label entry times
     e^{-2 pi i (e + e')}, and the at-entries coincide verbatim."""
     a = params.a
-    rf = Fraction(r) if not isinstance(r, Fraction) else r
-    cf = Fraction(c) if not isinstance(c, Fraction) else c
+    rf = Fraction(r)
+    cf = Fraction(c)
     e_r = curve_label_e(params, rf, x)
     e_c = curve_label_e(params, cf, w)
     curve = _s_tt_curve_raw(params, rf, as_complex(x), cf, as_complex(w))
@@ -657,7 +657,7 @@ def t_transform_check(
         return identity_report("t_transform_atyp", lhs, rhs, label=(t, tp))
     if family == "typ":
         r, x = label
-        rf = Fraction(r) if not isinstance(r, Fraction) else r
+        rf = Fraction(r)
         xf = float(x)
         which = T_PHASE_VARIANT if variant is None else variant
         if which not in _T_PHASE_VARIANTS:

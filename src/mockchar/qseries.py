@@ -3,6 +3,13 @@
 Exponents are Fractions, coefficients are Gaussian rationals, so expansions are
 exact and comparable term by term.  Series of meromorphic objects (Appell sums,
 atypical characters) are expanded in the region |q| < |z| < 1.
+
+Products run on integers: `SparseSeries.mul` scales every exponent by the lcm
+of the exponent denominators of both operands (and of the output order), and
+each operand's coefficients by the lcm of that operand's coefficient
+denominators.  It multiplies and accumulates the scaled integers pair by pair
+and builds the Fraction keys and GRat coefficients once per surviving term.
+The result, dict order included, is that of the Fraction pair loop.
 """
 
 from __future__ import annotations
@@ -81,6 +88,22 @@ class GRat:
 MINUS_I = GRat(Fraction(0), Fraction(-1))
 
 
+def _scaled(x, d: int) -> int:
+    """x * d for a rational x whose denominator divides d."""
+    return x.numerator * (d // x.denominator)
+
+
+def _scaled_rows(terms: dict, dq: int, dz: int, dy: int):
+    """Terms as integer rows (q*dq, z*dz, y*dy, re*c, im*c), and c, the lcm of
+    their coefficient denominators."""
+    c = math.lcm(*(d for coeff in terms.values() for d in (coeff.re.denominator, coeff.im.denominator)))
+    rows = [
+        (_scaled(q, dq), _scaled(z, dz), _scaled(y, dy), _scaled(coeff.re, c), _scaled(coeff.im, c))
+        for (q, z, y), coeff in terms.items()
+    ]
+    return rows, c
+
+
 class SparseSeries:
     """Finite sum of c * q^a z^b y^c terms, truncated at q-order <= `order`."""
 
@@ -105,28 +128,48 @@ class SparseSeries:
         else:
             self.terms[key] = new
 
-    def __add__(self, other: "SparseSeries") -> "SparseSeries":
-        out = SparseSeries(min(self.order, other.order))
-        for key, coeff in self.terms.items():
-            out.add_term(*key, coeff)
-        for key, coeff in other.terms.items():
-            out.add_term(*key, coeff)
-        return out
-
     def mul(self, other: "SparseSeries", z_window: int) -> "SparseSeries":
-        """Product truncated at the lower order and to |z_pow| <= z_window;
-        pairs outside the window are skipped before their coefficients are
-        multiplied."""
+        """Product truncated at the lower order and to |z_pow| <= z_window.
+
+        Pairs outside the order or the window are skipped before their
+        coefficients are multiplied.  The integer pair loop (see the module
+        docstring) adds and pops keys in the same sequence as add_term would,
+        so terms and their dict order are those of the Fraction product.
+        """
         out = SparseSeries(min(self.order, other.order))
-        for (qa, za, ya), ca in self.terms.items():
-            for (qb, zb, yb), cb in other.terms.items():
+        keys = [*self.terms, *other.terms]
+        dq = math.lcm(out.order.denominator, *(q.denominator for q, _, _ in keys))
+        dz = math.lcm(*(z.denominator for _, z, _ in keys))
+        dy = math.lcm(*(y.denominator for _, _, y in keys))
+        rows_a, ca = _scaled_rows(self.terms, dq, dz, dy)
+        rows_b, cb = _scaled_rows(other.terms, dq, dz, dy)
+        q_max = _scaled(out.order, dq)
+        z_max = z_window * dz
+        acc: dict = {}
+        for qa, za, ya, ra, ia in rows_a:
+            for qb, zb, yb, rb, ib in rows_b:
                 qe = qa + qb
-                if qe > out.order:
+                if qe > q_max:
                     continue
                 ze = za + zb
-                if abs(ze) > z_window:
+                if abs(ze) > z_max:
                     continue
-                out.add_term(qe, ze, ya + yb, ca * cb)
+                re = ra * rb - ia * ib
+                im = ra * ib + ia * rb
+                key = (qe, ze, ya + yb)
+                old = acc.get(key)
+                if old is not None:
+                    re += old[0]
+                    im += old[1]
+                if re or im:
+                    acc[key] = (re, im)
+                elif old is not None:
+                    del acc[key]
+        c = ca * cb
+        out.terms = {
+            (Fraction(qe, dq), Fraction(ze, dz), Fraction(ye, dy)): GRat(Fraction(re, c), Fraction(im, c))
+            for (qe, ze, ye), (re, im) in acc.items()
+        }
         return out
 
     def scaled(self, coeff: GRat) -> "SparseSeries":
@@ -215,14 +258,6 @@ def default_z_window(order) -> int:
     return max(32, int(2 * float(order)) + 8)
 
 
-def _window_filter(series: SparseSeries, z_window: int) -> SparseSeries:
-    out = SparseSeries(series.order)
-    for key, coeff in series.terms.items():
-        if abs(key[1]) <= z_window:
-            out.add_term(*key, coeff)
-    return out
-
-
 def _geometric_factor_terms(j: int, order, z_cap: int):
     """Yield (extra_q, extra_z, sign) for the expansion of 1/(1 - z q^j), |q|<|z|<1."""
     if j >= 0:
@@ -261,14 +296,11 @@ def appell_series(level: int, order, z_window: int | None = None) -> SparseSerie
                 placed = True
                 sign = -1 if (level * m) & 1 else 1
                 for extra_q, extra_z, gsign in _geometric_factor_terms(m, out.order - base, cap):
-                    out.add_term(
-                        base + extra_q,
-                        half_level + extra_z,
-                        Fraction(m),
-                        GRat(Fraction(sign * gsign)),
-                    )
+                    z_pow = half_level + extra_z
+                    if abs(z_pow) <= window:
+                        out.add_term(base + extra_q, z_pow, Fraction(m), GRat(Fraction(sign * gsign)))
         if not placed:
-            return _window_filter(out, window)
+            return out
         n += 1
 
 

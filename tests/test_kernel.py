@@ -3,6 +3,7 @@ transformation laws, truncation errors, and the compiled backend."""
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mockchar import backend, kernel
-from mockchar.domain import QuadratureSpec, TruncationSpec
+from mockchar.domain import DEFAULT_QUAD, QuadratureSpec, TruncationSpec
 from mockchar.errors import PoleProximity, QuadratureNoConvergence, TailBoundExceeded
 from mockchar.kernel import (
     eta,
@@ -170,6 +171,16 @@ def test_quadrature_no_convergence_when_capped():
     spec = QuadratureSpec(half_width=6.0, nodes=4, max_nodes=8)
     with pytest.raises(QuadratureNoConvergence):
         integrate_line(lambda x: cmath.exp(-x * x), spec)
+
+
+def test_integrate_line_rejects_a_window_that_cuts_the_integrand_off():
+    # e^{-x^2/2} is 1.5e-8 at x = 6, so [-6, 6] misses 5e-9 of the integral
+    # while two refinements of the cut-off value agree to ~1e-11
+    spec = replace(DEFAULT_QUAD, half_width=6.0)
+    with pytest.raises(QuadratureNoConvergence, match="cuts the integrand off"):
+        integrate_line(lambda x: np.exp(-x * x / 2), spec, vectorized=True)
+    wide = integrate_line(lambda x: np.exp(-x * x / 2), DEFAULT_QUAD, vectorized=True)
+    assert abs(wide.value - math.sqrt(2.0 * math.pi)) <= wide.error
 
 
 def test_tail_bound_exceeded_for_tiny_truncation():

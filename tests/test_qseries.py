@@ -1,5 +1,6 @@
 """Exact q-expansions: frozen low-order coefficients and numeric cross-checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from mockchar.appell import a1, aK
 from mockchar.domain import AlgebraParams, AtypicalWLabel
 from mockchar.errors import NonRationalExponents, UnsupportedObject
 from mockchar.kernel import eta, theta1
-from mockchar.qseries import GRat, SparseSeries, qexpand, theta1_series
+from mockchar.qseries import GRat, SparseSeries, appell_series, qexpand, theta1_series
+from mockchar.suites import DEFAULT_GRID
 
 F = Fraction
 
@@ -136,3 +138,112 @@ def test_chi_atypical_series_past_empty_pass():
     got = series.eval_at(u, v, tau)
     want = chi_w_atypical(pr, AtypicalWLabel(0, -1), u, v, tau)
     assert abs(got - want) / abs(want) < 1e-7
+
+
+def naive_mul(a: SparseSeries, b: SparseSeries, z_window) -> SparseSeries:
+    """Reference product: the Fraction/GRat pair loop through add_term."""
+    out = SparseSeries(min(a.order, b.order))
+    for (qa, za, ya), ca in a.terms.items():
+        for (qb, zb, yb), cb in b.terms.items():
+            if qa + qb <= out.order and abs(za + zb) <= z_window:
+                out.add_term(qa + qb, za + zb, ya + yb, ca * cb)
+    return out
+
+
+def assert_same_series(got: SparseSeries, want: SparseSeries):
+    # equal as dicts and in insertion order, with Fraction keys and GRat values
+    assert got.order == want.order
+    assert list(got.terms.items()) == list(want.terms.items())
+    for key, coeff in got.terms.items():
+        assert all(type(x) is Fraction for x in key)
+        assert type(coeff.re) is Fraction and type(coeff.im) is Fraction
+
+
+COEFFS = (F(0), F(1), F(-1), F(1, 3), F(-1, 3), F(1, 8), F(-5, 6), F(5, 6), F(2))
+
+
+def random_series(rng: random.Random, order, n_terms: int) -> SparseSeries:
+    s = SparseSeries(order)
+    for _ in range(n_terms):
+        den = rng.choice((1, 2, 3, 8))
+        coeff = GRat(rng.choice(COEFFS), rng.choice(COEFFS))
+        if not coeff.is_zero:
+            # a coarse grid, so that products collide
+            s.add_term(F(rng.randint(0, 2 * den), den), F(rng.randint(-3, 3), rng.choice((1, 2, 8))),
+                       F(rng.randint(-1, 1), rng.choice((1, 3))), coeff)
+    return s
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mul_matches_fraction_pair_loop(seed):
+    rng = random.Random(seed)
+    a = random_series(rng, F(7, 3), rng.randint(20, 40))
+    b = random_series(rng, F(5, 2), rng.randint(20, 40))
+    for _ in range(4):
+        # x * (-t m) and (x m) * t land on one key and cancel
+        (qx, zx, yx), cx = rng.choice(list(a.terms.items()))
+        (qt, zt, yt), ct = rng.choice(list(b.terms.items()))
+        qm, zm = F(1, rng.choice((2, 3))), F(rng.randint(-1, 1), 2)
+        a.add_term(qx + qm, zx + zm, yx, cx)
+        b.add_term(qt + qm, zt + zm, yt, -ct)
+    window = rng.choice((1, 2, F(5, 2), 3))
+    assert_same_series(a.mul(b, window), naive_mul(a, b, window))
+    assert_same_series(b.mul(a, window), naive_mul(b, a, window))
+
+
+def test_mul_keeps_boundary_terms_and_pops_cancelled_ones():
+    def series(order, *terms):
+        s = SparseSeries(order)
+        for q, z, y, re, im in terms:
+            s.add_term(q, z, y, GRat(F(re), F(im)))
+        return s
+
+    c = series(F(2), (F(0), F(0), F(0), 1, 0), (F(1), F(0), F(0), 1, 0), (F(0), F(1), F(0), 1, 0))
+    d = series(F(2), (F(1), F(1), F(0), 1, 0), (F(0), F(1), F(0), -1, 0), (F(1), F(0), F(0), 1, 0))
+    got = c.mul(d, 2)
+    assert_same_series(got, naive_mul(c, d, 2))
+    # (q, z) is added, cancelled by q * (-z), then added again by z * q: it
+    # comes back at the end of the dict
+    assert list(got.terms)[-1] == (F(1), F(1), F(0))
+    # exactly at the order and at |z| == z_window: kept; past either: dropped
+    e = series(F(2), (F(1), F(1), F(0), 1, 0), (F(1), F(-1), F(0), 1, 0))
+    f = series(F(3), (F(1), F(1), F(0), 1, 0), (F(1, 2), F(-2), F(0), 1, 0))
+    got = e.mul(f, 2)
+    assert_same_series(got, naive_mul(e, f, 2))
+    assert (F(2), F(2), F(0)) in got.terms and (F(3, 2), F(-3), F(0)) not in got.terms
+    assert (F(2), F(0), F(0)) in got.terms
+    assert e.mul(f, 1).terms.keys() == {(F(3, 2), F(-1), F(0)), (F(2), F(0), F(0))}
+    g = series(F(1), (F(1, 2), F(0), F(0), 1, 0))
+    assert (F(3, 2), F(1), F(0)) not in e.mul(g, 2).terms
+
+
+def test_mul_with_an_empty_operand():
+    a = random_series(random.Random(7), F(3), 20)
+    for got in (a.mul(SparseSeries(F(2)), 4), SparseSeries(F(2)).mul(a, 4)):
+        assert got.terms == {} and got.order == F(2)
+
+
+@pytest.mark.parametrize("cell", DEFAULT_GRID)
+def test_character_products_match_fraction_pair_loop(cell, monkeypatch):
+    products = []
+    real_mul = SparseSeries.mul
+
+    def checked_mul(self, other, z_window):
+        got = real_mul(self, other, z_window)
+        assert_same_series(got, naive_mul(self, other, z_window))
+        products.append(len(got))
+        return got
+
+    monkeypatch.setattr(SparseSeries, "mul", checked_mul)
+    for n2 in (-1, 0, 1, 2):
+        for ell_prime in (-1, 0, 1):
+            label = AtypicalWLabel(F(n2, 2), ell_prime)
+            qexpand("chi_atypical", F(3), params=AlgebraParams(*cell), label=label)
+    assert len(products) == 12 and sum(products) > 0
+
+
+def test_appell_series_keeps_only_the_window():
+    narrow = appell_series(2, F(3), z_window=3)
+    wide = appell_series(2, F(3))
+    assert narrow.terms and all(abs(z) <= 3 for _, z, _ in narrow.terms)
+    assert list(narrow.terms.items()) == [kv for kv in wide.terms.items() if abs(kv[0][1]) <= 3]
