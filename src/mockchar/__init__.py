@@ -4,7 +4,6 @@ and numerical verification of their modular transformation laws."""
 __version__ = "0.1.0"
 
 from .appell import a1, aK
-from .backend import backend_name
 from .characters import chi_lattice, chi_w_atypical, chi_w_typical
 from .domain import (
     AlgebraParams,
@@ -35,7 +34,6 @@ __all__ = [
     "VerificationReport",
     "a1",
     "aK",
-    "backend_name",
     "chi_lattice",
     "chi_w_atypical",
     "chi_w_typical",

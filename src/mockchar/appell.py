@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 
-from . import backend
 from .domain import (
     DEFAULT_TRUNC,
     PI_I,
@@ -52,7 +51,14 @@ def aK(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     mp = as_modular(tau)
     require_pole_clearance(uu, mp.tau)
     n_max = appell_cutoff(level, uu, vv, mp.tau, trunc)
-    return backend.appell_raw(level, uu, vv, mp.tau, n_max)
+    tt = mp.tau
+    z = cmath.exp(TWO_PI_I * uu)
+    acc = 0.0 + 0.0j
+    for n in range(-n_max, n_max + 1):
+        expo = TWO_PI_I * (tt * (level * n * (n + 1) / 2.0) + vv * n)
+        term = cmath.exp(expo) / (1.0 - z * cmath.exp(TWO_PI_I * tt * n))
+        acc += -term if (level * n) & 1 else term
+    return cmath.exp(PI_I * level * uu) * acc
 
 
 def a1(u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:

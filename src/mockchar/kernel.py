@@ -15,11 +15,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import backend
 from .domain import (
     DEFAULT_QUAD,
     DEFAULT_TRUNC,
+    PI_I,
     POLE_CLEARANCE,
+    TWO_PI_I,
     ModularPoint,
     QuadratureSpec,
     TruncationSpec,
@@ -61,17 +62,33 @@ def gaussian_cutoff(decay: float, growth: float, tol: float, max_terms: int) -> 
 
 @lru_cache(maxsize=1 << 16)
 def _theta1_cached(u: complex, tau: complex, n_max: int) -> complex:
-    return backend.theta1_raw(u, tau, n_max)
+    acc = 0.0 + 0.0j
+    for n in range(-n_max, n_max + 1):
+        half = n + 0.5
+        term = cmath.exp(PI_I * half * half * tau + TWO_PI_I * u * half)
+        acc += -term if n & 1 else term
+    return -1j * acc
 
 
 @lru_cache(maxsize=1 << 16)
 def _theta3_cached(u: complex, tau: complex, n_max: int) -> complex:
-    return backend.theta3_raw(u, tau, n_max)
+    acc = 1.0 + 0.0j
+    for n in range(1, n_max + 1):
+        core = PI_I * n * n * tau
+        cross = TWO_PI_I * u * n
+        acc += cmath.exp(core + cross) + cmath.exp(core - cross)
+    return acc
 
 
 @lru_cache(maxsize=1 << 12)
 def _eta_cached(tau: complex, n_max: int) -> complex:
-    return backend.eta_prod_raw(tau, n_max)
+    q = cmath.exp(TWO_PI_I * tau)
+    acc = cmath.exp(TWO_PI_I * tau / 24.0)
+    qn = 1.0 + 0.0j
+    for _ in range(n_max):
+        qn *= q
+        acc *= 1.0 - qn
+    return acc
 
 
 def theta_cutoff(u: complex, tau: complex, trunc: TruncationSpec) -> int:
@@ -108,7 +125,12 @@ def eta_pentagonal(tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     decay = 3.0 * math.pi * mp.tau.imag
     growth = math.pi * mp.tau.imag
     k_max = gaussian_cutoff(decay, growth, trunc.tail_tol, trunc.max_terms)
-    return backend.eta_pent_raw(mp.tau, k_max)
+    tt = mp.tau
+    acc = 0.0 + 0.0j
+    for k in range(-k_max, k_max + 1):
+        term = cmath.exp(TWO_PI_I * tt * (k * (3 * k - 1) / 2.0 + 1.0 / 24.0))
+        acc += -term if k & 1 else term
+    return acc
 
 
 def eta_cubed(tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:

@@ -618,13 +618,11 @@ def s_transform_typical_check(
     row,
     args,
     tau,
-    quad: QuadratureSpec = DEFAULT_QUAD,
     trunc: TruncationSpec = DEFAULT_TRUNC,
 ) -> dict:
     """chi_T-curve(r, x)(u/tau, v/tau; -1/tau) against the S_tt expansion.
 
-    The Gaussian integrals of the expansion are taken in closed form, so
-    ``quad`` is not used; it is kept for signature compatibility."""
+    The Gaussian integrals of the expansion are taken in closed form."""
     r, x = row
     rf = _coerce_m(params, r, "r", window=True)
     xf = float(x)
@@ -783,7 +781,6 @@ def lemma_trafotypchar_check(
     x: float,
     args,
     tau,
-    quad: QuadratureSpec = DEFAULT_QUAD,
     trunc: TruncationSpec = DEFAULT_TRUNC,
     phase_variant: str | None = None,
     quarter_term: float | None = None,
@@ -793,8 +790,7 @@ def lemma_trafotypchar_check(
     chi_T-curve(m - s/ell, x)(u/tau, v/tau + t/ell; -1/tau) against the sum of
     2a+1 Fourier-Gaussian integrals with phase A_{m'}(w).  The quadratic term
     of A_{m'} is selected by ``phase_variant``.  The integrals are taken in
-    closed form, so ``quad`` is not used; it is kept for signature
-    compatibility."""
+    closed form."""
     if a < 0 or ell <= 0:
         raise InvalidParameter("need a >= 0 and ell >= 1")
     if not (0 <= m <= 2 * a):

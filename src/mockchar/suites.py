@@ -53,7 +53,7 @@ from .domain import (
     as_modular,
     rel_err,
 )
-from .errors import ConvergenceError, PoleOnContour, PoleProximity, SingularEntry
+from .errors import ConvergenceError, InvalidParameter, PoleOnContour, PoleProximity, SingularEntry
 from .kernel import eta, eta_pentagonal, theta1, theta3
 from . import modular_verlinde as mv
 from .qseries import qexpand
@@ -98,6 +98,15 @@ class SuiteConfig:
     seed: int = 0
     tol_override: float | None = None
     params_grid: tuple | None = None
+
+    def __post_init__(self) -> None:
+        # no sample would drop every sampled check; a tolerance that is not
+        # finite and positive fails every check: both are usage errors
+        if self.samples < 1:
+            raise InvalidParameter("samples must be >= 1, got %r" % (self.samples,))
+        tol = self.tol_override
+        if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+            raise InvalidParameter("tolerance must be finite and > 0, got %r" % (tol,))
 
 
 @dataclass
@@ -753,8 +762,6 @@ def resolve_checks(suites) -> list:
         return sorted(_REGISTRY, key=lambda s: s.check_id)
     unknown = wanted - set(suite_names())
     if unknown:
-        from .errors import InvalidParameter
-
         raise InvalidParameter("unknown suite(s): %s" % ", ".join(sorted(unknown)))
     return sorted((s for s in _REGISTRY if s.suite in wanted), key=lambda s: s.check_id)
 

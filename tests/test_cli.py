@@ -204,6 +204,20 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--samples", "0"),
+    ("--samples", "-3"),
+    ("--tol", "0"),
+    ("--tol", "-1"),
+    ("--tol", "nan"),
+])
+def test_verify_rejects_meaningless_samples_and_tol(capsys, flags):
+    code, out, err = run(capsys, "verify", "--suite", "kernel", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_params_filter(tmp_path, capsys):
     f = tmp_path / "r.jsonl"
     code, _, _ = run(

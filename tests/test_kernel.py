@@ -1,5 +1,5 @@
 """Kernel tests: theta/eta evaluation against independent closed forms,
-transformation laws, truncation errors, and the compiled backend."""
+transformation laws, truncation errors, and an mpmath oracle for the series."""
 
 import cmath
 import math
@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mockchar import backend, kernel
+from mockchar import kernel
+from mockchar.appell import aK
 from mockchar.domain import DEFAULT_QUAD, QuadratureSpec, TruncationSpec
 from mockchar.errors import PoleProximity, QuadratureNoConvergence, TailBoundExceeded
 from mockchar.kernel import (
@@ -196,17 +197,37 @@ def test_pole_clearance_guard():
     require_pole_clearance(0.2 + 0.1j, 1.2j)
 
 
-def test_compiled_backend_matches_python_fallback():
-    from mockchar import _series_py
+ORACLE_V = 0.17 + 0.03j
 
-    if backend.backend_name() == "python":
-        pytest.skip("compiled backend not built")
-    u, v, tau = 0.17 + 0.05j, 0.23 - 0.08j, 0.31 + 1.07j
-    assert abs(backend.theta1_raw(u, tau, 48) - _series_py.theta1_raw(u, tau, 48)) < 1e-15
-    assert abs(backend.theta3_raw(u, tau, 48) - _series_py.theta3_raw(u, tau, 48)) < 1e-15
-    assert abs(backend.eta_prod_raw(tau, 128) - _series_py.eta_prod_raw(tau, 128)) < 1e-15
-    assert abs(backend.eta_pent_raw(tau, 64) - _series_py.eta_pent_raw(tau, 64)) < 1e-15
-    for level in (1, 3, 7):
-        got = backend.appell_raw(level, u, v, tau, 48)
-        want = _series_py.appell_raw(level, u, v, tau, 48)
-        assert abs(got - want) < 1e-14
+
+@pytest.mark.parametrize("u,tau", [
+    (0.13 + 0.05j, 1.1j),
+    (0.31 - 0.2j, 0.4 + 0.9j),
+    (0.07 + 0.1j, -0.3 + 0.6j),
+    (0.2 + 0.01j, 0.1 + 1.7j),
+])
+def test_kernels_match_mpmath_oracle(u, tau):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        uu, vv, tt = mp.mpc(u), mp.mpc(ORACLE_V), mp.mpc(tau)
+        nome = mp.exp(mp.pi * 1j * tt)
+        q = nome * nome
+        z, y = mp.exp(2j * mp.pi * uu), mp.exp(2j * mp.pi * vv)
+        eta_ref = complex(mp.exp(2j * mp.pi * tt / 24) * mp.qp(q))
+
+        def appell_ref(level):
+            total = mp.nsum(
+                lambda n: (-1) ** (level * int(n)) * q ** (level * n * (n + 1) / 2) * y ** n
+                / (1 - z * q ** n),
+                [-mp.inf, mp.inf],
+            )
+            return complex(mp.exp(1j * mp.pi * level * uu) * total)
+
+        refs = [
+            (theta1(u, tau), complex(mp.jtheta(1, mp.pi * uu, nome))),
+            (theta3(u, tau), complex(mp.jtheta(3, mp.pi * uu, nome))),
+            (eta(tau), eta_ref),
+            (eta_pentagonal(tau), eta_ref),
+        ] + [(aK(level, u, ORACLE_V, tau), appell_ref(level)) for level in (1, 2, 3)]
+    for got, want in refs:
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
