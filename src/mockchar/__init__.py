@@ -1,50 +1,54 @@
 """mockchar: Appell-Lerch sums, Mordell integrals, W-superalgebra characters,
-and numerical verification of their modular transformation laws."""
+and numerical verification of their modular transformation laws.
+
+The names in `__all__` are loaded on first access (PEP 562), so importing the
+package costs only this module; `from mockchar import theta1` loads `kernel`,
+and numpy stays unloaded until a quadrature runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .appell import a1, aK
-from .characters import chi_lattice, chi_w_atypical, chi_w_typical
-from .domain import (
-    AlgebraParams,
-    AtypicalWLabel,
-    EllipticArgs,
-    ModularPoint,
-    QuadratureSpec,
-    RegulatorSpec,
-    TruncationSpec,
-    TypicalWLabel,
-)
-from .kernel import eta, eta_pentagonal, integrate_line, theta1, theta3
-from .mordell import mordell_h, mordell_h_s
-from .qseries import qexpand
-from .report import VerificationReport
-from .suites import SuiteConfig, run_suites
+# public name -> submodule that defines it
+_EXPORTS = {
+    "a1": "appell",
+    "aK": "appell",
+    "chi_lattice": "characters",
+    "chi_w_atypical": "characters",
+    "chi_w_typical": "characters",
+    "AlgebraParams": "domain",
+    "AtypicalWLabel": "domain",
+    "EllipticArgs": "domain",
+    "ModularPoint": "domain",
+    "QuadratureSpec": "domain",
+    "RegulatorSpec": "domain",
+    "TruncationSpec": "domain",
+    "TypicalWLabel": "domain",
+    "eta": "kernel",
+    "eta_pentagonal": "kernel",
+    "integrate_line": "kernel",
+    "theta1": "kernel",
+    "theta3": "kernel",
+    "mordell_h": "mordell",
+    "mordell_h_s": "mordell",
+    "qexpand": "qseries",
+    "VerificationReport": "report",
+    "SuiteConfig": "suites",
+    "run_suites": "suites",
+}
 
-__all__ = [
-    "AlgebraParams",
-    "AtypicalWLabel",
-    "EllipticArgs",
-    "ModularPoint",
-    "QuadratureSpec",
-    "RegulatorSpec",
-    "SuiteConfig",
-    "TruncationSpec",
-    "TypicalWLabel",
-    "VerificationReport",
-    "a1",
-    "aK",
-    "chi_lattice",
-    "chi_w_atypical",
-    "chi_w_typical",
-    "eta",
-    "eta_pentagonal",
-    "integrate_line",
-    "mordell_h",
-    "mordell_h_s",
-    "qexpand",
-    "run_suites",
-    "theta1",
-    "theta3",
-    "__version__",
-]
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

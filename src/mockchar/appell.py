@@ -23,7 +23,7 @@ from .domain import (
     as_modular,
 )
 from .errors import InvalidParameter
-from .kernel import gaussian_cutoff, require_pole_clearance
+from .kernel import gaussian_cutoff, require_pole_clearance, theta1
 from .mordell import mordell_h
 
 
@@ -130,8 +130,6 @@ def aK_elliptic_rhs(
         return sign_K * base
     if which == "v+1":
         return base
-    from .kernel import theta1
-
     if which == "u+tau":
         main = (
             sign_K
@@ -193,8 +191,6 @@ def aK_s_transform_rhs(
     uu = as_complex(u)
     vv = as_complex(v)
     tt = as_modular(tau).tau
-    from .kernel import theta1
-
     sign = -1.0 if sign_variant == "corrected" else 1.0
     base = aK(level, uu, vv, tau, trunc)
     prefactor = tt * cmath.exp(-PI_I * (level * uu * uu - 2.0 * vv * uu) / tt)

@@ -14,8 +14,6 @@ import cmath
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .domain import (
     DEFAULT_TRUNC,
     PI_I,
@@ -280,6 +278,8 @@ def curve_prefactor(
 def curve_gaussian(params: AlgebraParams, r, x, u, v, tau):
     """x-dependent factor: exp(-2*pi*x*B_r + pi*i*tau*K*x^2); x may be a
     numpy array (complex allowed for shifted contours)."""
+    import numpy as np
+
     a, K = params.a, params.K
     uu = as_complex(u)
     vv = as_complex(v)
@@ -313,6 +313,8 @@ def chi_w_typical_curve(
     entire in x (the parity sign is locked to the real-axis value), which is
     what the shifted-contour quadratures rely on.
     """
+    import numpy as np
+
     value = curve_prefactor(params, r, u, v, tau, trunc) * curve_gaussian(
         params, r, x, u, v, tau
     )
@@ -323,12 +325,16 @@ def chi_w_typical_curve(
 
 def curve_label_a(params: AlgebraParams, m, x):
     """a_m(x) = a(a-m)/(2a+1) + a/2 + ix(a+1)."""
+    import numpy as np
+
     a, K = params.a, params.K
     return a * (a - m) / K + a / 2.0 + 1j * np.asarray(x, dtype=complex) * (a + 1)
 
 
 def curve_label_e(params: AlgebraParams, m, x):
     """e_m(x) = (a-m)/(2a+1) + 1/2 - ix."""
+    import numpy as np
+
     a, K = params.a, params.K
     return (a - m) / K + 0.5 - 1j * np.asarray(x, dtype=complex)
 

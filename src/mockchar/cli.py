@@ -6,43 +6,22 @@ q-expansions), verify (suite runner emitting JSON-lines reports), and sweep
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or domain error,
 3 convergence failure.
+
+Only the standard library and `errors` load with this module.  Each command,
+and each eval and sweep entry, imports what it computes with when it runs, so
+`eval theta1` loads `domain` and `kernel` and no numpy, while `verify` loads
+the suites.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import re
 import sys
 from fractions import Fraction
 
-from . import kernel, mordell
-from .appell import aK, aK_s_transform_rhs, aK_via_rel1, aK_via_rel2, a1
-from .characters import (
-    chi_gl11_atypical,
-    chi_gl11_typical,
-    chi_lattice,
-    chi_w_atypical,
-    chi_w_typical,
-)
-from .domain import (
-    DEFAULT_TRUNC,
-    AlgebraParams,
-    AtypicalWLabel,
-    TypicalWLabel,
-)
 from .errors import ConvergenceError, DomainError, InvalidParameter, UnsupportedObject
-from . import modular_verlinde as mv
-from .qseries import qexpand
-from .report import summary_lines, write_jsonl
-from .suites import (
-    DEFAULT_GRID,
-    SuiteConfig,
-    exit_code,
-    rng_for,
-    run_suites,
-)
 
 _VALUE_FLAGS = {
     "--u", "--v", "--tau", "--K", "--n", "--l", "--nprime", "--lprime",
@@ -135,13 +114,34 @@ def format_value(z: complex) -> str:
 # eval
 
 
-def _algebra(args) -> AlgebraParams:
+def _algebra(args):
+    from .domain import AlgebraParams
+
     return AlgebraParams(parse_int(_require(args, "n"), "n"), parse_int(_require(args, "l"), "l"))
 
 
 def _eval_registry():
-    """name -> callable(args) -> (value, bound) or (value, bound, extra JSON fields)."""
-    tail = DEFAULT_TRUNC.tail_tol
+    """name -> callable(args, tol) -> (value, bound) or (value, bound, extra JSON fields).
+
+    tol is the checked --tol or None for the library defaults: series entries
+    truncate at it and report it as their bound, h and h_s use it as the
+    quadrature tolerance, and the closed-form S-matrix entries ignore it.
+    """
+    from .domain import (
+        DEFAULT_TRUNC,
+        AtypicalWLabel,
+        QuadratureSpec,
+        TruncationSpec,
+        TypicalWLabel,
+    )
+
+    def series(tol, fn, *xs):
+        trunc = DEFAULT_TRUNC if tol is None else TruncationSpec(tail_tol=tol)
+        return fn(*xs, trunc=trunc), trunc.tail_tol
+
+    def quadrature(tol, fn, *xs):
+        res = fn(*xs, quad=None if tol is None else QuadratureSpec(tail_tol=tol))
+        return res.value, res.error, {"nodes": res.nodes}
 
     def uvt(args):
         return (
@@ -153,90 +153,111 @@ def _eval_registry():
     def ut(args):
         return parse_complex(_require(args, "u")), parse_complex(_require(args, "tau"))
 
-    def do_eta(args):
-        return kernel.eta(parse_complex(_require(args, "tau"))), tail
+    def do_eta(args, tol):
+        from .kernel import eta
 
-    def do_theta1(args):
-        return kernel.theta1(*ut(args)), tail
+        return series(tol, eta, parse_complex(_require(args, "tau")))
 
-    def do_theta3(args):
-        return kernel.theta3(*ut(args)), tail
+    def do_theta1(args, tol):
+        from .kernel import theta1
 
-    def do_a1(args):
+        return series(tol, theta1, *ut(args))
+
+    def do_theta3(args, tol):
+        from .kernel import theta3
+
+        return series(tol, theta3, *ut(args))
+
+    def do_a1(args, tol):
+        from .appell import a1
+
+        return series(tol, a1, *uvt(args))
+
+    def do_ak(args, tol):
+        from .appell import aK
+
         u, v, tau = uvt(args)
-        return a1(u, v, tau), tail
+        return series(tol, aK, parse_int(_require(args, "K"), "K"), u, v, tau)
 
-    def do_ak(args):
-        u, v, tau = uvt(args)
-        return aK(parse_int(_require(args, "K"), "K"), u, v, tau), tail
+    def do_h(args, tol):
+        from .mordell import mordell_h_quad
 
-    def quadrature(res):
-        return res.value, res.error, {"nodes": res.nodes}
+        return quadrature(tol, mordell_h_quad, *ut(args))
 
-    def do_h(args):
-        return quadrature(mordell.mordell_h_quad(*ut(args)))
+    def do_h_s(args, tol):
+        from .mordell import mordell_h_s_quad
 
-    def do_h_s(args):
         s = parse_real(_require(args, "s"))
-        u, tau = ut(args)
-        return quadrature(mordell.mordell_h_s_quad(s, u, tau))
+        return quadrature(tol, mordell_h_s_quad, s, *ut(args))
 
-    def do_chi_gl11_typical(args):
+    def do_chi_gl11_typical(args, tol):
+        from .characters import chi_gl11_typical
+
         n = parse_int(_require(args, "n"), "n")
         e = parse_complex(_require(args, "eprime"))
-        u, v, tau = uvt(args)
-        return chi_gl11_typical(n, e, u, v, tau), tail
+        return series(tol, chi_gl11_typical, n, e, *uvt(args))
 
-    def do_chi_gl11_atypical(args):
+    def do_chi_gl11_atypical(args, tol):
+        from .characters import chi_gl11_atypical
+
         n = parse_int(_require(args, "n"), "n")
         ell = parse_int(_require(args, "l"), "l")
-        u, v, tau = uvt(args)
-        return chi_gl11_atypical(n, ell, u, v, tau), tail
+        return series(tol, chi_gl11_atypical, n, ell, *uvt(args))
 
-    def do_chi_a(args):
+    def do_chi_a(args, tol):
+        from .characters import chi_w_atypical
+
         pr = _algebra(args)
         label = AtypicalWLabel(
             parse_complex(_require(args, "nprime")), parse_int(_require(args, "lprime"), "lprime")
         )
-        u, v, tau = uvt(args)
-        return chi_w_atypical(pr, label, u, v, tau), tail
+        return series(tol, chi_w_atypical, pr, label, *uvt(args))
 
-    def do_chi_t(args):
+    def do_chi_t(args, tol):
+        from .characters import chi_w_typical
+
         pr = _algebra(args)
         label = TypicalWLabel(
             parse_complex(_require(args, "nprime")), parse_complex(_require(args, "eprime"))
         )
-        u, v, tau = uvt(args)
-        return chi_w_typical(pr, label, u, v, tau), tail
+        return series(tol, chi_w_typical, pr, label, *uvt(args))
 
-    def do_chi_lattice(args):
+    def do_chi_lattice(args, tol):
+        from .characters import chi_lattice
+
         alpha_sq = parse_int(_require(args, "K"), "K")
         n = parse_int(_require(args, "n"), "n")
         u = parse_complex(_require(args, "u"))
         tau = parse_complex(_require(args, "tau"))
-        return chi_lattice(alpha_sq, n, u, tau), tail
+        return series(tol, chi_lattice, alpha_sq, n, u, tau)
 
-    def do_s_entry_aa(args):
+    def do_s_entry_aa(args, tol):
+        from .modular_verlinde import s_entry_aa
+
         pr = _algebra(args)
         row = parse_int_pair(_require(args, "t"), "t")
         col = parse_int_pair(_require(args, "s"), "s")
-        return complex(mv.s_entry_aa(pr, row, col)), 0.0
+        return complex(s_entry_aa(pr, row, col)), 0.0
 
-    def do_s_entry_at(args):
+    def do_s_entry_at(args, tol):
+        from .modular_verlinde import s_entry_at
+
         pr = _algebra(args)
         row = parse_int_pair(_require(args, "t"), "t")
         bag = parse_kv_bag(_require(args, "params"))
         if "r" not in bag or "x" not in bag:
             raise InvalidParameter("s_entry_at needs --params \"r=...,x=...\"")
-        return complex(mv.s_entry_at(pr, row, (bag["r"], bag["x"]), label_kind="r")), 0.0
+        return complex(s_entry_at(pr, row, (bag["r"], bag["x"]), label_kind="r")), 0.0
 
-    def do_s_entry_tt(args):
+    def do_s_entry_tt(args, tol):
+        from .modular_verlinde import s_entry_tt
+
         pr = _algebra(args)
         bag = parse_kv_bag(_require(args, "params"))
         for key in ("m", "e", "m2", "e2"):
             if key not in bag:
                 raise InvalidParameter("s_entry_tt needs --params \"m=,e=,m2=,e2=\"")
-        entry = mv.s_entry_tt(pr, (bag["m"], bag["e"]), (bag["m2"], bag["e2"]))
+        entry = s_entry_tt(pr, (bag["m"], bag["e"]), (bag["m2"], bag["e2"]))
         return complex(entry), 0.0
 
     return {
@@ -275,7 +296,11 @@ def cmd_eval(args) -> int:
         raise InvalidParameter(
             "unknown function %r; known: %s" % (args.name, ", ".join(sorted(registry)))
         )
-    value, bound, *extra = registry[key](args)
+    if args.tol is not None:
+        from .domain import check_tolerance
+
+        check_tolerance(args.tol)
+    value, bound, *extra = registry[key](args, args.tol)
     if args.format == "json":
         doc = {"name": key, "re": complex(value).real, "im": complex(value).imag, "bound": bound}
         for fields in extra:
@@ -311,10 +336,14 @@ def cmd_expand(args) -> int:
     if key == "ak":
         kwargs["level"] = parse_int(_require(args, "K"), "K")
     if key == "chi_atypical":
+        from .domain import AtypicalWLabel
+
         kwargs["params"] = _algebra(args)
         kwargs["label"] = AtypicalWLabel(
             parse_real(_require(args, "nprime")), parse_int(_require(args, "lprime"), "lprime")
         )
+    from .qseries import qexpand
+
     series = qexpand(key, order, **kwargs)
     items = series.sorted_items()
     if args.format == "json":
@@ -345,6 +374,8 @@ def _grid_from_params(bag: dict):
         raise InvalidParameter("--params for verify takes n= and l= only, got %s" % sorted(extra))
     if "n" in bag and "l" in bag:
         return ((int(bag["n"]), int(bag["l"])),)
+    from .suites import DEFAULT_GRID
+
     grid = [
         (n, l)
         for (n, l) in DEFAULT_GRID
@@ -356,6 +387,9 @@ def _grid_from_params(bag: dict):
 
 
 def cmd_verify(args) -> int:
+    from .report import summary_lines, write_jsonl
+    from .suites import SuiteConfig, exit_code, run_suites
+
     suites = []
     for chunk in args.suite or ["all"]:
         suites.extend(s.strip() for s in chunk.split(",") if s.strip())
@@ -418,12 +452,17 @@ def _parse_range(text: str, samples: int):
         raise InvalidParameter("empty range %r" % (text,))
     if int_like:
         return list(range(int(lo), int(hi) + 1))
-    count = max(2, samples)
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    if samples < 2:
+        raise InvalidParameter(
+            "a real range like %r needs --samples >= 2, got %d" % (text, samples)
+        )
+    step = (hi - lo) / (samples - 1)
+    return [lo + i * step for i in range(samples)]
 
 
 def _sweep_point(seed: int, sweep_id: str):
+    from .suites import rng_for
+
     rng = rng_for(seed, "sweep:" + sweep_id)
     tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.9, 1.4))
     u = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.08, 0.25))
@@ -432,26 +471,39 @@ def _sweep_point(seed: int, sweep_id: str):
 
 
 def _sweep_registry():
+    """name -> (swept flag, callable(value, seed) -> abs_err); each entry
+    imports the modules it checks."""
+
     def rel1(K, seed):
+        from .appell import aK, aK_via_rel1
+
         u, v, tau = _sweep_point(seed, "rel1")
         return abs(aK(K, u, v, tau) - aK_via_rel1(K, u, v, tau))
 
     def rel2(K, seed):
+        from .appell import aK, aK_via_rel2
+
         u, v, tau = _sweep_point(seed, "rel2")
         return abs(aK(K, u, v, tau) - aK_via_rel2(K, u, v, tau))
 
     def ak_s(K, seed):
+        from .appell import aK, aK_s_transform_rhs
+
         u, v, tau = _sweep_point(seed, "ak-s")
         lhs = aK(K, u / tau, v / tau, -1.0 / tau)
         return abs(lhs - aK_s_transform_rhs(K, u, v, tau, variant="AKS"))
 
     def mordell_shift(s, seed):
+        from .mordell import verify_mordell_shift
+
         u, _, tau = _sweep_point(seed, "mordell-shift")
-        return mordell.verify_mordell_shift(float(s), u, tau)["abs_err"]
+        return verify_mordell_shift(float(s), u, tau)["abs_err"]
 
     def thetascale(K, seed):
+        from .kernel import theta1_rescaling_check
+
         u, _, tau = _sweep_point(seed, "thetascale")
-        return kernel.theta1_rescaling_check(K, u / 3.0, tau)["abs_err"]
+        return theta1_rescaling_check(K, u / 3.0, tau)["abs_err"]
 
     return {
         "rel1": ("K", rel1),
@@ -469,6 +521,8 @@ def cmd_sweep(args) -> int:
         raise InvalidParameter(
             "unknown sweep %r; known: %s" % (args.name, ", ".join(sorted(registry)))
         )
+    if args.tol is not None:
+        raise InvalidParameter("sweep prints raw errors and takes no --tol")
     param, fn = registry[key]
     raw = getattr(args, "K" if param == "K" else "s", None)
     if raw is None:

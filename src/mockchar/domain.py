@@ -121,6 +121,12 @@ class TruncationSpec:
 DEFAULT_TRUNC = TruncationSpec()
 
 
+def check_tolerance(tol: float) -> None:
+    """A tolerance given by the user must be finite and positive."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParameter("tolerance must be finite and > 0, got %r" % (tol,))
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Trapezoid window [-L, L] + i*contour_shift with 2^k node refinement."""

@@ -3,17 +3,18 @@
 Series are summed over a symmetric window whose width is chosen so that the
 Gaussian tail bound falls below the requested tolerance.  Quadrature is the
 trapezoid rule on a finite window with node doubling until two successive
-refinements agree to the tolerance or to the sum's rounding floor.
+refinements agree to the tolerance or to the sum's rounding floor.  numpy is
+imported by the quadrature functions on first use, so the series kernels load
+without it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .domain import (
     DEFAULT_QUAD,
@@ -21,7 +22,6 @@ from .domain import (
     PI_I,
     POLE_CLEARANCE,
     TWO_PI_I,
-    ModularPoint,
     QuadratureSpec,
     TruncationSpec,
     as_complex,
@@ -166,7 +166,9 @@ class QuadratureResult:
 _EVAL_CHUNK = 1 << 14
 
 
-def _eval_line(f, xs: np.ndarray, shift: complex, vectorized: bool) -> np.ndarray:
+def _eval_line(f, xs, shift: complex, vectorized: bool):
+    import numpy as np
+
     if not vectorized:
         return np.array([f(complex(x) + shift) for x in xs], dtype=complex)
     out = np.empty(xs.shape, dtype=complex)
@@ -185,7 +187,7 @@ def _eval_line(f, xs: np.ndarray, shift: complex, vectorized: bool) -> np.ndarra
 # Mordell integrals with heavy cancellation were off by up to 33 eps * h *
 # sum|f|.  Where the terms cancel so strongly that this floor exceeds tail_tol,
 # no refinement can meet tail_tol.
-_ROUNDING_ULPS = 64.0 * np.finfo(float).eps
+_ROUNDING_ULPS = 64.0 * sys.float_info.epsilon
 
 
 def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = False) -> QuadratureResult:
@@ -198,6 +200,8 @@ def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = Fa
     outside the window, so a result whose integrand at +-L still exceeds that
     limit raises QuadratureNoConvergence instead of returning a cut-off value.
     """
+    import numpy as np
+
     half = spec.half_width
     shift = 1j * spec.contour_shift
     n = spec.nodes
@@ -254,6 +258,8 @@ def theta1_rescaling_check(
 
 def gauss_identity_check(alpha, beta, quad: QuadratureSpec = DEFAULT_QUAD) -> dict:
     """Quadrature of e^{-alpha x^2 + beta x} against sqrt(pi/alpha) e^{beta^2/4 alpha}."""
+    import numpy as np
+
     al = as_complex(alpha)
     be = as_complex(beta)
     if not al.real > 0.0:

@@ -15,14 +15,14 @@ R - i*eps.  By default eps is CONTOUR_EPS = 1/2, lowered to 1/(2|Re tau|)
 where the Gaussian's tilt on the shifted line would outgrow the 1/cosh decay
 (domain.midway_depth).  Any eps in (0, 1) gives the same value.  Other s stay
 on the real axis.
+
+The integrands are numpy expressions; each builder imports numpy when it runs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
 
 from .domain import (  # CONTOUR_EPS is re-exported as the default depth
     CONTOUR_EPS,
@@ -58,6 +58,8 @@ def _quad_for(u: complex, tau: complex, quad: QuadratureSpec | None, shift: floa
 
 
 def mordell_h_quad(u, tau, quad: QuadratureSpec | None = None) -> QuadratureResult:
+    import numpy as np
+
     uu = as_complex(u)
     tt = as_modular(tau).tau
 
@@ -80,6 +82,8 @@ def mordell_h_s_quad(
 ) -> QuadratureResult:
     """h_s with its quadrature error and node count.  At |s| = 1/2 the
     contour is R - i*eps, with eps in (0, 1); None takes midway_depth."""
+    import numpy as np
+
     if isinstance(s, complex):
         if s.imag != 0.0:
             raise InvalidParameter("s must be real, got %r" % (s,))
@@ -123,6 +127,8 @@ def mordell_h_s(s, u, tau, quad: QuadratureSpec | None = None, eps: float | None
 
 def mordell_h_contour(s: float, u, tau, quad: QuadratureSpec | None = None) -> complex:
     """The h_s integrand taken over the shifted line R + is (used as an oracle)."""
+    import numpy as np
+
     uu = as_complex(u)
     tt = as_modular(tau).tau
     s = float(s)

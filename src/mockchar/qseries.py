@@ -18,6 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .domain import TWO_PI_I, AlgebraParams, AtypicalWLabel, as_complex, as_modular
 from .errors import InvalidParameter, NonRationalExponents, UnsupportedObject
@@ -304,6 +305,13 @@ def appell_series(level: int, order, z_window: int | None = None) -> SparseSerie
         n += 1
 
 
+@lru_cache(maxsize=32)
+def _atypical_lead(order: Fraction) -> SparseSeries:
+    """-i theta1/eta^3 to `order`: the label-independent factor of every
+    atypical character.  Shared between calls; `mul` leaves it unchanged."""
+    return theta1_over_eta3_series(order).scaled(MINUS_I)
+
+
 def chi_w_atypical_series(
     params: AlgebraParams, label: AtypicalWLabel, order, z_window: int | None = None
 ) -> SparseSeries:
@@ -317,7 +325,7 @@ def chi_w_atypical_series(
     a, K, ell = params.a, params.K, params.ell
     j_max = int(2 * float(out_order) / K) + abs(label.ell_prime) + 2
     cap = window + (a + 1) * j_max + int(abs(float(n_rat))) + int(2 * float(out_order)) + 8
-    lead = theta1_over_eta3_series(out_order).scaled(MINUS_I)
+    lead = _atypical_lead(out_order)
 
     body = SparseSeries(out_order)
     # The leading q exponent base + floor_extra is convex in j with its

@@ -29,7 +29,6 @@ from .appell import (
     a1,
 )
 from .characters import (
-    chi_lattice,
     chi_via_appell,
     chi_w_atypical,
     chi_w_typical,
@@ -43,14 +42,12 @@ from .characters import (
     verify_typical_periodicity,
 )
 from .domain import (
-    DEFAULT_QUAD,
-    DEFAULT_TRUNC,
     AlgebraParams,
     AtypicalWLabel,
     RegulatorSpec,
     TWO_PI_I,
     TypicalWLabel,
-    as_modular,
+    check_tolerance,
     rel_err,
 )
 from .errors import ConvergenceError, InvalidParameter, PoleOnContour, PoleProximity, SingularEntry
@@ -104,9 +101,8 @@ class SuiteConfig:
         # finite and positive fails every check: both are usage errors
         if self.samples < 1:
             raise InvalidParameter("samples must be >= 1, got %r" % (self.samples,))
-        tol = self.tol_override
-        if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-            raise InvalidParameter("tolerance must be finite and > 0, got %r" % (tol,))
+        if self.tol_override is not None:
+            check_tolerance(self.tol_override)
 
 
 @dataclass

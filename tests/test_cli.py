@@ -11,8 +11,9 @@ import pytest
 
 from mockchar.cli import main, parse_complex
 from mockchar.errors import InvalidParameter, QuadratureNoConvergence
+from mockchar.domain import QuadratureSpec, TruncationSpec
 from mockchar.kernel import theta1
-from mockchar.mordell import mordell_h
+from mockchar.mordell import mordell_h, mordell_h_quad
 from mockchar.report import SCHEMA, strip_volatile
 
 
@@ -67,6 +68,39 @@ def test_eval_h_uses_quadrature_oracle(capsys):
     got = float(out.split()[0].split("+")[0])
     assert abs(got - mordell_h(0.0, 1j)) < 1e-12
     assert abs(got - 0.669063339135868) < 1e-10
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_eval_rejects_meaningless_tol(capsys, tol):
+    code, out, err = run(capsys, "eval", "theta1", "--u", "0.1", "--tau", "i", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tolerance must be finite and > 0")
+
+
+def test_eval_series_truncates_at_tol(capsys):
+    u, tau = 0.13 + 0.07j, 0.3 + 0.6j
+    code, out, _ = run(capsys, "eval", "theta1", "--u", "0.13+0.07i", "--tau", "0.3+0.6i",
+                       "--tol", "1e-4", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bound"] == 1e-4
+    loose = TruncationSpec(tail_tol=1e-4)
+    assert complex(doc["re"], doc["im"]) == theta1(u, tau, loose)
+    assert theta1(u, tau, loose) != theta1(u, tau)  # a shorter sum really ran
+    assert abs(complex(doc["re"], doc["im"]) - theta1(u, tau)) <= 1e-4
+
+
+def test_eval_h_uses_tol_as_quadrature_tolerance(capsys):
+    code, out, _ = run(capsys, "eval", "h", "--u", "0", "--tau", "i", "--tol", "1e-5",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    res = mordell_h_quad(0.0, 1j, QuadratureSpec(tail_tol=1e-5))
+    assert (doc["re"], doc["im"], doc["bound"], doc["nodes"]) == (
+        res.value.real, res.value.imag, res.error, res.nodes)
+    assert doc["nodes"] < mordell_h_quad(0.0, 1j).nodes
+    assert abs(complex(doc["re"], doc["im"]) - mordell_h(0.0, 1j)) <= 1e-5
 
 
 def test_eval_json_format(capsys):
@@ -258,6 +292,29 @@ def test_sweep_mordell_negative_range(capsys):
     assert len(lines) == 5
     for row in lines[1:]:
         assert float(row.split(",")[1]) < 1e-7
+
+
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_sweep_rejects_too_few_samples_on_a_real_range(capsys, samples):
+    code, out, err = run(
+        capsys, "sweep", "mordell-shift", "--s", "-0.5..0.49", "--samples", samples
+    )
+    assert code == 2
+    assert out == ""
+    assert "--samples >= 2" in err
+
+
+def test_sweep_integer_range_ignores_samples(capsys):
+    code, out, _ = run(capsys, "sweep", "thetascale", "--K", "1..2", "--samples", "0")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 3
+
+
+def test_sweep_rejects_tol(capsys):
+    code, out, err = run(capsys, "sweep", "rel1", "--K", "1..2", "--tol", "1e-6")
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
 
 
 def test_sweep_empty_range(capsys):

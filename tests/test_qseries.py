@@ -247,3 +247,21 @@ def test_appell_series_keeps_only_the_window():
     wide = appell_series(2, F(3))
     assert narrow.terms and all(abs(z) <= 3 for _, z, _ in narrow.terms)
     assert list(narrow.terms.items()) == [kv for kv in wide.terms.items() if abs(kv[0][1]) <= 3]
+
+
+def test_cached_atypical_lead_gives_the_uncached_series(monkeypatch):
+    # two labels at one order share the cached -i theta1/eta^3; each result,
+    # dict order included, equals the series built with a fresh lead
+    from mockchar import qseries
+
+    order = F(9, 2)
+    pr = AlgebraParams(1, 1)
+    labels = (AtypicalWLabel(F(1, 2), 0), AtypicalWLabel(F(-1, 2), 1))
+    qseries._atypical_lead.cache_clear()
+    cached = [qexpand("chi_atypical", order, params=pr, label=lb) for lb in labels]
+    assert qseries._atypical_lead.cache_info().hits == 1
+    fresh_lead = qseries.theta1_over_eta3_series(order).scaled(qseries.MINUS_I)
+    assert_same_series(qseries._atypical_lead(order), fresh_lead)  # not mutated by use
+    monkeypatch.setattr(qseries, "_atypical_lead", qseries._atypical_lead.__wrapped__)
+    for label, got in zip(labels, cached):
+        assert_same_series(got, qexpand("chi_atypical", order, params=pr, label=label))
