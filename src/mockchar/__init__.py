@@ -19,8 +19,6 @@ _EXPORTS = {
     "chi_w_typical": "characters",
     "AlgebraParams": "domain",
     "AtypicalWLabel": "domain",
-    "EllipticArgs": "domain",
-    "ModularPoint": "domain",
     "QuadratureSpec": "domain",
     "RegulatorSpec": "domain",
     "TruncationSpec": "domain",

@@ -20,7 +20,7 @@ from .domain import (
     QuadratureSpec,
     TruncationSpec,
     as_complex,
-    as_modular,
+    as_tau,
 )
 from .errors import InvalidParameter
 from .kernel import gaussian_cutoff, require_pole_clearance, theta1
@@ -48,10 +48,9 @@ def aK(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     _check_level(level)
     uu = as_complex(u)
     vv = as_complex(v)
-    mp = as_modular(tau)
-    require_pole_clearance(uu, mp.tau)
-    n_max = appell_cutoff(level, uu, vv, mp.tau, trunc)
-    tt = mp.tau
+    tt = as_tau(tau)
+    require_pole_clearance(uu, tt)
+    n_max = appell_cutoff(level, uu, vv, tt, trunc)
     z = cmath.exp(TWO_PI_I * uu)
     acc = 0.0 + 0.0j
     for n in range(-n_max, n_max + 1):
@@ -70,7 +69,7 @@ def aK_via_rel1(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) ->
     _check_level(level)
     uu = as_complex(u)
     vv = as_complex(v)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     acc = 0.0 + 0.0j
     for m in range(level):
         acc += cmath.exp(TWO_PI_I * uu * m) * a1(
@@ -84,7 +83,7 @@ def aK_via_rel2(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) ->
     _check_level(level)
     uu = as_complex(u)
     vv = as_complex(v)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     scaled = trunc.scaled(math.sqrt(level))  # nome |q|^{1/K} decays slower
     acc = 0.0 + 0.0j
     for m in range(level):
@@ -99,7 +98,7 @@ def aK_via_rel2(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) ->
 
 def aK_tau_plus_one(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     """LHS of the T-law: A_K at tau + 1 (the law states it equals A_K at tau)."""
-    return aK(level, u, v, as_modular(tau).tau + 1.0, trunc)
+    return aK(level, u, v, as_tau(tau) + 1.0, trunc)
 
 
 def aK_elliptic_rhs(
@@ -123,7 +122,7 @@ def aK_elliptic_rhs(
         raise InvalidParameter("unknown coefficient_variant %r" % (coefficient_variant,))
     uu = as_complex(u)
     vv = as_complex(v)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     base = aK(level, uu, vv, tau, trunc)
     sign_K = -1.0 if level & 1 else 1.0
     if which == "u+1":
@@ -190,7 +189,7 @@ def aK_s_transform_rhs(
         raise InvalidParameter("unknown sign_variant %r" % (sign_variant,))
     uu = as_complex(u)
     vv = as_complex(v)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     sign = -1.0 if sign_variant == "corrected" else 1.0
     base = aK(level, uu, vv, tau, trunc)
     prefactor = tt * cmath.exp(-PI_I * (level * uu * uu - 2.0 * vv * uu) / tt)

@@ -23,7 +23,7 @@ from .domain import (
     TruncationSpec,
     TypicalWLabel,
     as_complex,
-    as_modular,
+    as_tau,
     floor_re,
     identity_report,
 )
@@ -55,7 +55,7 @@ def chi_gl11_typical(n, e, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> 
     e = as_complex(e)
     uu = as_complex(u)
     vv = as_complex(v)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     sign = -1.0 if floor_re(e) & 1 else 1.0
     return (
         1j
@@ -71,7 +71,7 @@ def chi_gl11_atypical(n, ell: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TR
     n = as_complex(n)
     uu = as_complex(u)
     vv = as_complex(v)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     require_pole_clearance(uu, tt)
     denom = 1.0 - cmath.exp(TWO_PI_I * (uu + ell * tt))
     if abs(denom) < 1e-8:
@@ -144,7 +144,7 @@ def chi_w_atypical(
 ) -> complex:
     uu = as_complex(u)
     vv = as_complex(v)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     require_pole_clearance(uu, tt)
     body = _atypical_body(params, label.n_prime, label.ell_prime, uu, vv, tt, trunc)
     return -1j * theta_eta_prefactor(uu, tt, trunc) * body
@@ -165,9 +165,9 @@ def chi_regularized(
         raise InvalidParameter("epsilon must be positive")
     uu = as_complex(u)
     vv = as_complex(v)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     require_pole_clearance(uu, tt)
-    shift = float(epsilon) * as_complex(label.n_prime) ** 2
+    shift = float(epsilon) * label.n_prime ** 2
     body = _atypical_body(params, label.n_prime, label.ell_prime, uu, vv, tt, trunc, q_shift=shift)
     return -1j * theta_eta_prefactor(uu, tt, trunc) * body
 
@@ -207,9 +207,9 @@ def chi_w_typical(
 ) -> complex:
     uu = as_complex(u)
     vv = as_complex(v)
-    tt = as_modular(tau).tau
-    n_prime = as_complex(label.n_prime)
-    e_prime = as_complex(label.e_prime)
+    tt = as_tau(tau)
+    n_prime = label.n_prime
+    e_prime = label.e_prime
     n, ell, K = params.n, params.ell, params.K
     sign = -1.0 if floor_re(e_prime) & 1 else 1.0
     lead = cmath.exp(
@@ -258,43 +258,35 @@ def curve_base_labels(params: AlgebraParams, r):
 
 
 def curve_prefactor(
-    params: AlgebraParams, r, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC
+    params: AlgebraParams, r, u: complex, v: complex, tau: complex, trunc: TruncationSpec = DEFAULT_TRUNC
 ) -> complex:
     """x-independent factor of the typical character along the curve
     (a_r(x), e_r(x)); the whole label sum lives here because the sum's
     exponent is x-free once n = a*ell is used."""
     n, ell = params.n, params.ell
-    uu = as_complex(u)
-    vv = as_complex(v)
-    tt = as_modular(tau).tau
     n0, e0 = curve_base_labels(params, r)
     sign = -1.0 if math.floor(e0) & 1 else 1.0
     c = n * e0 + ell * n0 + ell * e0
-    body = _typical_body_sum(params, c, uu, vv, tt, trunc)
-    lead = cmath.exp(TWO_PI_I * (vv * e0 + uu * n0 + tt * (n0 * e0 + e0 * e0 / 2.0)))
-    return 1j * sign * lead * body * theta_eta_prefactor(uu, tt, trunc)
+    body = _typical_body_sum(params, c, u, v, tau, trunc)
+    lead = cmath.exp(TWO_PI_I * (v * e0 + u * n0 + tau * (n0 * e0 + e0 * e0 / 2.0)))
+    return 1j * sign * lead * body * theta_eta_prefactor(u, tau, trunc)
 
 
-def curve_gaussian(params: AlgebraParams, r, x, u, v, tau):
-    """x-dependent factor: exp(-2*pi*x*B_r + pi*i*tau*K*x^2); x may be a
-    numpy array (complex allowed for shifted contours)."""
+def curve_gaussian(K: int, drift: complex, tau: complex, x):
+    """x-dependent factor: exp(-2*pi*x*B_r + pi*i*tau*K*x^2) with the drift
+    B_r = curve_drift(...); x may be a numpy array (complex allowed for
+    shifted contours)."""
     import numpy as np
 
-    a, K = params.a, params.K
-    uu = as_complex(u)
-    vv = as_complex(v)
-    tt = as_modular(tau).tau
-    n0, e0 = curve_base_labels(params, r)
-    drift = (a + 1) * uu - vv + tt * (a * e0 - n0)
     xs = np.asarray(x, dtype=complex)
-    return np.exp(-2.0 * math.pi * xs * drift + PI_I * tt * K * xs * xs)
+    return np.exp(-2.0 * math.pi * xs * drift + PI_I * tau * K * xs * xs)
 
 
-def curve_drift(params: AlgebraParams, r, u, v, tau) -> complex:
-    """B_r in curve_gaussian's exponent; used for quadrature windows."""
+def curve_drift(params: AlgebraParams, r, u: complex, v: complex, tau: complex) -> complex:
+    """B_r in curve_gaussian's exponent; also sizes quadrature windows."""
     a = params.a
     n0, e0 = curve_base_labels(params, r)
-    return (a + 1) * as_complex(u) - as_complex(v) + as_modular(tau).tau * (a * e0 - n0)
+    return (a + 1) * u - v + tau * (a * e0 - n0)
 
 
 def chi_w_typical_curve(
@@ -315,8 +307,11 @@ def chi_w_typical_curve(
     """
     import numpy as np
 
-    value = curve_prefactor(params, r, u, v, tau, trunc) * curve_gaussian(
-        params, r, x, u, v, tau
+    uu = as_complex(u)
+    vv = as_complex(v)
+    tt = as_tau(tau)
+    value = curve_prefactor(params, r, uu, vv, tt, trunc) * curve_gaussian(
+        params.K, curve_drift(params, r, uu, vv, tt), tt, x
     )
     if np.ndim(x) == 0:
         return complex(value)
@@ -356,7 +351,7 @@ def chi_via_appell(
     a = params.a
     uu = as_complex(u)
     vv = as_complex(v)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     npr = as_complex(n_prime)
     return (
         -1j
@@ -378,7 +373,7 @@ def elliptic_shift_atypical(
 ) -> dict:
     uu = as_complex(u)
     vv = as_complex(v)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     a = params.a
     npr, lpr = label.n_prime, label.ell_prime
     if shift == "u+1":
@@ -419,7 +414,7 @@ def elliptic_shift_typical(
 ) -> dict:
     uu = as_complex(u)
     vv = as_complex(v)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     npr, epr = label.n_prime, label.e_prime
     if shift == "u+1":
         lhs = chi_w_typical(params, label, uu + 1.0, vv, tt, trunc)
@@ -474,7 +469,7 @@ def verify_atyp_typ_difference(
 def verify_typical_periodicity(
     params: AlgebraParams, label: TypicalWLabel, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC
 ) -> dict:
-    shifted = TypicalWLabel(as_complex(label.n_prime) + params.n, as_complex(label.e_prime) + params.ell)
+    shifted = TypicalWLabel(label.n_prime + params.n, label.e_prime + params.ell)
     lhs = chi_w_typical(params, label, u, v, tau, trunc)
     rhs = chi_w_typical(params, shifted, u, v, tau, trunc)
     return identity_report("typical_periodicity", lhs, rhs)
@@ -511,7 +506,7 @@ def chiunity_decompose(
     xi = cmath.exp(TWO_PI_I / ell)
     uu = as_complex(u)
     vv = as_complex(v)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     window = _unity_window(params)
     t = index
     if direction == "atyp-fwd":
@@ -557,7 +552,7 @@ def chi_lattice(alpha_sq: int, n: int, u, tau, trunc: TruncationSpec = DEFAULT_T
         raise InvalidParameter("alpha_sq must be a positive integer")
     alpha = math.sqrt(alpha_sq)
     uu = as_complex(u)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     return (
         cmath.exp(TWO_PI_I * (uu * n / alpha + tt * n * n / (2.0 * alpha_sq)))
         * theta3(alpha * uu + n * tt, alpha_sq * tt, trunc)
@@ -568,7 +563,7 @@ def chi_lattice(alpha_sq: int, n: int, u, tau, trunc: TruncationSpec = DEFAULT_T
 def lattice_s_check(alpha_sq: int, u, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> dict:
     """S-law of the lattice characters for every residue n."""
     uu = as_complex(u)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     worst = -1.0
     alpha = math.sqrt(alpha_sq)
     for n in range(alpha_sq):

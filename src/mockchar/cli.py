@@ -461,7 +461,7 @@ def _parse_range(text: str, samples: int):
 
 
 def _sweep_point(seed: int, sweep_id: str):
-    from .suites import rng_for
+    from .domain import rng_for
 
     rng = rng_for(seed, "sweep:" + sweep_id)
     tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.9, 1.4))

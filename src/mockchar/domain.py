@@ -1,7 +1,12 @@
-"""Core value types: modular/elliptic arguments, truncation and quadrature specs,
-algebra parameters and module labels.
+"""Core value types and argument checks: truncation and quadrature specs,
+algebra parameters, module labels, and the coercion of u, v and tau.
 
-All values are immutable and validated at construction.
+Specs, parameters and labels are immutable and validated at construction.
+Elliptic and modular arguments are validated at the boundary: a public entry
+point (a package export, or a function the CLI or the suites call) passes u
+and v through as_complex and tau through as_tau, which also rejects tau off
+the upper half-plane, and hands plain complex numbers to the helpers below
+it, which check nothing again.
 """
 
 from __future__ import annotations
@@ -17,10 +22,28 @@ PI_I = 1j * math.pi
 
 
 def as_complex(x) -> complex:
-    c = complex(x)
+    c = x if type(x) is complex else complex(x)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise InvalidParameter("non-finite complex value %r" % (x,))
     return c
+
+
+def as_tau(tau) -> complex:
+    """tau as a finite complex number in the upper half-plane."""
+    t = as_complex(tau)
+    if not t.imag > 0.0:
+        raise InvalidParameter("tau %s not in upper half-plane" % (t,))
+    return t
+
+
+def rng_for(seed: int, check_id: str) -> "random.Random":
+    """random.Random seeded from (seed, check_id) alone, so every check and
+    sweep point draws the same values in any order or process."""
+    import hashlib
+    import random
+
+    digest = hashlib.sha256(("%d:%s" % (seed, check_id)).encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 def floor_re(e) -> int:
@@ -39,66 +62,6 @@ def identity_report(check: str, lhs, rhs, **extra) -> dict:
     out = {"check": check, "lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs), "rel_err": rel_err(lhs, rhs)}
     out.update(extra)
     return out
-
-
-@dataclass(frozen=True)
-class ModularPoint:
-    """tau in the upper half-plane with derived nome q = e^{2 pi i tau}."""
-
-    tau: complex
-
-    def __post_init__(self):
-        tau = as_complex(self.tau)
-        if not tau.imag > 0.0:
-            raise InvalidParameter("tau %s not in upper half-plane" % (tau,))
-        object.__setattr__(self, "tau", tau)
-        q = cmath.exp(TWO_PI_I * tau)
-        assert abs(q) < 1.0
-        object.__setattr__(self, "_q", q)
-
-    @property
-    def q(self) -> complex:
-        return self._q
-
-    def q_pow(self, expo) -> complex:
-        """q^expo defined through tau: e^{2 pi i tau expo}."""
-        return cmath.exp(TWO_PI_I * self.tau * complex(expo))
-
-
-def as_modular(tau) -> ModularPoint:
-    return tau if isinstance(tau, ModularPoint) else ModularPoint(as_complex(tau))
-
-
-@dataclass(frozen=True)
-class EllipticArgs:
-    """Pair (u, v) of elliptic arguments with derived z = e^{2 pi i u}, y = e^{2 pi i v}.
-
-    Fractional powers of z and y are always defined through u and v.
-    """
-
-    u: complex
-    v: complex = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", as_complex(self.u))
-        object.__setattr__(self, "v", as_complex(self.v))
-
-    @property
-    def z(self) -> complex:
-        return cmath.exp(TWO_PI_I * self.u)
-
-    @property
-    def y(self) -> complex:
-        return cmath.exp(TWO_PI_I * self.v)
-
-    def z_pow(self, expo) -> complex:
-        return cmath.exp(TWO_PI_I * self.u * complex(expo))
-
-    def y_pow(self, expo) -> complex:
-        return cmath.exp(TWO_PI_I * self.v * complex(expo))
-
-    def shifted(self, du=0.0, dv=0.0) -> "EllipticArgs":
-        return EllipticArgs(self.u + as_complex(du), self.v + as_complex(dv))
 
 
 @dataclass(frozen=True)

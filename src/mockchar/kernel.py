@@ -25,7 +25,7 @@ from .domain import (
     QuadratureSpec,
     TruncationSpec,
     as_complex,
-    as_modular,
+    as_tau,
     identity_report,
     lattice_distance,
 )
@@ -99,33 +99,34 @@ def theta_cutoff(u: complex, tau: complex, trunc: TruncationSpec) -> int:
 
 def theta1(u, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     uu = as_complex(u)
-    mp = as_modular(tau)
-    return _theta1_cached(uu, mp.tau, theta_cutoff(uu, mp.tau, trunc))
+    tt = as_tau(tau)
+    return _theta1_cached(uu, tt, theta_cutoff(uu, tt, trunc))
 
 
 def theta3(u, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     uu = as_complex(u)
-    mp = as_modular(tau)
-    return _theta3_cached(uu, mp.tau, theta_cutoff(uu, mp.tau, trunc))
+    tt = as_tau(tau)
+    return _theta3_cached(uu, tt, theta_cutoff(uu, tt, trunc))
 
 
 def eta(tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
-    mp = as_modular(tau)
-    absq = abs(mp.q)
+    tt = as_tau(tau)
+    absq = abs(cmath.exp(TWO_PI_I * tt))
+    if not absq < 1.0:
+        raise TailBoundExceeded("|q| rounds to 1 at tau = %s" % (tt,))
     # product tail: |log prod_{n>N}(1-q^n)| <= |q|^{N+1} / ((1-|q|)^2)
     n = max(8, int(math.ceil(math.log(trunc.tail_tol * (1.0 - absq) ** 2) / math.log(absq))))
     if n > max(trunc.max_terms, 4096):
         raise TailBoundExceeded("eta product needs %d factors" % n)
-    return _eta_cached(mp.tau, n)
+    return _eta_cached(tt, n)
 
 
 def eta_pentagonal(tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     """Independent eta evaluation via the pentagonal-number series."""
-    mp = as_modular(tau)
-    decay = 3.0 * math.pi * mp.tau.imag
-    growth = math.pi * mp.tau.imag
+    tt = as_tau(tau)
+    decay = 3.0 * math.pi * tt.imag
+    growth = math.pi * tt.imag
     k_max = gaussian_cutoff(decay, growth, trunc.tail_tol, trunc.max_terms)
-    tt = mp.tau
     acc = 0.0 + 0.0j
     for k in range(-k_max, k_max + 1):
         term = cmath.exp(TWO_PI_I * tt * (k * (3 * k - 1) / 2.0 + 1.0 / 24.0))
@@ -138,8 +139,9 @@ def eta_cubed(tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
 
 
 def require_pole_clearance(u, tau, clearance: float = POLE_CLEARANCE, what: str = "u") -> None:
-    """Poles sit on u in Z + tau*Z; reject arguments too close to that lattice."""
-    d = lattice_distance(as_complex(u), as_modular(tau).tau)
+    """Poles sit on u in Z + tau*Z; reject arguments too close to that lattice.
+    Callers pass u and tau already validated."""
+    d = lattice_distance(u, tau)
     if d < clearance:
         raise PoleProximity("%s is %.3g from the pole lattice (clearance %g)" % (what, d, clearance))
 
@@ -245,7 +247,7 @@ def theta1_rescaling_check(
     if level < 1:
         raise ValueError("level must be >= 1")
     uu = as_complex(u)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     kk = float(level)
     lhs = theta1(uu, tt / kk, trunc)
     rhs = 0.0 + 0.0j

@@ -41,13 +41,12 @@ from .domain import (
     TWO_PI_I,
     AlgebraParams,
     AtypicalWLabel,
-    EllipticArgs,
     QuadratureSpec,
     RegulatorSpec,
     TruncationSpec,
     TypicalWLabel,
     as_complex,
-    as_modular,
+    as_tau,
     contour_depth,
     floor_re,
     identity_report,
@@ -432,15 +431,19 @@ def s_entry_consistency_check(params: AlgebraParams, r, x, c, w) -> dict:
 
 
 def _uv(args) -> tuple:
-    if isinstance(args, EllipticArgs):
-        return args.u, args.v
     u, v = args
     return as_complex(u), as_complex(v)
 
 
-def _gauss_half_width(K: int, tau, drift_re: float, tol: float = 1e-13) -> float:
+def _curve(params: AlgebraParams, c, u: complex, v: complex, tau: complex, trunc: TruncationSpec) -> tuple:
+    """(C_c, B_c): the x-free prefactor and the drift of the typical curve c.
+    Checks compute them once per curve and hand them to every integrand."""
+    return curve_prefactor(params, c, u, v, tau, trunc), curve_drift(params, c, u, v, tau)
+
+
+def _gauss_half_width(K: int, tau: complex, drift_re: float, tol: float = 1e-13) -> float:
     """Half width L with exp(-pi K Im(tau) L^2 + 2 pi |drift| L) <= tol."""
-    im = as_modular(tau).tau.imag
+    im = tau.imag
     decay = math.pi * K * im
     target = math.log(1.0 / tol)
     d = 2.0 * math.pi * abs(drift_re)
@@ -495,16 +498,15 @@ def _at_integral(
     params: AlgebraParams,
     row,
     r: Fraction,
-    u,
-    v,
-    tau,
+    curve: tuple,
+    tau: complex,
     quad: QuadratureSpec,
-    trunc: TruncationSpec,
     parity_on: bool,
     shift: float,
     rel_scale: float,
 ):
-    """C_r * integral over (R + i shift) of S_at(row; r, x) G_r(x) dx.
+    """C_r * integral over (R + i shift) of S_at(row; r, x) G_r(x) dx, with
+    curve = (C_r, B_r) from _curve.
 
     The x-free prefactor C_r of the curve character is pulled out so the
     quadrature sees an O(1) integrand."""
@@ -516,16 +518,13 @@ def _at_integral(
             "1/sin pole on the shifted contour (e0=%r, shift=%r)" % (e0, shift)
         )
     sign = _parity(e0) if parity_on else 1.0
-    pref = curve_prefactor(params, r, u, v, tau, trunc)
+    pref, drift = curve
     # on R + i*shift the Gaussian's linear coefficient gains K*shift*tau
-    drift_re = curve_drift(params, r, u, v, tau).real + t / ell + K * shift * tau.real
+    drift_re = drift.real + t / ell + K * shift * tau.real
 
     def f(xs):
         e = e0 - 1j * xs
-        return (
-            _s_at_raw(params, row, r, e, sign)
-            * curve_gaussian(params, r, xs, u, v, tau)
-        )
+        return _s_at_raw(params, row, r, e, sign) * curve_gaussian(K, drift, tau, xs)
 
     half = _gauss_half_width(K, tau, drift_re)
     atol = max(quad.tail_tol, 1e-9 * rel_scale)
@@ -552,7 +551,7 @@ def s_transform_atypical_check(
     InvalidParameter."""
     t, tp = _require_s_pair(params, row)
     u, v = _uv(args)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     ell = params.ell
     sign = AT_BLOCK_SIGN if at_sign is None else float(at_sign)
     parity_on = S_AT_PARITY if parity is None else bool(parity)
@@ -579,8 +578,9 @@ def s_transform_atypical_check(
         if singular:
             singular_rows.append(r)
         shifts = _singular_shifts(side, params.K, tt) if singular else (0.0,)
+        curve = _curve(params, r, u, v, tt, trunc)
         at_total += sum(
-            _at_integral(params, (t, tp), r, u, v, tt, quad, trunc, parity_on, shift, scale)
+            _at_integral(params, (t, tp), r, curve, tt, quad, parity_on, shift, scale)
             for shift in shifts
         ) / len(shifts)
 
@@ -594,23 +594,30 @@ def s_transform_atypical_check(
     )
 
 
-def _typical_bracket_at(params: AlgebraParams, r: Fraction, xs, u, v, tau, trunc: TruncationSpec):
-    """sum_c integral dw S_tt((r,x),(c,w)) chi_T-curve(c,w)(u,v) at each x in xs.
+def _typical_bracket(params: AlgebraParams, r: Fraction, curves: dict, tau: complex):
+    """x -> sum_c integral dw S_tt((r,x),(c,w)) chi_T-curve(c,w)(u,v) at each
+    x of an array, with curves = {c: _curve(..., c, ...)} over the window M.
 
     The entry factorizes exactly as S_tt((r,0),(c,0)) e^{-2 pi i K x w} (the
     zero-drift identity K e_c(0) + c - 2a - 1/2 = 0 removes all other x and w
     dependence), so each c contributes the Fourier transform of the curve
-    Gaussian e^{-2 pi B_c w + pi i tau K w^2}, which has a closed form."""
+    Gaussian e^{-2 pi B_c w + pi i tau K w^2}, which has a closed form.  The
+    x-free coefficient and linear term of each c are computed here, once."""
     K = params.K
-    xs_arr = np.asarray(xs, dtype=float)
     alpha = -math.pi * 1j * tau * K
-    total = np.zeros(xs_arr.shape, dtype=complex)
-    for c in index_sets(params).m_values:
-        s0 = _s_tt_curve_raw(params, r, 0.0, c, 0.0)
-        pref = curve_prefactor(params, c, u, v, tau, trunc)
-        beta = -2.0 * math.pi * curve_drift(params, c, u, v, tau) - TWO_PI_I * K * xs_arr
-        total = total + complex(s0) * pref * _gaussian_integral(alpha, beta)
-    return total
+    terms = [
+        (complex(_s_tt_curve_raw(params, r, 0.0, c, 0.0)) * pref, -2.0 * math.pi * drift)
+        for c, (pref, drift) in curves.items()
+    ]
+
+    def bracket(xs):
+        xs_arr = np.asarray(xs, dtype=float)
+        total = np.zeros(xs_arr.shape, dtype=complex)
+        for coeff, beta0 in terms:
+            total = total + coeff * _gaussian_integral(alpha, beta0 - TWO_PI_I * K * xs_arr)
+        return total
+
+    return bracket
 
 
 def s_transform_typical_check(
@@ -627,9 +634,10 @@ def s_transform_typical_check(
     rf = _coerce_m(params, r, "r", window=True)
     xf = float(x)
     u, v = _uv(args)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     lhs = chi_w_typical_curve(params, rf, xf, u / tt, v / tt, -1.0 / tt, trunc)
-    bracket = _typical_bracket_at(params, rf, np.array([xf]), u, v, tt, trunc)[0]
+    curves = {c: _curve(params, c, u, v, tt, trunc) for c in index_sets(params).m_values}
+    bracket = _typical_bracket(params, rf, curves, tt)(np.array([xf]))[0]
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * bracket
     return identity_report("s_transform_typical", lhs, rhs, row=(rf, xf))
 
@@ -645,7 +653,7 @@ def t_transform_check(
 ) -> dict:
     """tau -> tau + 1 on an atypical label (t, t') or a typical curve point (r, x)."""
     u, v = _uv(args)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     ell, a, K = params.ell, params.a, params.K
     if family == "atyp":
         t, tp = _require_s_pair(params, label)
@@ -699,7 +707,7 @@ def lemma_trafoatyp_check(
     sv = _window_int(ell, s, "s")
     tv = _window_int(ell, t, "t")
     u, v = _uv(args)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     hs = LEMMA_HALF_SIGN if half_sign is None else float(half_sign)
     side = SINGULAR_CONTOUR_SIDE if singular_side is None else singular_side
 
@@ -719,8 +727,9 @@ def lemma_trafoatyp_check(
         if singular:
             singular_terms.append(m)
         shifts = _singular_shifts(side, K, tt) if singular else (0.0,)
+        curve = _curve(pr, r, u, v - tv / ell, tt, trunc)
         total += sum(
-            _cosh_kernel_integral(pr, r, c_f, u, v - tv / ell, tt, quad, trunc, shift, scale)
+            _cosh_kernel_integral(pr, r, c_f, curve, tt, quad, shift, scale)
             for shift in shifts
         ) / len(shifts)
 
@@ -748,25 +757,25 @@ def _cosh_kernel_integral(
     params: AlgebraParams,
     r: Fraction,
     c: float,
-    u,
-    v,
-    tau,
+    curve: tuple,
+    tau: complex,
     quad: QuadratureSpec,
-    trunc: TruncationSpec,
     shift: float,
     rel_scale: float,
 ):
-    """C_r * integral over (R + i shift) of G_r(x) / cosh(pi (x + i c)) dx."""
+    """C_r * integral over (R + i shift) of G_r(x) / cosh(pi (x + i c)) dx,
+    with curve = (C_r, B_r) from _curve."""
     if _dist_to_half_integers(c + shift) < POLE_CLEARANCE:
         raise PoleOnContour("cosh pole on the shifted contour (c=%r, shift=%r)" % (c, shift))
-    pref = curve_prefactor(params, r, u, v, tau, trunc)
+    pref, drift = curve
+    K = params.K
     # on R + i*shift the Gaussian's linear coefficient gains K*shift*tau
-    drift_re = curve_drift(params, r, u, v, tau).real + params.K * shift * tau.real
-    half = _gauss_half_width(params.K, tau, drift_re)
+    drift_re = drift.real + K * shift * tau.real
+    half = _gauss_half_width(K, tau, drift_re)
     atol = max(quad.tail_tol, 1e-9 * rel_scale)
 
     def f(xs):
-        return curve_gaussian(params, r, xs, u, v, tau) / np.cosh(math.pi * (xs + 1j * c))
+        return curve_gaussian(K, drift, tau, xs) / np.cosh(math.pi * (xs + 1j * c))
 
     res = integrate_line(f, _line_spec(half, quad, shift=shift, tol=atol), vectorized=True)
     return pref * res.value
@@ -816,7 +825,7 @@ def lemma_trafotypchar_check(
     pr = AlgebraParams(a, 1)
     K = pr.K
     u, v = _uv(args)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     xf = float(x)
 
     r_left = Fraction(m) - Fraction(sv, ell)
@@ -886,54 +895,57 @@ def s_compose_check(
     cancel, so chi_A(-u, -v) must equal the double S-matrix expansion."""
     t, tp = _require_s_pair(params, row)
     u, v = _uv(args)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     ell, K = params.ell, params.K
     sets = index_sets(params)
 
     lhs = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), -u, -v, tt, trunc)
     scale = abs(lhs)
 
+    # everything that does not depend on the outer row (sY, s'Y) or on x:
+    # the atypical characters and each curve's prefactor and drift
+    atypicals = [
+        ((sZ, spZ), chi_w_atypical(params, AtypicalWLabel(sZ / ell, spZ), u, v, tt, trunc))
+        for sZ in sets.s_values
+        for spZ in sets.s_values
+    ]
+    for c in sets.m_values:
+        _, e0 = curve_base_labels(params, c)
+        if _dist_to_integers(e0) < 1e-9:
+            raise PoleOnContour("composition check hit a singular row; shift unsupported here")
+    curves = {c: _curve(params, c, u, v, tt, trunc) for c in sets.m_values}
+
     rhs = 0.0 + 0.0j
     for sY in sets.s_values:
         for spY in sets.s_values:
             inner = 0.0 + 0.0j
-            for sZ in sets.s_values:
-                for spZ in sets.s_values:
-                    inner += _s_aa_raw(params, (sY, spY), (sZ, spZ)) * chi_w_atypical(
-                        params, AtypicalWLabel(sZ / ell, spZ), u, v, tt, trunc
-                    )
+            for col, chi in atypicals:
+                inner += _s_aa_raw(params, (sY, spY), col) * chi
             at_inner = 0.0 + 0.0j
-            for c in sets.m_values:
-                _, e0 = curve_base_labels(params, c)
-                if _dist_to_integers(e0) < 1e-9:
-                    raise PoleOnContour("composition check hit a singular row; shift unsupported here")
+            for c, curve in curves.items():
                 at_inner += _at_integral(
-                    params, (sY, spY), c, u, v, tt, quad, trunc, S_AT_PARITY, 0.0, scale
+                    params, (sY, spY), c, curve, tt, quad, S_AT_PARITY, 0.0, scale
                 )
             rhs += _s_aa_raw(params, (t, tp), (sY, spY)) * (inner + AT_BLOCK_SIGN * at_inner)
 
-    for r in sets.m_values:
+    # outer x-decay comes from the Fourier transform of the inner Gaussian;
+    # widen by the worst inner center offset |Im drift|/K
+    extra = max(abs(drift.imag) / K for _, drift in curves.values())
+    im = tt.imag
+    for r, (_, drift) in curves.items():
         _, e0 = curve_base_labels(params, r)
-        if _dist_to_integers(e0) < 1e-9:
-            raise PoleOnContour("composition check hit a singular row; shift unsupported here")
         sign = _parity(e0) if S_AT_PARITY else 1.0
-        drift_re = curve_drift(params, r, u, v, tt).real + t / ell
+        drift_re = drift.real + t / ell
         half = _gauss_half_width(K, tt, drift_re)
-        # outer x-decay comes from the Fourier transform of the inner Gaussian;
-        # widen by the worst inner center offset |Im drift|/K
-        extra = max(
-            abs(curve_drift(params, c, u, v, tt).imag) / K for c in sets.m_values
-        )
-        im = as_modular(tt).tau.imag
         half_out = max(half, extra + math.sqrt(math.log(1e13) * im / (math.pi * K)) + abs(t) * im / (ell * K) + 1.0)
         atol = max(quad.tail_tol, 1e-8 * scale)
+        bracket = _typical_bracket(params, r, curves, tt)
 
-        def f_outer(xs, _r=r, _sign=sign):
+        def f_outer(xs, _r=r, _sign=sign, _e0=e0, _bracket=bracket):
             xs_re = np.real(xs)
-            e = curve_base_labels(params, _r)[1] - 1j * xs_re
+            e = _e0 - 1j * xs_re
             s_at = _s_at_raw(params, (t, tp), _r, e, _sign)
-            bracket = _typical_bracket_at(params, _r, xs_re, u, v, tt, trunc)
-            return s_at * bracket
+            return s_at * _bracket(xs_re)
 
         res = integrate_line(f_outer, _line_spec(half_out, quad, tol=atol), vectorized=True)
         rhs += AT_BLOCK_SIGN * res.value
@@ -1048,7 +1060,7 @@ def verlinde_product_at(
     a, ell = params.a, params.ell
     ee = as_complex(e)
     u, v = _uv(args)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
 
     ft = fusion_target(params, (t, tp), (mf, ee))
     direct, windowed = ft["direct"], ft["windowed"]
@@ -1098,7 +1110,7 @@ def verlinde_product_aa(
     s, sp = _require_s_pair(params, row2)
     ell, a = params.ell, params.a
     u, v = _uv(args)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     if m_cutoff < 0:
         raise InvalidParameter("m_cutoff must be >= 0")
     # the Gaussian regulator only wins against the flow sum for
@@ -1146,21 +1158,13 @@ def verlinde_product_aa(
 
 
 def unitarity_aa_check(params: AlgebraParams) -> dict:
-    """sum over S x S of S_aa conj(S_aa) reproduces the identity exactly."""
+    """sum over S x S of S_aa conj(S_aa) reproduces the identity exactly:
+    max |S S^dagger - I| over the ell^2 x ell^2 atypical block."""
     sets = index_sets(params)
-    worst = 0.0
-    for t in sets.s_values:
-        for tp in sets.s_values:
-            for r in sets.s_values:
-                for rp in sets.s_values:
-                    acc = 0.0 + 0.0j
-                    for s in sets.s_values:
-                        for sp in sets.s_values:
-                            acc += _s_aa_raw(params, (t, tp), (s, sp)) * np.conj(
-                                _s_aa_raw(params, (r, rp), (s, sp))
-                            )
-                    target = 1.0 if (t == r and tp == rp) else 0.0
-                    worst = max(worst, abs(acc - target))
+    labels = [(t, tp) for t in sets.s_values for tp in sets.s_values]
+    s_aa = np.array([[_s_aa_raw(params, row, col) for col in labels] for row in labels])
+    gram = s_aa @ s_aa.conj().T
+    worst = float(np.abs(gram - np.eye(len(labels))).max())
     return {"check": "unitarity_aa", "max_abs_err": worst}
 
 

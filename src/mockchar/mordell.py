@@ -29,7 +29,7 @@ from .domain import (  # CONTOUR_EPS is re-exported as the default depth
     DEFAULT_QUAD,
     QuadratureSpec,
     as_complex,
-    as_modular,
+    as_tau,
     contour_depth,
     identity_report,
     midway_depth,
@@ -61,7 +61,7 @@ def mordell_h_quad(u, tau, quad: QuadratureSpec | None = None) -> QuadratureResu
     import numpy as np
 
     uu = as_complex(u)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
 
     def integrand(x):
         return np.exp(_PI_I * tt * x * x - _TWO_PI * uu * x) / np.cosh(math.pi * x)
@@ -92,7 +92,7 @@ def mordell_h_s_quad(
     if abs(s) > 1.0:
         raise InvalidParameter("|s| must be at most 1, got %g" % s)
     uu = as_complex(u)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     shift = 0.0
     if abs(abs(s) - 0.5) < 1e-12:
         shift = -(midway_depth(tt.real) if eps is None else contour_depth(eps))
@@ -130,7 +130,7 @@ def mordell_h_contour(s: float, u, tau, quad: QuadratureSpec | None = None) -> c
     import numpy as np
 
     uu = as_complex(u)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     s = float(s)
     s_c = complex(0.0, s)
 
@@ -146,7 +146,7 @@ def verify_mordell_shift(s: float, u, tau, quad: QuadratureSpec | None = None) -
     if not -0.5 <= float(s) < 0.5:
         raise InvalidParameter("shift identity needs -1/2 <= s < 1/2, got %g" % s)
     uu = as_complex(u)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     lhs = mordell_h(uu + s * tt, tt, quad)
     prefactor = cmath.exp(_PI_I * tt * s * s + 2j * math.pi * uu * s)
     rhs = prefactor * mordell_h_s(s, uu, tt, quad)
@@ -163,7 +163,7 @@ def verify_h1_reflection(u, tau, quad: QuadratureSpec | None = None) -> dict:
 def verify_contour_identity(s: float, u, tau, quad: QuadratureSpec | None = None) -> dict:
     """Check int_{R+is} = q^{-s^2/2} z^{-s} h(u + s*tau)."""
     uu = as_complex(u)
-    tt = as_modular(tau).tau
+    tt = as_tau(tau)
     lhs = mordell_h_contour(s, uu, tt, quad)
     rhs = cmath.exp(-_PI_I * tt * s * s - 2j * math.pi * uu * s) * mordell_h(uu + s * tt, tt, quad)
     return identity_report("contour_identity", lhs, rhs)

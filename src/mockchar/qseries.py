@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .domain import TWO_PI_I, AlgebraParams, AtypicalWLabel, as_complex, as_modular
+from .domain import TWO_PI_I, AlgebraParams, AtypicalWLabel, as_complex, as_tau
 from .errors import InvalidParameter, NonRationalExponents, UnsupportedObject
 
 Key = tuple  # (q_exp, z_pow, y_pow), all Fraction
@@ -185,7 +185,7 @@ class SparseSeries:
     def eval_at(self, u, v, tau) -> complex:
         uu = as_complex(u)
         vv = as_complex(v)
-        tt = as_modular(tau).tau
+        tt = as_tau(tau)
         acc = 0.0 + 0.0j
         for (qe, zp, yp), coeff in self.terms.items():
             acc += coeff.to_complex() * cmath.exp(

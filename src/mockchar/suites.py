@@ -11,7 +11,6 @@ the GIL, so worker threads would only contend for it.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import math
 import random
 import time
@@ -49,6 +48,7 @@ from .domain import (
     TypicalWLabel,
     check_tolerance,
     rel_err,
+    rng_for,
 )
 from .errors import ConvergenceError, InvalidParameter, PoleOnContour, PoleProximity, SingularEntry
 from .kernel import eta, eta_pentagonal, theta1, theta3
@@ -63,11 +63,6 @@ PI_I = 1j * math.pi
 
 # ---------------------------------------------------------------------------
 # deterministic sampling
-
-
-def rng_for(seed: int, check_id: str) -> random.Random:
-    digest = hashlib.sha256(("%d:%s" % (seed, check_id)).encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 def rand_tau(rng: random.Random, im_lo: float = 0.8, im_hi: float = 2.0) -> complex:

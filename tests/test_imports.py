@@ -68,6 +68,12 @@ def test_series_commands_never_load_numpy():
     assert not {"suites", "report", "modular_verlinde"} & set(got["mockchar"]), got["mockchar"]
 
 
+def test_sweep_loads_no_verify_stack():
+    got = loaded_after(cli_runs(["sweep", "thetascale", "--K", "1..3"]))
+    assert not got["numpy"]
+    assert not {"suites", "report", "modular_verlinde"} & set(got["mockchar"]), got["mockchar"]
+
+
 def test_eval_theta1_loads_only_domain_and_kernel():
     got = loaded_after(cli_runs(["eval", "theta1", "--u", "0.1", "--tau", "i"]))
     assert got["mockchar"] == ["cli", "domain", "errors", "kernel"]

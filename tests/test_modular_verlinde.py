@@ -102,6 +102,33 @@ def test_unitarity_aa(n, l):
     assert rep["max_abs_err"] < 1e-12, rep
 
 
+def _unitarity_aa_six_loops(params):
+    """The entry-by-entry sum over S x S that unitarity_aa_check replaced by
+    one matrix product; kept as its reference."""
+    sets = mv.index_sets(params)
+    worst = 0.0
+    for t in sets.s_values:
+        for tp in sets.s_values:
+            for r in sets.s_values:
+                for rp in sets.s_values:
+                    acc = 0.0 + 0.0j
+                    for s in sets.s_values:
+                        for sp in sets.s_values:
+                            acc += mv._s_aa_raw(params, (t, tp), (s, sp)) * np.conj(
+                                mv._s_aa_raw(params, (r, rp), (s, sp))
+                            )
+                    target = 1.0 if (t == r and tp == rp) else 0.0
+                    worst = max(worst, abs(acc - target))
+    return worst
+
+
+@pytest.mark.parametrize("n,l", [(0, 1), (1, 1), (2, 2), (3, 3), (0, 4)])
+def test_unitarity_aa_matches_entrywise_sum(n, l):
+    pr = AlgebraParams(n, l)
+    got = mv.unitarity_aa_check(pr)["max_abs_err"]
+    assert abs(got - _unitarity_aa_six_loops(pr)) <= 1e-15
+
+
 @pytest.mark.parametrize("n,l", [(1, 1), (2, 2)])
 def test_s_periodicity(n, l):
     rep = mv.s_periodicity_check(AlgebraParams(n, l), seed=11)
@@ -286,6 +313,32 @@ def test_s_compose():
     pr = AlgebraParams(1, 1)
     rep = mv.s_compose_check(pr, (0, 0), ARGS, TAU)
     assert rep["rel_err"] < 1e-4, rep
+
+
+def test_s_compose_computes_each_curve_and_character_once(monkeypatch):
+    # The curve prefactors and the atypical characters depend neither on the
+    # outer row (sY, s'Y) nor on x, so one check computes each of them once:
+    # |M| prefactors and |S|^2 characters plus the left-hand side.
+    pr = AlgebraParams(2, 1)
+    sets = mv.index_sets(pr)
+    calls = {"curve_prefactor": 0, "chi_w_atypical": 0}
+
+    def counted(name):
+        fn = getattr(mv, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mv, name, counted(name))
+    rep = mv.s_compose_check(pr, (0, 0), ARGS, TAU)
+    assert calls["curve_prefactor"] <= len(sets.m_values), calls
+    assert calls["chi_w_atypical"] <= len(sets.s_values) ** 2 + 1, calls
+    # computing them once changes no bit of the result
+    assert rep["rel_err"] == 8.882868333007365e-16, rep
 
 
 def test_structure_constant_kronecker():
