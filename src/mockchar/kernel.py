@@ -43,7 +43,10 @@ def tail_bound_gaussian(decay: float, growth: float, start: int) -> float:
     lead_log = -decay * start * start + growth * start
     if lead_log > 700.0:
         return math.inf
-    return math.exp(lead_log) / (1.0 - math.exp(ratio_log))
+    ratio = math.exp(ratio_log)
+    if ratio == 1.0:  # decay below the resolution of 1 - ratio (Im tau ~ 1e-17)
+        return math.inf
+    return math.exp(lead_log) / (1.0 - ratio)
 
 
 def gaussian_cutoff(decay: float, growth: float, tol: float, max_terms: int) -> int:

@@ -73,3 +73,15 @@ def test_real_tau_nan_is_rejected():
 def test_cli_rejects_tau_in_lower_half_plane(capsys):
     assert main(["eval", "theta1", "--u", "0.1", "--tau=-1i"]) == 2
     assert "upper half-plane" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "eta"],
+    ["eval", "theta1", "--u", "0.1"],
+    ["eval", "ak", "--K", "3", "--u", "0.1", "--v", "0.2"],
+    ["eval", "chi_lattice", "--K", "3", "--n", "1", "--u", "0.1"],
+])
+def test_tau_too_close_to_the_real_axis_is_a_convergence_failure(capsys, argv):
+    # Im tau > 0, but so small that |q| and the series ratios round to 1
+    assert main(argv + ["--tau", "1e-20i"]) == 3
+    assert "convergence failure" in capsys.readouterr().err
