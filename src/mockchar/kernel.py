@@ -3,7 +3,10 @@
 Series are summed over a symmetric window whose width is chosen so that the
 Gaussian tail bound falls below the requested tolerance.  Quadrature is the
 trapezoid rule on a finite window with node doubling until two successive
-refinements agree to the tolerance or to the sum's rounding floor.  numpy is
+refinements agree to the tolerance or to the sum's rounding floor.  Its nodes
+sit on the nested grid x_k = k*h, so x and -x are exact negatives and every
+level reuses the nodes of the levels below it; the first integrand pass covers
+three levels and each later doubling evaluates only the new nodes.  numpy is
 imported by the quadrature functions on first use, so the series kernels load
 without it.
 """
@@ -172,17 +175,26 @@ _EVAL_CHUNK = 1 << 14
 
 
 def _eval_line(f, xs, shift: complex, vectorized: bool):
+    """f on xs + shift; raises once any value is not finite, since no
+    refinement of a sum that holds a nan or an inf can converge."""
     import numpy as np
 
-    if not vectorized:
-        return np.array([f(complex(x) + shift) for x in xs], dtype=complex)
-    out = np.empty(xs.shape, dtype=complex)
-    for start in range(0, xs.size, _EVAL_CHUNK):
-        pts = xs[start:start + _EVAL_CHUNK] + shift
-        vals = np.asarray(f(pts), dtype=complex)
-        if vals.shape != pts.shape:
-            raise ValueError("vectorized integrand returned shape %s" % (vals.shape,))
-        out[start:start + _EVAL_CHUNK] = vals
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not vectorized:
+            out = np.array([f(complex(x) + shift) for x in xs], dtype=complex)
+        else:
+            out = np.empty(xs.shape, dtype=complex)
+            for start in range(0, xs.size, _EVAL_CHUNK):
+                pts = xs[start:start + _EVAL_CHUNK] + shift
+                vals = np.asarray(f(pts), dtype=complex)
+                if vals.shape != pts.shape:
+                    raise ValueError("vectorized integrand returned shape %s" % (vals.shape,))
+                out[start:start + _EVAL_CHUNK] = vals
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise QuadratureNoConvergence(
+            "integrand not finite at %d of %d nodes" % (out.size - np.count_nonzero(finite), out.size)
+        )
     return out
 
 
@@ -198,28 +210,39 @@ _ROUNDING_ULPS = 64.0 * sys.float_info.epsilon
 def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = False) -> QuadratureResult:
     """Trapezoid quadrature of f over [-L, L] + i*contour_shift with node doubling.
 
+    The nodes are x_k = k*h.  The first integrand pass evaluates the 4n + 1
+    nodes of the third level (n = spec.nodes, h = 2L/4n); the levels with n and
+    2n intervals are its strided slices.  Each later doubling halves h and
+    evaluates only the new odd multiples of it.  Every node is an exact
+    multiple of the finest h, so x and -x are exact negatives at every level.
+
     Stops once two successive refinements agree to the larger of
     spec.tail_tol and the rounding floor _ROUNDING_ULPS * h * sum|f| (at least
     two doublings are always performed).  The error is the last difference
     or the floor, whichever is larger.  Refinement cannot see what lies
     outside the window, so a result whose integrand at +-L still exceeds that
     limit raises QuadratureNoConvergence instead of returning a cut-off value.
+    So does a non-finite integrand value, at the first level that meets one.
     """
     import numpy as np
 
     half = spec.half_width
     shift = 1j * spec.contour_shift
     n = spec.nodes
-    xs = np.linspace(-half, half, n + 1)
-    vals = _eval_line(f, xs, shift, vectorized)
     h = 2.0 * half / n
-    current = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+    vals = _eval_line(f, np.arange(-2 * n, 2 * n + 1) * (h / 4.0), shift, vectorized)
     edge = max(abs(vals[0]), abs(vals[-1]))
-    mass = h * (np.abs(vals).sum() - 0.5 * (abs(vals[0]) + abs(vals[-1])))
+    current = h * (vals[::4].sum() - 0.5 * (vals[0] + vals[-1]))
+    mass = h * (np.abs(vals[::4]).sum() - 0.5 * (abs(vals[0]) + abs(vals[-1])))
+    # midpoints of the levels with n and 2n intervals, already evaluated
+    first_mids = (vals[2::4], vals[1::2])
     refinements = 0
     while True:
-        mids = np.linspace(-half + h / 2.0, half - h / 2.0, n)
-        mid_vals = _eval_line(f, mids, shift, vectorized)
+        if refinements < len(first_mids):
+            mid_vals = first_mids[refinements]
+        else:
+            mids = np.arange(1 - n, n, 2) * (h / 2.0)
+            mid_vals = _eval_line(f, mids, shift, vectorized)
         refined = current / 2.0 + (h / 2.0) * mid_vals.sum()
         mass = mass / 2.0 + (h / 2.0) * np.abs(mid_vals).sum()
         err = abs(refined - current)

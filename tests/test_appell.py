@@ -17,6 +17,7 @@ from mockchar.appell import (
 )
 from mockchar.domain import TruncationSpec
 from mockchar.errors import InvalidParameter, PoleProximity
+from mockchar.suites import SuiteConfig, run_suites
 
 POINTS = (
     (0.17 + 0.12j, 0.31 - 0.05j, 0.21 + 1.05j),
@@ -89,6 +90,16 @@ def test_s_transformation_both_forms(level):
     assert abs(lhs - rhs1) / scale < 1e-9
     assert abs(lhs - rhs2) / scale < 1e-9
     assert abs(rhs1 - rhs2) / scale < 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 13, 16])
+def test_s_law_k5_meets_its_tolerance(seed):
+    # the AKS2 form multiplies the Mordell quadrature's error by theta
+    # weights up to ~1e7; at these seeds the rounding of inexact nodes alone
+    # pushes it past the 1e-6 tolerance
+    failed = [r.check_id for r in run_suites(SuiteConfig(suites=("appell",), seed=seed))
+              if r.status != "pass"]
+    assert not [c for c in failed if c.startswith("appell.s-law.K5.")], failed
 
 
 def test_level_must_be_positive_integer():

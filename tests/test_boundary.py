@@ -77,6 +77,8 @@ def test_cli_rejects_tau_in_lower_half_plane(capsys):
     ["eval", "theta1", "--u", "0.1"],
     ["eval", "ak", "--K", "3", "--u", "0.1", "--v", "0.2"],
     ["eval", "chi_lattice", "--K", "3", "--n", "1", "--u", "0.1"],
+    ["eval", "h", "--u", "0.1"],
+    ["eval", "h_s", "--s", "0.5", "--u", "0.1"],
 ])
 def test_tau_too_close_to_the_real_axis_is_a_convergence_failure(capsys, argv):
     # Im tau > 0, but so small that |q| and the series ratios round to 1

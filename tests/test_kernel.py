@@ -170,8 +170,73 @@ def test_integrate_line_stops_at_rounding_floor():
 
 def test_quadrature_no_convergence_when_capped():
     spec = QuadratureSpec(half_width=6.0, nodes=4, max_nodes=8)
-    with pytest.raises(QuadratureNoConvergence):
+    with pytest.raises(QuadratureNoConvergence, match="no convergence with 8 nodes"):
         integrate_line(lambda x: cmath.exp(-x * x), spec)
+
+
+def test_integrate_line_evaluates_each_node_once_on_a_symmetric_grid():
+    # the nodes are k*h: x and -x are exact negatives, and no refinement
+    # evaluates a node that an earlier pass already covered
+    seen = []
+
+    def spy(xs):
+        seen.append(xs.copy())
+        return np.exp(-xs * xs) / (xs * xs + 0.01)
+
+    spec = QuadratureSpec(half_width=7.0, nodes=8, tail_tol=1e-12)
+    res = integrate_line(spy, spec, vectorized=True)
+    assert len(seen) > 1  # at least one doubling after the first pass
+    assert seen[0].size == 4 * spec.nodes + 1
+    xs = np.concatenate(seen)
+    assert xs.size == res.nodes == np.unique(xs).size
+    assert set(xs.tolist()) == set((-xs).tolist())
+    assert xs.min() == -spec.half_width and xs.max() == spec.half_width
+
+
+def test_integrate_line_converging_at_the_third_level_calls_the_integrand_once():
+    calls = []
+
+    def spy(xs):
+        calls.append(xs.size)
+        return np.exp(-xs * xs)
+
+    res = integrate_line(spy, DEFAULT_QUAD, vectorized=True)
+    assert res.nodes == 4 * DEFAULT_QUAD.nodes + 1
+    assert calls == [res.nodes]
+    assert abs(res.value - math.sqrt(math.pi)) <= res.error
+
+
+def test_integrate_line_stops_at_the_first_non_finite_value():
+    # refining a sum that holds a nan can never converge: one pass, then raise
+    calls = []
+
+    def nan_at_origin(xs):
+        calls.append(xs.size)
+        return np.where(xs == 0.0, np.nan, np.exp(-xs * xs))
+
+    with pytest.raises(QuadratureNoConvergence, match="not finite at 1 of 257 nodes"):
+        integrate_line(nan_at_origin, DEFAULT_QUAD, vectorized=True)
+    assert calls == [4 * DEFAULT_QUAD.nodes + 1]
+
+
+def test_integrate_line_pointwise_stops_after_one_pass():
+    calls = []
+
+    def nan_at_origin(x):
+        calls.append(x)
+        return math.nan if x == 0.0 else cmath.exp(-x * x)
+
+    with pytest.raises(QuadratureNoConvergence, match="not finite at 1 of 257 nodes"):
+        integrate_line(nan_at_origin, DEFAULT_QUAD)
+    assert len(calls) == 4 * DEFAULT_QUAD.nodes + 1
+
+
+def test_integrate_line_raises_on_overflow_without_a_warning():
+    # errors are raised, not printed: the pytest config turns RuntimeWarning
+    # into a failure, so an overflow warning leaking out fails this test
+    spec = QuadratureSpec(half_width=1e3)
+    with pytest.raises(QuadratureNoConvergence, match="not finite"):
+        integrate_line(lambda x: np.exp(x * x) * np.exp(-x * x), spec, vectorized=True)
 
 
 def test_integrate_line_rejects_a_window_that_cuts_the_integrand_off():

@@ -32,6 +32,11 @@ def test_h_at_origin_frozen_value():
     assert abs(mordell_h(0.0, 1j) - H_AT_0_I) < 1e-12
 
 
+def test_h_at_origin_node_count():
+    # h(0; i) converges at the third doubling of the default 64 intervals
+    assert mordell_h_quad(0.0, 1j).nodes == 513
+
+
 def test_h_quad_reports_its_error():
     res = mordell_h_quad(0.1 + 0.05j, 1.3j)
     assert res.error < 1e-10
