@@ -23,7 +23,7 @@ from .domain import (
     as_tau,
 )
 from .errors import InvalidParameter
-from .kernel import gaussian_cutoff, require_pole_clearance, theta1
+from .kernel import _lerch_walk, _peak_index, gaussian_cutoff, require_pole_clearance, theta1
 from .mordell import mordell_h
 
 
@@ -44,19 +44,49 @@ def appell_cutoff(level: int, u: complex, v: complex, tau: complex, trunc: Trunc
 
 
 def aK(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
-    """Level-`level` Appell-Lerch sum z^{K/2} sum_n (-1)^{Kn} q^{Kn(n+1)/2} y^n / (1-zq^n)."""
+    """Level-`level` Appell-Lerch sum z^{K/2} sum_n (-1)^{Kn} q^{Kn(n+1)/2} y^n / (1-zq^n).
+
+    The terms with n = -m < 0 are summed as -b_m z^{-1} / (1 - q^m/z) with
+    b_m = (-1)^{Km} q^{Km(m-1)/2+m} y^{-m}, so that no factor overflows where
+    q^{-m} is huge and its numerator tiny.  Each side is walked outward from its
+    largest numerator (kernel._lerch_walk): the term ratios change by q^K per
+    step and the pole factors z q^n and q^m/z by q.
+    """
     _check_level(level)
     uu = as_complex(u)
     vv = as_complex(v)
     tt = as_tau(tau)
     require_pole_clearance(uu, tt)
     n_max = appell_cutoff(level, uu, vv, tt, trunc)
-    z = cmath.exp(TWO_PI_I * uu)
-    acc = 0.0 + 0.0j
-    for n in range(-n_max, n_max + 1):
-        expo = TWO_PI_I * (tt * (level * n * (n + 1) / 2.0) + vv * n)
-        term = cmath.exp(expo) / (1.0 - z * cmath.exp(TWO_PI_I * tt * n))
-        acc += -term if (level * n) & 1 else term
+    sign = -1.0 if level & 1 else 1.0
+    step = TWO_PI_I * level * tt
+    q = TWO_PI_I * tt
+    # n >= 0: (-1)^{Kn} q^{Kn(n+1)/2} y^n is largest near n = -Im v/(K Im tau) - 1/2
+    k = _peak_index(-vv.imag / (level * tt.imag) - 0.5, 0, n_max)
+    lead = cmath.exp(TWO_PI_I * (tt * (level * k * (k + 1) / 2.0) + vv * k))
+    acc = _lerch_walk(
+        -lead if (level * k) & 1 else lead,
+        TWO_PI_I * (level * (k + 1) * tt + vv),
+        step,
+        TWO_PI_I * (uu + k * tt),
+        q,
+        n_max - k,
+        k,
+        sign,
+    )
+    # n = -m < 0: -b_m z^{-1} is largest near m = (Im v/Im tau - 1)/K + 1/2
+    k = _peak_index((vv.imag / tt.imag - 1.0) / level + 0.5, 1, n_max)
+    lead = cmath.exp(TWO_PI_I * (tt * (level * k * (k - 1) / 2.0 + k) - vv * k - uu))
+    acc -= _lerch_walk(
+        -lead if (level * k) & 1 else lead,
+        TWO_PI_I * ((level * k + 1) * tt - vv),
+        step,
+        TWO_PI_I * (k * tt - uu),
+        q,
+        n_max - k,
+        k - 1,
+        sign,
+    )
     return cmath.exp(PI_I * level * uu) * acc
 
 

@@ -28,7 +28,16 @@ from .domain import (
     identity_report,
 )
 from .errors import InvalidParameter, PoleProximity
-from .kernel import eta, gaussian_cutoff, require_pole_clearance, theta1, theta3
+from .kernel import (
+    _lerch_walk,
+    _peak_index,
+    _ratio_walk,
+    eta,
+    gaussian_cutoff,
+    require_pole_clearance,
+    theta1,
+    theta3,
+)
 
 
 def epsilon_fn(ell: int) -> Fraction:
@@ -113,25 +122,35 @@ def _atypical_body(
     q_shift: complex = 0.0,
 ) -> complex:
     """sum over j = m*ell + ell' of the defining series, with an optional
-    additive shift of every q-exponent (used by the regularized character)."""
+    additive shift of every q-exponent (used by the regularized character).
+
+    Walked in m outward from the largest numerator (kernel._lerch_walk): per
+    step the term ratios change by q^{K ell^2} and the pole factor z q^j by
+    q^{ell}; every term checks its pole factor.
+    """
     a, K, ell = params.a, params.K, params.ell
     n_max = _atypical_cutoff(params, n_prime, u, v, tau, trunc)
     j_lo = -((n_max + ell_prime) // ell)
     j_hi = (n_max - ell_prime) // ell
-    acc = 0.0 + 0.0j
-    for m in range(j_lo, j_hi + 1):
-        j = m * ell + ell_prime
-        denom = 1.0 - cmath.exp(TWO_PI_I * (u + j * tau))
-        if abs(denom) < 1e-8:
-            raise PoleProximity("1 - z q^j vanishes for j=%d" % j)
-        expo = (
-            v * j
-            + u * (a * j + n_prime + 0.5)
-            + tau * (j * (j * K + 2.0 * n_prime + 1.0) / 2.0 + q_shift)
-        )
-        term = cmath.exp(TWO_PI_I * expo) / denom
-        acc += -term if j & 1 else term
-    return acc
+    half = n_prime + 0.5
+    # |numerator| is largest near j = -(Im v + a Im u + Im(tau (2n'+1))/2) / (K Im tau)
+    j_peak = -(v.imag + a * u.imag + (tau * half).imag) / (K * tau.imag)
+    m0 = _peak_index((j_peak - ell_prime) / ell, j_lo, j_hi)
+    j0 = m0 * ell + ell_prime
+    lead = cmath.exp(TWO_PI_I * (v * j0 + u * (a * j0 + half) + tau * (j0 * (j0 * K / 2.0 + half) + q_shift)))
+    return _lerch_walk(
+        -lead if j0 & 1 else lead,
+        TWO_PI_I * (ell * (v + a * u) + tau * (ell * ((2 * j0 + ell) * K / 2.0 + half))),
+        TWO_PI_I * (K * ell * ell) * tau,
+        TWO_PI_I * (u + j0 * tau),
+        TWO_PI_I * ell * tau,
+        j_hi - m0,
+        m0 - j_lo,
+        -1.0 if ell & 1 else 1.0,
+        index=j0,
+        index_step=ell,
+        pole_check=True,
+    )
 
 
 def chi_w_atypical(
@@ -186,14 +205,22 @@ def _typical_cutoff(
 def _typical_body_sum(
     params: AlgebraParams, c, u: complex, v: complex, tau: complex, trunc: TruncationSpec
 ) -> complex:
+    """sum_m (-1)^{m ell} e^{2 pi i (m (ell v + n u + c tau) + m^2 (2 n ell + ell^2) tau / 2)},
+    walked outward from its largest term; the ratios change by q^{2 n ell + ell^2}."""
     n, ell = params.n, params.ell
     n_max = _typical_cutoff(params, c, u, v, tau, trunc)
-    body = 0.0 + 0.0j
-    for m in range(-n_max, n_max + 1):
-        expo = v * (m * ell) + u * (m * n) + tau * (m * m * (2.0 * n * ell + ell * ell) / 2.0 + m * c)
-        term = cmath.exp(TWO_PI_I * expo)
-        body += -term if (m * ell) & 1 else term
-    return body
+    quad = (2.0 * n * ell + ell * ell) / 2.0
+    # |term| is largest near m = -Im(ell v + n u + c tau) / (2 quad Im tau)
+    k = _peak_index(-(v * ell + u * n + tau * c).imag / (2.0 * quad * tau.imag), -n_max, n_max)
+    lead = cmath.exp(TWO_PI_I * (v * (k * ell) + u * (k * n) + tau * (quad * k * k + c * k)))
+    return _ratio_walk(
+        -lead if (k * ell) & 1 else lead,
+        TWO_PI_I * (v * ell + u * n + tau * (quad * (2 * k + 1) + c)),
+        TWO_PI_I * (2.0 * quad) * tau,
+        n_max - k,
+        n_max + k,
+        -1.0 if ell & 1 else 1.0,
+    )
 
 
 def chi_w_typical(

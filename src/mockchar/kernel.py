@@ -1,7 +1,10 @@
 """Theta and eta kernels with certified truncation, plus line quadrature.
 
 Series are summed over a symmetric window whose width is chosen so that the
-Gaussian tail bound falls below the requested tolerance.  Quadrature is the
+Gaussian tail bound falls below the requested tolerance.  Each sum is walked
+outward from its largest term: that term is one cmath.exp, every other term is
+its neighbour times a ratio, and the ratio itself changes by a constant factor
+per step because the exponent is quadratic in the index.  Quadrature is the
 trapezoid rule on a finite window with node doubling until two successive
 refinements agree to the tolerance or to the sum's rounding floor.  Its nodes
 sit on the nested grid x_k = k*h, so x and -x are exact negatives and every
@@ -66,24 +69,105 @@ def gaussian_cutoff(decay: float, growth: float, tol: float, max_terms: int) -> 
     )
 
 
+def _peak_index(center: float, lo: int, hi: int) -> int:
+    """The integer nearest to center, clamped to [lo, hi]: where a walk starts."""
+    k = round(center)
+    return lo if k < lo else hi if k > hi else k
+
+
+def _ratio_walk(lead: complex, up: complex, step: complex, n_up: int, n_down: int, sign: float = 1.0) -> complex:
+    """Sum of the term lead = t_k of a series whose exponent is quadratic in
+    the index, the n_up terms above it and the n_down terms below it.
+
+    Every term is its neighbour times a ratio: t_{k+1}/t_k = sign e^{up} and
+    t_{k-1}/t_k = sign e^{step - up}, and each ratio changes by the factor
+    e^{step} per index step outward.  A ratio is exponentiated only when its
+    side has terms, so an unused one cannot overflow.  The two sides are
+    walked together while both have terms.
+    """
+    factor = cmath.exp(step)
+    t_up = t_down = acc = lead
+    r_up = sign * cmath.exp(up) if n_up else 0.0
+    r_down = sign * cmath.exp(step - up) if n_down else 0.0
+    for _ in range(n_up if n_up < n_down else n_down):
+        t_up *= r_up
+        t_down *= r_down
+        acc += t_up + t_down
+        r_up *= factor
+        r_down *= factor
+    if n_up > n_down:
+        term, ratio, rest = t_up, r_up, n_up - n_down
+    else:
+        term, ratio, rest = t_down, r_down, n_down - n_up
+    for _ in range(rest):
+        term *= ratio
+        ratio *= factor
+        acc += term
+    return acc
+
+
+def _lerch_walk(
+    lead: complex, up: complex, step: complex, pole: complex, pole_step: complex,
+    n_up: int, n_down: int, sign: float = 1.0, index: int = 0, index_step: int = 1,
+    pole_check: bool = False,
+) -> complex:
+    """Sum of t_n / (1 - w_n) over the lead t_k, the n_up terms above it and
+    the n_down terms below it.
+
+    The numerators t_n walk as in _ratio_walk.  The pole factors start at
+    w_k = e^{pole} and change by e^{pole_step} per step up and e^{-pole_step}
+    per step down.  With pole_check, a term whose |1 - w_n| is below 1e-8
+    raises PoleProximity, naming its index (index at the lead, index_step per
+    step).
+    """
+    w_lead = cmath.exp(pole)
+    denom = 1.0 - w_lead
+    if pole_check and abs(denom) < 1e-8:
+        raise PoleProximity("pole factor 1 - w vanishes at index %d" % index)
+    acc = lead / denom
+    factor = cmath.exp(step)
+    if n_up:
+        term, ratio, w, w_step = lead, sign * cmath.exp(up), w_lead, cmath.exp(pole_step)
+        for i in range(1, n_up + 1):
+            term *= ratio
+            ratio *= factor
+            w *= w_step
+            denom = 1.0 - w
+            if pole_check and abs(denom) < 1e-8:
+                raise PoleProximity("pole factor 1 - w vanishes at index %d" % (index + i * index_step))
+            acc += term / denom
+    if n_down:
+        term, ratio, w, w_step = lead, sign * cmath.exp(step - up), w_lead, cmath.exp(-pole_step)
+        for i in range(1, n_down + 1):
+            term *= ratio
+            ratio *= factor
+            w *= w_step
+            denom = 1.0 - w
+            if pole_check and abs(denom) < 1e-8:
+                raise PoleProximity("pole factor 1 - w vanishes at index %d" % (index - i * index_step))
+            acc += term / denom
+    return acc
+
+
 @lru_cache(maxsize=1 << 16)
 def _theta1_cached(u: complex, tau: complex, n_max: int) -> complex:
-    acc = 0.0 + 0.0j
-    for n in range(-n_max, n_max + 1):
-        half = n + 0.5
-        term = cmath.exp(PI_I * half * half * tau + TWO_PI_I * u * half)
-        acc += -term if n & 1 else term
-    return -1j * acc
+    """-i sum_{|n| <= n_max} (-1)^n e^{pi i tau (n+1/2)^2 + 2 pi i u (n+1/2)},
+    walked outward from its largest term; t_{n+1} = t_n * (-z q^{n+1})."""
+    k = _peak_index(-u.imag / tau.imag - 0.5, -n_max, n_max)
+    half = k + 0.5
+    lead = cmath.exp(PI_I * half * half * tau + TWO_PI_I * u * half)
+    return -1j * _ratio_walk(
+        -lead if k & 1 else lead, TWO_PI_I * (u + (k + 1) * tau), TWO_PI_I * tau, n_max - k, n_max + k, -1.0
+    )
 
 
 @lru_cache(maxsize=1 << 16)
 def _theta3_cached(u: complex, tau: complex, n_max: int) -> complex:
-    acc = 1.0 + 0.0j
-    for n in range(1, n_max + 1):
-        core = PI_I * n * n * tau
-        cross = TWO_PI_I * u * n
-        acc += cmath.exp(core + cross) + cmath.exp(core - cross)
-    return acc
+    """sum_{|n| <= n_max} e^{pi i tau n^2 + 2 pi i u n}, walked outward from
+    its largest term; t_{n+1} = t_n * z q^{n+1/2}."""
+    k = _peak_index(-u.imag / tau.imag, -n_max, n_max)
+    lead = cmath.exp((PI_I * k * tau + TWO_PI_I * u) * k) if k else 1.0 + 0.0j
+    return _ratio_walk(lead, TWO_PI_I * u + PI_I * (2 * k + 1) * tau, TWO_PI_I * tau, n_max - k, n_max + k)
 
 
 @lru_cache(maxsize=1 << 12)

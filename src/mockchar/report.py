@@ -18,6 +18,11 @@ SCHEMA = "mockchar-report/1"
 # stripped before byte-comparison in the determinism contract
 VOLATILE_FIELDS = ("timestamp", "wall_ms")
 
+# Strict JSON: _jsonable writes a non-finite float as the string "inf", "-inf"
+# or "nan", and the encoder refuses the NaN and Infinity tokens, which strict
+# parsers reject.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
 PASS = "pass"
 FAIL = "fail"
 SKIP_SINGULAR = "skip-singular"
@@ -25,7 +30,7 @@ SKIP_SINGULAR = "skip-singular"
 
 def _jsonable(value):
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        return [_jsonable(value.real), _jsonable(value.imag)]
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
     if isinstance(value, Fraction):
@@ -65,19 +70,19 @@ class VerificationReport:
             "params": _jsonable(self.params),
             "lhs": _jsonable(self.lhs),
             "rhs": _jsonable(self.rhs),
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "tolerance": self.tolerance,
+            "abs_err": _jsonable(self.abs_err),
+            "rel_err": _jsonable(self.rel_err),
+            "tolerance": _jsonable(self.tolerance),
             "status": self.status,
             "note": self.note,
         }
         if volatile:
-            rec["wall_ms"] = self.wall_ms
+            rec["wall_ms"] = _jsonable(self.wall_ms)
             rec["timestamp"] = datetime.now(timezone.utc).isoformat()
         return rec
 
     def to_json_line(self, volatile: bool = True) -> str:
-        return json.dumps(self.to_record(volatile), sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(self.to_record(volatile))
 
 
 def make_report(
@@ -139,7 +144,7 @@ def strip_volatile(line: str) -> str:
     rec = json.loads(line)
     for key in VOLATILE_FIELDS:
         rec.pop(key, None)
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(rec)
 
 
 def summary_lines(reports) -> list:

@@ -109,9 +109,9 @@ class RunContext:
     reports: list = field(default_factory=list)
 
     def add(self, sub_id: str, anchor: str, err: float, **params) -> None:
-        self.reports.append(
-            make_report(sub_id, anchor, float(err), self.tol, params=params)
-        )
+        err = float(err)
+        note = "" if math.isfinite(err) else "non-finite value"
+        self.reports.append(make_report(sub_id, anchor, err, self.tol, params=params, note=note))
 
     def add_exact(self, sub_id: str, anchor: str, ok: bool, note: str = "", **params) -> None:
         self.reports.append(
@@ -670,10 +670,13 @@ def _product_at(ctx: RunContext):
         row = (sets.s_values[0], sets.s_values[-1])
         col = (Fraction(1, 2) if l == 2 else Fraction(1), 0.37)
         rep = mv.verlinde_product_at(pr, row, col, (u, v), tau)
-        err = max(rep["window_rel_err"], rep["rule_label_err"])
-        ok = rep["kronecker_satisfied"] and rep["idempotent"]
-        ctx.add("verlinde.product-at.n%d.l%d" % (n, l), "fusion with a typical",
-                err if ok else math.inf, n=n, ell=l)
+        sub_id = "verlinde.product-at.n%d.l%d" % (n, l)
+        if rep["kronecker_satisfied"] and rep["idempotent"]:
+            ctx.add(sub_id, "fusion with a typical",
+                    max(rep["window_rel_err"], rep["rule_label_err"]), n=n, ell=l)
+        else:
+            ctx.add_exact(sub_id, "fusion with a typical", False,
+                          note="Kronecker condition or idempotence fails", n=n, ell=l)
 
 
 @_check("verlinde.product-aa", "verlinde", "atypical x atypical telescoping product", 1e-9)

@@ -102,6 +102,32 @@ def test_s_law_k5_meets_its_tolerance(seed):
     assert not [c for c in failed if c.startswith("appell.s-law.K5.")], failed
 
 
+# appell.rel1.K7 inputs of verify seeds 53 (sub-check 2) and 86 (sub-check 1).
+# aK_via_rel1 sums A_1 at 7 tau, where the direct series formed q^{-n} ~
+# e^{2 pi 14 n}, overflowed and returned inf * 0 = nan.
+REL1_K7_INPUTS = (
+    (0.4124993788709172 - 0.28663438185607454j, 0.20141844602123532 - 0.24966808860183493j,
+     -0.3691265249630573 + 1.9908284594389236j),
+    (0.29506130403560576 - 0.2990341376821558j, 0.06245070334517405 - 0.24507765979414114j,
+     0.12286339214421083 + 1.9935621343141978j),
+)
+
+
+@pytest.mark.parametrize("u,v,tau", REL1_K7_INPUTS)
+def test_level_seven_forms_stay_finite_where_q_powers_overflow(u, v, tau):
+    direct = aK(7, u, v, tau)
+    for value in (direct, aK_via_rel1(7, u, v, tau), aK_via_rel2(7, u, v, tau)):
+        assert cmath.isfinite(value), value
+        assert abs(value - direct) / max(abs(value), abs(direct), 1.0) <= 1e-9, (value, direct)
+
+
+@pytest.mark.parametrize("seed", [53, 86])
+def test_rel1_level_seven_passes_where_it_was_nan(seed):
+    k7 = [r for r in run_suites(SuiteConfig(suites=("appell",), seed=seed))
+          if r.check_id.startswith("appell.rel1.K7.")]
+    assert k7 and all(r.status == "pass" for r in k7), [(r.check_id, r.rel_err) for r in k7]
+
+
 def test_level_must_be_positive_integer():
     with pytest.raises(InvalidParameter):
         aK(0, 0.1 + 0.1j, 0.2, 1j)

@@ -345,3 +345,57 @@ def test_convergence_failure_exit_code():
     assert reports[0].status == "fail"
     assert "convergence failure" in reports[0].note
     assert exit_code(reports) == 3
+
+
+# ---------------------------------------------------------------------------
+# the report sink writes strict JSON
+
+
+def _strict_json(line: str) -> dict:
+    def refuse(token):
+        raise ValueError("non-JSON token %s" % token)
+
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_report_lines_are_strict_json_with_non_finite_values():
+    from mockchar.report import VerificationReport, make_report
+
+    rep = make_report("synthetic.nan", "anchor", math.nan, 1e-9, params={"x": math.inf},
+                      lhs=complex(math.nan, 1.0), rhs=complex(1.0, -math.inf), wall_ms=math.inf)
+    rec = _strict_json(rep.to_json_line())
+    assert rec["status"] == "fail"
+    assert (rec["abs_err"], rec["rel_err"], rec["wall_ms"]) == ("nan", "nan", "inf")
+    assert rec["lhs"] == ["nan", 1.0] and rec["rhs"] == [1.0, "-inf"]
+    assert rec["params"] == {"x": "inf"}
+    _strict_json(strip_volatile(rep.to_json_line()))
+    exact = VerificationReport("synthetic.exact", "anchor", abs_err=math.inf, rel_err=math.inf,
+                               tolerance=1e-9, status="fail")
+    assert _strict_json(exact.to_json_line(volatile=False))["rel_err"] == "inf"
+
+
+def test_report_line_with_finite_values_is_unchanged():
+    from mockchar.report import make_report
+
+    rep = make_report("synthetic.ok", "anchor", 1.5e-16, 1e-9, params={"level": 7, "u": 0.1 + 0.2j},
+                      lhs=1.0 + 2.0j, rhs=1.0 + 2.0j)
+    rec = rep.to_record(volatile=False)
+    assert rep.to_json_line(volatile=False) == json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
+def test_non_finite_check_value_says_so():
+    import random
+
+    from mockchar.suites import RunContext
+
+    ctx = RunContext(rng=random.Random(0), samples=1, tol=1e-9, grid=())
+    ctx.add("synthetic.nan", "anchor", math.nan, level=7)
+    ctx.add("synthetic.inf", "anchor", math.inf)
+    ctx.add("synthetic.ok", "anchor", 0.0)
+    assert [(r.check_id, r.status, r.note) for r in ctx.reports] == [
+        ("synthetic.nan", "fail", "non-finite value"),
+        ("synthetic.inf", "fail", "non-finite value"),
+        ("synthetic.ok", "pass", ""),
+    ]
+    for rep in ctx.reports:
+        _strict_json(rep.to_json_line())

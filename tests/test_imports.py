@@ -57,7 +57,10 @@ def test_import_loads_no_numpy_and_no_layer(body):
 def test_series_commands_never_load_numpy():
     got = loaded_after(cli_runs(
         ["eval", "theta1", "--u", "0.1", "--tau", "i"],
+        ["eval", "theta3", "--u", "0.1", "--tau", "i"],
         ["eval", "ak", "--K", "3", "--u", "0.17+0.05i", "--v", "0.31", "--tau", "2i"],
+        ["eval", "chi_typical", "--n", "1", "--l", "1", "--nprime", "0.3", "--eprime", "0.41",
+         "--u", "0.17+0.05i", "--v", "0.31", "--tau", "1.2i"],
         ["eval", "chi_atypical", "--n", "1", "--l", "1", "--nprime", "0.5", "--lprime", "0",
          "--u", "0.17+0.05i", "--v", "0.31", "--tau", "1.2i"],
         ["expand", "theta1", "--order", "4"],
