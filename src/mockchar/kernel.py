@@ -146,6 +146,9 @@ def _lerch_walk(
             if pole_check and abs(denom) < 1e-8:
                 raise PoleProximity("pole factor 1 - w vanishes at index %d" % (index - i * index_step))
             acc += term / denom
+    if not cmath.isfinite(acc):
+        # a pole factor grown past the double range turns its term into inf/inf
+        raise OverflowError("a pole factor of the series leaves the double range")
     return acc
 
 

@@ -17,6 +17,7 @@ theta1/eta^3 with their references, so a comparison sees only the rewritten
 sums; theta1 is checked on its own.
 """
 
+import cmath
 import random
 
 import pytest
@@ -177,6 +178,17 @@ def test_typical_walks_match_direct_sums_and_mpmath(im_tau):
             body_mp = mp_typical_body(mp, params, c, u, v, tau)
             _, body_bound = ref.typical_body(params, c, u, v, tau)
             assert rel_err(body, body_mp) <= char_tol(body_mp, body_bound), (cell, label, u, v, tau)
+
+
+def test_atypical_walk_returns_no_nan_where_pole_factors_overflow():
+    # at Im tau = 30 the pole factors z q^j of the lowest j in the window
+    # exceed 1e308 (the direct sum raised OverflowError on them); carried
+    # along by multiplication they become inf, and a term inf/inf
+    try:
+        value = characters.chi_w_atypical(AlgebraParams(1, 1), AtypicalWLabel(0.5, 0), 0.3, 0.2, 30j)
+    except OverflowError:
+        return
+    assert cmath.isfinite(value), value
 
 
 # ---------------------------------------------------------------------------
