@@ -183,7 +183,7 @@ def test_typical_walks_match_direct_sums_and_mpmath(im_tau):
 def test_atypical_walk_returns_no_nan_where_pole_factors_overflow():
     # at Im tau = 30 the pole factors z q^j of the lowest j in the window
     # exceed 1e308 (the direct sum raised OverflowError on them); carried
-    # along by multiplication they become inf, and a term inf/inf
+    # along by multiplication they become inf, and their terms inf/inf = nan
     try:
         value = characters.chi_w_atypical(AlgebraParams(1, 1), AtypicalWLabel(0.5, 0), 0.3, 0.2, 30j)
     except OverflowError:
