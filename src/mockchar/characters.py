@@ -124,33 +124,48 @@ def _atypical_body(
     """sum over j = m*ell + ell' of the defining series, with an optional
     additive shift of every q-exponent (used by the regularized character).
 
-    Walked in m outward from the largest numerator (kernel._lerch_walk): per
-    step the term ratios change by q^{K ell^2} and the pole factor z q^j by
-    q^{ell}; every term checks its pole factor.
+    The terms t_j / (1 - z q^j) with j >= 0 and those with j < 0 are two
+    walks (kernel._lerch_walk), each outward from its largest numerator: per
+    step the term ratios change by q^{K ell^2} and the pole factor by
+    q^{+-ell}.  For j < 0 a term is written -t_j (z q^j)^{-1} / (1 - (z q^j)^{-1}),
+    as aK writes its n < 0 terms, so that no numerator leaves the double range
+    where |z q^j| is huge and the term is not.  Every term checks its pole
+    factor.
     """
     a, K, ell = params.a, params.K, params.ell
     n_max = _atypical_cutoff(params, n_prime, u, v, tau, trunc)
     j_lo = -((n_max + ell_prime) // ell)
     j_hi = (n_max - ell_prime) // ell
+    m_split = -(ell_prime // ell)  # the lowest m with j >= 0
     half = n_prime + 0.5
-    # |numerator| is largest near j = -(Im v + a Im u + Im(tau (2n'+1))/2) / (K Im tau)
+    sign = -1.0 if ell & 1 else 1.0
+    # |t_j| is largest near j = -(Im v + a Im u + Im(tau (2n'+1))/2) / (K Im tau),
+    # and |t_j / (z q^j)| one step of 1/K above that
     j_peak = -(v.imag + a * u.imag + (tau * half).imag) / (K * tau.imag)
-    m0 = _peak_index((j_peak - ell_prime) / ell, j_lo, j_hi)
-    j0 = m0 * ell + ell_prime
-    lead = cmath.exp(TWO_PI_I * (v * j0 + u * (a * j0 + half) + tau * (j0 * (j0 * K / 2.0 + half) + q_shift)))
-    return _lerch_walk(
-        -lead if j0 & 1 else lead,
-        TWO_PI_I * (ell * (v + a * u) + tau * (ell * ((2 * j0 + ell) * K / 2.0 + half))),
-        TWO_PI_I * (K * ell * ell) * tau,
-        TWO_PI_I * (u + j0 * tau),
-        TWO_PI_I * ell * tau,
-        j_hi - m0,
-        m0 - j_lo,
-        -1.0 if ell & 1 else 1.0,
-        index=j0,
-        index_step=ell,
-        pole_check=True,
-    )
+    acc = 0.0 + 0.0j
+    for lo, hi, shift in ((max(j_lo, m_split), j_hi, 0), (j_lo, min(j_hi, m_split - 1), 1)):
+        if lo > hi:
+            continue
+        m0 = _peak_index((j_peak + shift / K - ell_prime) / ell, lo, hi)
+        j0 = m0 * ell + ell_prime
+        h = half - shift
+        lead = cmath.exp(TWO_PI_I * (v * j0 + u * (a * j0 + h) + tau * (j0 * (j0 * K / 2.0 + h) + q_shift)))
+        pole = TWO_PI_I * (u + j0 * tau)
+        walked = _lerch_walk(
+            -lead if j0 & 1 else lead,
+            TWO_PI_I * (ell * (v + a * u) + tau * (ell * ((2 * j0 + ell) * K / 2.0 + h))),
+            TWO_PI_I * (K * ell * ell) * tau,
+            -pole if shift else pole,
+            (-TWO_PI_I if shift else TWO_PI_I) * ell * tau,
+            hi - m0,
+            m0 - lo,
+            sign,
+            index=j0,
+            index_step=ell,
+            pole_check=True,
+        )
+        acc += -walked if shift else walked
+    return acc
 
 
 def chi_w_atypical(

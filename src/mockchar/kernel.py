@@ -55,14 +55,38 @@ def tail_bound_gaussian(decay: float, growth: float, start: int) -> float:
     return math.exp(lead_log) / (1.0 - ratio)
 
 
+def _next_candidate(n: int) -> int:
+    return n + 4 if n < 32 else n + max(4, n // 4)
+
+
 def gaussian_cutoff(decay: float, growth: float, tol: float, max_terms: int) -> int:
+    """The first candidate n (4, 8, ..., 32, then steps of max(4, n // 4))
+    whose tail_bound_gaussian is <= tol.
+
+    Every candidate below the positive root of decay n^2 - growth n = -log(tol)
+    fails, because its lead term e^{-decay n^2 + growth n} alone exceeds tol.
+    Once two candidates have failed, the search jumps to the first candidate
+    at or above that root, taken with log(tol) raised by 1e-9 (1 + |log tol|),
+    so that rounding in log, exp and the root cannot pass over a candidate the
+    bound accepts.  (Most series stop at 4 or 8, where the jump would cost more
+    than the bounds it saves.)  Where log(tol) >= 0 there is no root, and
+    below the normal range exp loses that precision: there every candidate is
+    bounded.
+    """
     if decay <= 0.0:
         raise TailBoundExceeded("series has no Gaussian decay (decay=%g)" % decay)
     n = 4
     while n <= max_terms:
         if tail_bound_gaussian(decay, growth, n) <= tol:
             return n
-        n = n + 4 if n < 32 else n + max(4, n // 4)
+        n = _next_candidate(n)
+        if n == 12 and tol >= sys.float_info.min:
+            log_tol = math.log(tol)
+            log_tol += 1e-9 * (1.0 + abs(log_tol))
+            if log_tol < 0.0:
+                root = (growth + math.sqrt(growth * growth - 4.0 * decay * log_tol)) / (2.0 * decay)
+                while n < root and n <= max_terms:
+                    n = _next_candidate(n)
     raise TailBoundExceeded(
         "needed more than %d terms for tail tolerance %g (decay=%g growth=%g)"
         % (max_terms, tol, decay, growth)
@@ -174,8 +198,18 @@ def _theta3_cached(u: complex, tau: complex, n_max: int) -> complex:
 
 
 @lru_cache(maxsize=1 << 12)
-def _eta_cached(tau: complex, n_max: int) -> complex:
+def _eta_cached(tau: complex, trunc: TruncationSpec) -> complex:
+    """q^{1/24} prod_{n <= N} (1 - q^n), with N from the product's tail bound.
+    The cutoff and its range checks are part of the cached call; an error is
+    raised again on every call, as lru_cache keeps no exceptions."""
     q = cmath.exp(TWO_PI_I * tau)
+    absq = abs(q)
+    if not absq < 1.0:
+        raise TailBoundExceeded("|q| rounds to 1 at tau = %s" % (tau,))
+    # product tail: |log prod_{n>N}(1-q^n)| <= |q|^{N+1} / ((1-|q|)^2)
+    n_max = max(8, int(math.ceil(math.log(trunc.tail_tol * (1.0 - absq) ** 2) / math.log(absq))))
+    if n_max > max(trunc.max_terms, 4096):
+        raise TailBoundExceeded("eta product needs %d factors" % n_max)
     acc = cmath.exp(TWO_PI_I * tau / 24.0)
     qn = 1.0 + 0.0j
     for _ in range(n_max):
@@ -203,15 +237,7 @@ def theta3(u, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
 
 
 def eta(tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
-    tt = as_tau(tau)
-    absq = abs(cmath.exp(TWO_PI_I * tt))
-    if not absq < 1.0:
-        raise TailBoundExceeded("|q| rounds to 1 at tau = %s" % (tt,))
-    # product tail: |log prod_{n>N}(1-q^n)| <= |q|^{N+1} / ((1-|q|)^2)
-    n = max(8, int(math.ceil(math.log(trunc.tail_tol * (1.0 - absq) ** 2) / math.log(absq))))
-    if n > max(trunc.max_terms, 4096):
-        raise TailBoundExceeded("eta product needs %d factors" % n)
-    return _eta_cached(tt, n)
+    return _eta_cached(as_tau(tau), trunc)
 
 
 def eta_pentagonal(tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:

@@ -4,12 +4,17 @@ Exponents are Fractions, coefficients are Gaussian rationals, so expansions are
 exact and comparable term by term.  Series of meromorphic objects (Appell sums,
 atypical characters) are expanded in the region |q| < |z| < 1.
 
-Products run on integers: `SparseSeries.mul` scales every exponent by the lcm
-of the exponent denominators of both operands (and of the output order), and
-each operand's coefficients by the lcm of that operand's coefficient
-denominators.  It multiplies and accumulates the scaled integers pair by pair
-and builds the Fraction keys and GRat coefficients once per surviving term.
-The result, dict order included, is that of the Fraction pair loop.
+The series are built on integers.  Each expansion (theta1, theta1/eta^3, the
+Appell sum and the atypical character's body) scales the exponents by the lcm
+of their denominators, accumulates integer keys (q dq, z dz, y dy) with integer
+coefficients, adding a term and dropping a key whose sum is zero in the order
+add_term would, and converts once at the end.  Products do the same:
+`SparseSeries.mul` scales both operands' exponents by common lcms and each
+operand's coefficients by the lcm of its coefficient denominators, and
+multiplies and accumulates the scaled integers pair by pair.  One helper turns
+every integer form into a SparseSeries, building each distinct exponent
+Fraction and coefficient once.  Terms and their dict order are those of the
+term-by-term Fraction expansions and of the Fraction pair loop.
 """
 
 from __future__ import annotations
@@ -89,9 +94,10 @@ class GRat:
 MINUS_I = GRat(Fraction(0), Fraction(-1))
 
 
-def _scaled(x, d: int) -> int:
-    """x * d for a rational x whose denominator divides d."""
-    return x.numerator * (d // x.denominator)
+def _scaled(x: Fraction, d: int) -> int:
+    """floor(x * d), which is x * d where the denominator of x divides d.  An
+    exponent e scaled by d is <= x * d if and only if it is <= this."""
+    return x.numerator * d // x.denominator
 
 
 def _scaled_rows(terms: dict, dq: int, dz: int, dy: int):
@@ -103,6 +109,34 @@ def _scaled_rows(terms: dict, dq: int, dz: int, dy: int):
         for (q, z, y), coeff in terms.items()
     ]
     return rows, c
+
+
+class _Memo(dict):
+    """make(key) for each distinct key, computed once and then looked up."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _from_scaled(order: Fraction, acc: dict, dq: int, dz: int, dy: int, coeff) -> "SparseSeries":
+    """The series whose terms are those of acc, {(q dq, z dz, y dy): c}, in
+    acc's order, each with coefficient coeff(c).  Every distinct exponent
+    Fraction and coefficient is built once and shared by the terms that have
+    it; both are immutable."""
+    fq = _Memo(lambda n: Fraction(n, dq))
+    fz = _Memo(lambda n: Fraction(n, dz))
+    fy = _Memo(lambda n: Fraction(n, dy))
+    fc = _Memo(coeff)
+    out = SparseSeries(order)
+    out.terms = {(fq[q], fz[z], fy[y]): fc[c] for (q, z, y), c in acc.items()}
+    return out
 
 
 class SparseSeries:
@@ -137,14 +171,14 @@ class SparseSeries:
         docstring) adds and pops keys in the same sequence as add_term would,
         so terms and their dict order are those of the Fraction product.
         """
-        out = SparseSeries(min(self.order, other.order))
+        order = min(self.order, other.order)
         keys = [*self.terms, *other.terms]
-        dq = math.lcm(out.order.denominator, *(q.denominator for q, _, _ in keys))
+        dq = math.lcm(*(q.denominator for q, _, _ in keys))
         dz = math.lcm(*(z.denominator for _, z, _ in keys))
         dy = math.lcm(*(y.denominator for _, _, y in keys))
         rows_a, ca = _scaled_rows(self.terms, dq, dz, dy)
         rows_b, cb = _scaled_rows(other.terms, dq, dz, dy)
-        q_max = _scaled(out.order, dq)
+        q_max = _scaled(order, dq)
         z_max = z_window * dz
         acc: dict = {}
         for qa, za, ya, ra, ia in rows_a:
@@ -167,11 +201,8 @@ class SparseSeries:
                 elif old is not None:
                     del acc[key]
         c = ca * cb
-        out.terms = {
-            (Fraction(qe, dq), Fraction(ze, dz), Fraction(ye, dy)): GRat(Fraction(re, c), Fraction(im, c))
-            for (qe, ze, ye), (re, im) in acc.items()
-        }
-        return out
+        fc = _Memo(lambda n: Fraction(n, c))
+        return _from_scaled(order, acc, dq, dz, dy, lambda v: GRat(fc[v[0]], fc[v[1]]))
 
     def scaled(self, coeff: GRat) -> "SparseSeries":
         out = SparseSeries(self.order)
@@ -200,58 +231,78 @@ class SparseSeries:
         return len(self.terms)
 
 
+def _add(acc: dict, key: tuple, c: int) -> None:
+    """add_term on integer keys: add c at key, and drop the key once its sum is zero."""
+    if not c:
+        return
+    old = acc.get(key)
+    if old is None:
+        acc[key] = c
+    elif old + c:
+        acc[key] = old + c
+    else:
+        del acc[key]
+
+
+def _real(c: int) -> GRat:
+    return GRat(Fraction(c))
+
+
+def _imag(c: int) -> GRat:
+    return GRat(Fraction(0), Fraction(c))
+
+
 def theta1_series(order) -> SparseSeries:
-    out = SparseSeries(order)
+    """-i sum_n (-1)^n q^{(n+1/2)^2/2} z^{n+1/2}, on keys (8 q, 2 z, y)."""
+    order = as_fraction(order, "order")
+    q_max = _scaled(order, 8)
+    acc: dict = {}
     n = 0
     while True:
         placed = False
         for m in (n, -n - 1):
-            half = Fraction(2 * m + 1, 2)
-            q_exp = half * half / 2
-            if q_exp <= out.order:
-                sign = -1 if m & 1 else 1
-                out.add_term(q_exp, half, 0, GRat(Fraction(0), Fraction(-sign)))
+            h2 = 2 * m + 1
+            if h2 * h2 <= q_max:
+                _add(acc, (h2 * h2, h2, 0), 1 if m & 1 else -1)
                 placed = True
         if not placed:
-            return out
+            return _from_scaled(order, acc, 8, 2, 1, _imag)
         n += 1
 
 
 def eta3_inverse_qcoeffs(n_max: int) -> list:
-    """Integer-power coefficients of q^{1/8}/eta^3 through q^{n_max}."""
-    jac = [Fraction(0)] * (n_max + 1)
-    k = 0
+    """Integer-power coefficients of q^{1/8}/eta^3 through q^{n_max}: the
+    inverse of eta^3 q^{-1/8} = sum_k (-1)^k (2k+1) q^{k(k+1)/2}."""
+    jac = []  # (k(k+1)/2, (-1)^k (2k+1)) for k >= 1
+    k = 1
     while k * (k + 1) // 2 <= n_max:
-        jac[k * (k + 1) // 2] = Fraction((2 * k + 1) * (-1 if k & 1 else 1))
+        jac.append((k * (k + 1) // 2, -(2 * k + 1) if k & 1 else 2 * k + 1))
         k += 1
-    inv = [Fraction(0)] * (n_max + 1)
-    inv[0] = Fraction(1)
+    inv = [1] + [0] * n_max
     for n in range(1, n_max + 1):
-        inv[n] = -sum(jac[j] * inv[n - j] for j in range(1, n + 1))
+        inv[n] = -sum(c * inv[n - t] for t, c in jac if t <= n)
     return inv
 
 
 def theta1_over_eta3_series(order) -> SparseSeries:
-    out = SparseSeries(order)
-    n_max = int(math.floor(float(out.order)))
-    if n_max < 0:
-        return out
-    inv = eta3_inverse_qcoeffs(n_max)
+    """theta1/eta^3 = -i sum_n (-1)^n q^{n(n+1)/2} z^{n+1/2} q^{1/8}/eta^3, on
+    keys (q, 2 z, y): every q exponent is an integer."""
+    order = as_fraction(order, "order")
+    q_max = _scaled(order, 1)
+    acc: dict = {}
+    inv = eta3_inverse_qcoeffs(q_max)
     m = 0
     while True:
         placed = False
         for n in (m, -m - 1):
-            base = Fraction(n * (n + 1), 2)  # (n+1/2)^2/2 - 1/8
-            if base <= out.order:
+            base = n * (n + 1) // 2  # (n+1/2)^2/2 - 1/8
+            if base <= q_max:
                 placed = True
-                half = Fraction(2 * n + 1, 2)
-                sign = Fraction(-1 if n & 1 else 1)
-                for j in range(0, n_max + 1):
-                    if base + j > out.order:
-                        break
-                    out.add_term(base + j, half, 0, GRat(Fraction(0), -sign * inv[j]))
+                sign = -1 if n & 1 else 1
+                for j in range(q_max - base + 1):
+                    _add(acc, (base + j, 2 * n + 1, 0), -sign * inv[j])
         if not placed:
-            return out
+            return _from_scaled(order, acc, 1, 2, 1, _imag)
         m += 1
 
 
@@ -259,49 +310,48 @@ def default_z_window(order) -> int:
     return max(32, int(2 * float(order)) + 8)
 
 
-def _geometric_factor_terms(j: int, order, z_cap: int):
-    """Yield (extra_q, extra_z, sign) for the expansion of 1/(1 - z q^j), |q|<|z|<1."""
+def _add_lerch_terms(acc: dict, j: int, base: int, z0: int, c: int, q_max: int, dq: int, dz: int,
+                     cap: int, z_max=None) -> None:
+    """Add c q^base z^z0 y^j / (1 - z q^j), expanded in |q| < |z| < 1, to acc:
+    c sum_{k >= 0} z^k q^{jk} for j >= 0, -c sum_{k >= 1} z^{-k} q^{-jk} for
+    j < 0.  base and q_max are scaled by dq, z0 and z_max by dz; k stops at
+    cap or past q_max, and terms with |z| > z_max are left out."""
     if j >= 0:
-        for k in range(0, z_cap + 1):
-            extra = Fraction(j * k)
-            if extra > order:
-                return
-            yield extra, Fraction(k), 1
+        k_lo, q_step, z_step = 0, j * dq, dz
     else:
-        for k in range(1, z_cap + 1):
-            extra = Fraction(-j * k)
-            if extra > order:
-                return
-            yield extra, Fraction(-k), -1
+        k_lo, q_step, z_step, c = 1, -j * dq, -dz, -c
+    k_hi = min(cap, (q_max - base) // q_step) if q_step else cap
+    for k in range(k_lo, k_hi + 1):
+        z = z0 + k * z_step
+        if z_max is None or abs(z) <= z_max:
+            _add(acc, (base + k * q_step, z, j), c)
 
 
 def appell_series(level: int, order, z_window: int | None = None) -> SparseSeries:
     """q-expansion of the level-`level` Appell sum in the region |q| < |z| < 1.
 
     Coefficients are exact for |z_pow| <= z_window; higher z-powers (the sum has
-    infinitely many per q-order) are dropped.
+    infinitely many per q-order) are dropped.  Keys are (q, 2 z, y): every q
+    exponent is an integer.
     """
     if level <= 0:
         raise InvalidParameter("level must be a positive integer")
-    out = SparseSeries(order)
-    window = default_z_window(out.order) if z_window is None else z_window
-    cap = window + level + int(2 * float(out.order)) + 8
-    half_level = Fraction(level, 2)
+    order = as_fraction(order, "order")
+    window = default_z_window(order) if z_window is None else z_window
+    cap = window + level + int(2 * float(order)) + 8
+    q_max = _scaled(order, 1)
+    acc: dict = {}
     n = 0
     while True:
         placed = False
         for m in (n, -n - 1):
-            base = Fraction(level * m * (m + 1), 2)
-            floor_extra = Fraction(0) if m >= 0 else Fraction(-m)
-            if base + floor_extra <= out.order:
+            base = level * m * (m + 1) // 2
+            if base + max(-m, 0) <= q_max:
                 placed = True
                 sign = -1 if (level * m) & 1 else 1
-                for extra_q, extra_z, gsign in _geometric_factor_terms(m, out.order - base, cap):
-                    z_pow = half_level + extra_z
-                    if abs(z_pow) <= window:
-                        out.add_term(base + extra_q, z_pow, Fraction(m), GRat(Fraction(sign * gsign)))
+                _add_lerch_terms(acc, m, base, level, sign, q_max, 1, 2, cap, 2 * window)
         if not placed:
-            return out
+            return _from_scaled(order, acc, 1, 2, 1, _real)
         n += 1
 
 
@@ -317,7 +367,10 @@ def chi_w_atypical_series(
 ) -> SparseSeries:
     """Expansion of the atypical character, exact for |z_pow| <= z_window.
 
-    Needs rational n' so the exponents stay exact.
+    Needs rational n' so the exponents stay exact.  The body
+    sum_j (-1)^j q^{j(jK/2 + n' + 1/2)} z^{aj + n' + 1/2} y^j / (1 - z q^j) is
+    built on keys (d q, d z, y) with d = lcm(2, denominator of n'), which
+    makes every exponent an integer, and then multiplied by -i theta1/eta^3.
     """
     n_rat = as_fraction(label.n_prime, "n_prime")
     out_order = as_fraction(order, "order")
@@ -327,8 +380,11 @@ def chi_w_atypical_series(
     cap = window + (a + 1) * j_max + int(abs(float(n_rat))) + int(2 * float(out_order)) + 8
     lead = _atypical_lead(out_order)
 
-    body = SparseSeries(out_order)
-    # The leading q exponent base + floor_extra is convex in j with its
+    d = math.lcm(2, n_rat.denominator)
+    half = _scaled(n_rat + Fraction(1, 2), d)  # (n' + 1/2) d
+    q_max = _scaled(out_order, d)
+    acc: dict = {}
+    # The leading q exponent base + max(-j, 0) is convex in j with its
     # minimum at |j| <= |2n'| + 1, and m walks j outwards on both sides; a
     # pass that places nothing ends the loop only once both j are past that
     # minimum, as an empty pass before it can still be followed by terms.
@@ -338,22 +394,15 @@ def chi_w_atypical_series(
         placed = False
         for mm in (m, -m - 1):
             j = mm * ell + label.ell_prime
-            base = Fraction(j) * (Fraction(j * K) + 2 * n_rat + 1) / 2
-            floor_extra = Fraction(0) if j >= 0 else Fraction(-j)
-            if base + floor_extra <= out_order:
+            base = j * (j * K * (d // 2) + half)  # j (jK/2 + n' + 1/2) d
+            if base + max(-j, 0) * d <= q_max:
                 placed = True
-                sign = -1 if j & 1 else 1  # (-1)^j from (-y z^a)^j
-                for extra_q, extra_z, gsign in _geometric_factor_terms(j, out_order - base, cap):
-                    body.add_term(
-                        base + extra_q,
-                        Fraction(a * j) + n_rat + Fraction(1, 2) + extra_z,
-                        Fraction(j),
-                        GRat(Fraction(sign * gsign)),
-                    )
+                # (-1)^j from (-y z^a)^j
+                _add_lerch_terms(acc, j, base, a * j * d + half, -1 if j & 1 else 1, q_max, d, d, cap)
         if not placed and m * ell > past_minimum:
             break
         m += 1
-    return lead.mul(body, window)
+    return lead.mul(_from_scaled(out_order, acc, d, d, 1, _real), window)
 
 
 def qexpand(

@@ -3,6 +3,7 @@ transformation laws, truncation errors, and an mpmath oracle for the series."""
 
 import cmath
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from mockchar import kernel
 from mockchar.appell import aK
-from mockchar.domain import DEFAULT_QUAD, QuadratureSpec, TruncationSpec
+from mockchar.domain import DEFAULT_QUAD, DEFAULT_TRUNC, QuadratureSpec, TruncationSpec
 from mockchar.errors import PoleProximity, QuadratureNoConvergence, TailBoundExceeded
 from mockchar.kernel import (
     eta,
@@ -47,6 +48,24 @@ def test_theta3_at_i_closed_form():
 def test_eta_product_vs_pentagonal():
     for tau in (1j, 0.3 + 0.8j, -0.4 + 1.7j):
         assert abs(eta(tau) - eta_pentagonal(tau)) < 1e-14
+
+
+def test_eta_cutoff_and_its_errors_on_every_call():
+    # the cutoff N from |q|^{N+1} / (1 - |q|)^2 <= tail_tol, then the product
+    for tau, trunc in ((1j, DEFAULT_TRUNC), (0.3 + 0.05j, DEFAULT_TRUNC), (-0.2 + 0.7j, TruncationSpec(16, 1e-6))):
+        q = cmath.exp(TWO_PI_I * tau)
+        n = max(8, math.ceil(math.log(trunc.tail_tol * (1.0 - abs(q)) ** 2) / math.log(abs(q))))
+        want = cmath.exp(TWO_PI_I * tau / 24.0)
+        qn = 1.0 + 0.0j
+        for _ in range(n):
+            qn *= q
+            want *= 1.0 - qn
+        assert eta(tau, trunc) == want and eta(tau, trunc) == want  # a miss, then a hit
+    for _ in range(2):  # errors are not cached: each call raises
+        with pytest.raises(TailBoundExceeded, match="rounds to 1"):
+            eta(1e-20j)
+        with pytest.raises(TailBoundExceeded, match="eta product needs"):
+            eta(1e-4j)
 
 
 def test_eta_cubed_jacobi_vs_power():
@@ -296,3 +315,62 @@ def test_kernels_match_mpmath_oracle(u, tau):
         ] + [(aK(level, u, ORACLE_V, tau), appell_ref(level)) for level in (1, 2, 3)]
     for got, want in refs:
         assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+def _cutoff_by_bounds(decay, growth, tol, max_terms):
+    """gaussian_cutoff as a bound for every candidate: the reference for the
+    candidates it passes over."""
+    if decay <= 0.0:
+        raise TailBoundExceeded("series has no Gaussian decay (decay=%g)" % decay)
+    n = 4
+    while n <= max_terms:
+        if kernel.tail_bound_gaussian(decay, growth, n) <= tol:
+            return n
+        n = n + 4 if n < 32 else n + max(4, n // 4)
+    raise TailBoundExceeded(
+        "needed more than %d terms for tail tolerance %g (decay=%g growth=%g)"
+        % (max_terms, tol, decay, growth)
+    )
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except TailBoundExceeded as exc:
+        return str(exc)
+
+
+def test_gaussian_cutoff_passes_over_only_failing_candidates():
+    rng = random.Random(11)
+    candidates = [4, 8, 12, 16, 20, 24, 28, 32]
+    while len(candidates) < 20:
+        candidates.append(candidates[-1] + max(4, candidates[-1] // 4))
+    for i in range(6000):
+        decay = 10 ** rng.uniform(-6, 2)
+        growth = rng.choice((0.0, 10 ** rng.uniform(-3, 3)))
+        max_terms = rng.choice((16, 128, 512, 4096))
+        tol = 10 ** rng.uniform(-300, 1)
+        if i % 2:
+            # tol at the lead term of a candidate: the pass-over's borderline
+            n = rng.choice(candidates)
+            lead_log = -decay * n * n + growth * n
+            if -745.0 < lead_log < 0.0:
+                tol = math.exp(lead_log)
+        args = (decay, growth, tol, max_terms)
+        assert _outcome(kernel.gaussian_cutoff, *args) == _outcome(_cutoff_by_bounds, *args), args
+    for args in (
+        # tol at the lead term of the candidate the jump would land on: a jump
+        # to the root without a margin on log(tol) passes it over
+        (0.9559544188992075, 2.716799730145583, 3.5238716099062313e-293, 128),
+        (0.6312494891649193, 1.382109544080518, 3.0201994436176346e-262, 128),
+        # subnormal tol: exp has too few bits there to pass over anything
+        (0.19115095065378043, 0.0, 7.7134e-320, 128),
+        (45.90264246633255, 0.1433690859467814, 1.92676e-319, 128),
+    ):
+        assert kernel.gaussian_cutoff(*args) == _cutoff_by_bounds(*args), args
+    specials = (0.0, 5e-324, 2.3e-308, 1e-13, 1.0, 2.0, math.inf, math.nan)
+    for decay in (-1.0, 0.0, 1e-17, 0.3, 1e300, math.inf, math.nan):
+        for growth in (0.0, -5.0, 2.0, 1e200, math.inf, -math.inf, math.nan):
+            for tol in specials:
+                args = (decay, growth, tol, 128)
+                assert _outcome(kernel.gaussian_cutoff, *args) == _outcome(_cutoff_by_bounds, *args), args

@@ -9,8 +9,10 @@ from mockchar.appell import a1, aK
 from mockchar.domain import AlgebraParams, AtypicalWLabel
 from mockchar.errors import NonRationalExponents, UnsupportedObject
 from mockchar.kernel import eta, theta1
-from mockchar.qseries import GRat, SparseSeries, appell_series, qexpand, theta1_series
+from mockchar.qseries import GRat, SparseSeries, appell_series, eta3_inverse_qcoeffs, qexpand, theta1_series
 from mockchar.suites import DEFAULT_GRID
+
+import qseries_reference as ref
 
 F = Fraction
 
@@ -265,3 +267,75 @@ def test_cached_atypical_lead_gives_the_uncached_series(monkeypatch):
     monkeypatch.setattr(qseries, "_atypical_lead", qseries._atypical_lead.__wrapped__)
     for label, got in zip(labels, cached):
         assert_same_series(got, qexpand("chi_atypical", order, params=pr, label=label))
+
+
+# ---------------------------------------------------------------------------
+# integer expansions against the Fraction ones of qseries_reference
+
+# the orders and labels of the expand workload's deck (perfbench/workloads.py)
+DECK_ORDERS = tuple(F(k, 2) for k in range(4, 17))  # 2, 5/2, ..., 8
+DECK_LABELS = tuple(AtypicalWLabel(F(n2, 2), lp) for n2 in (-1, 0, 1, 2) for lp in (-1, 0, 1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_terms_add_and_pop_as_add_term(seed):
+    # keys on a small grid collide and cancel; both paths keep the same terms
+    # in the same order, and the integer one shares equal Fractions and GRats
+    from mockchar import qseries
+
+    rng = random.Random(seed)
+    acc: dict = {}
+    want = SparseSeries(F(3))
+    for _ in range(400):
+        q, z, y, c = rng.randint(0, 9), rng.randint(-3, 3), rng.randint(-1, 1), rng.randint(-2, 2)
+        qseries._add(acc, (q, z, y), c)
+        want.add_term(F(q, 3), F(z, 2), F(y), GRat(F(c), F(0)))
+    got = qseries._from_scaled(F(3), acc, 3, 2, 1, qseries._real)
+    assert_same_series(got, want)
+    assert len({id(c) for c in got.terms.values()}) == len(set(got.terms.values()))
+
+
+def test_eta3_inverse_coefficients_are_the_fraction_ones_as_int():
+    got = eta3_inverse_qcoeffs(40)
+    assert all(type(c) is int for c in got)
+    assert got == ref.eta3_inverse_qcoeffs(40)
+    assert eta3_inverse_qcoeffs(0) == [1]
+
+
+@pytest.mark.parametrize("order", DECK_ORDERS + (F(7, 3), F(1, 8), F(0), F(-1, 2)))
+def test_theta_expansions_match_fraction_reference(order):
+    assert_same_series(qexpand("theta1", order), ref.theta1_series(order))
+    assert_same_series(qexpand("theta1_over_eta3", order), ref.theta1_over_eta3_series(order))
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_appell_expansion_matches_fraction_reference(level):
+    for order in DECK_ORDERS + (F(7, 3),):
+        assert_same_series(qexpand("ak", order, level=level), ref.appell_series(level, order))
+    for window in (0, 1, 3):
+        assert_same_series(appell_series(level, F(7, 3), window), ref.appell_series(level, F(7, 3), window))
+
+
+@pytest.mark.parametrize("cell", DEFAULT_GRID)
+def test_atypical_expansion_matches_fraction_reference_on_the_deck(cell):
+    params = AlgebraParams(*cell)
+    for order in DECK_ORDERS:
+        for label in DECK_LABELS:
+            got = qexpand("chi_atypical", order, params=params, label=label)
+            assert_same_series(got, ref.chi_w_atypical_series(params, label, order))
+
+
+@pytest.mark.parametrize("cell", DEFAULT_GRID)
+def test_atypical_expansion_matches_fraction_reference_off_the_deck(cell):
+    # n' with denominator 4 and 8, an order with denominator 3, narrow windows
+    params = AlgebraParams(*cell)
+    for n_prime, ell_prime, order, window in (
+        (F(1, 4), 0, F(7, 3), None),
+        (F(-3, 4), 1, F(7, 3), 3),
+        (F(3, 8), -1, F(9, 4), None),
+        (F(5, 2), 1, F(7, 3), 2),
+        (F(-9, 4), -1, F(3), 0),
+    ):
+        label = AtypicalWLabel(n_prime, ell_prime)
+        got = qexpand("chi_atypical", order, params=params, label=label, z_window=window)
+        assert_same_series(got, ref.chi_w_atypical_series(params, label, order, window))

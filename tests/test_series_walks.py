@@ -79,18 +79,22 @@ def mp_appell(mp, level: int, u: complex, v: complex, tau: complex) -> complex:
     return complex(mp.exp(1j * mp.pi * level * uu) * acc)
 
 
-def mp_atypical_body(mp, params, n_prime, ell_prime, u, v, tau, q_shift=0.0) -> complex:
+def mp_atypical_body(mp, params, n_prime, ell_prime, u, v, tau, q_shift=0.0) -> tuple:
+    """(sum, rounding bound): the bound is series_reference's, eps sum_j |t_j| (|X_j| + 1),
+    taken in mpmath, where the direct sum in doubles overflows."""
     a, K, ell = params.a, params.K, params.ell
     uu, vv, tt, npr = mp.mpc(u), mp.mpc(v), mp.mpc(tau), mp.mpc(n_prime)
     two_pi_i = 2j * mp.pi
     n_max = characters._atypical_cutoff(params, complex(n_prime), u, v, tau, DEFAULT_TRUNC) + 8
     acc = mp.mpc(0)
+    mass = mp.mpf(0)
     for m in range(-(n_max // ell) - 2, n_max // ell + 3):
         j = m * ell + ell_prime
-        expo = vv * j + uu * (a * j + npr + mp.mpf(0.5)) + tt * (j * (j * K + 2 * npr + 1) / 2 + mp.mpc(q_shift))
-        term = mp.exp(two_pi_i * expo) / (1 - mp.exp(two_pi_i * (uu + j * tt)))
+        expo = two_pi_i * (vv * j + uu * (a * j + npr + mp.mpf(0.5)) + tt * (j * (j * K + 2 * npr + 1) / 2 + mp.mpc(q_shift)))
+        term = mp.exp(expo) / (1 - mp.exp(two_pi_i * (uu + j * tt)))
         acc += -term if j & 1 else term
-    return complex(acc)
+        mass += abs(term) * (abs(expo) + 1)
+    return complex(acc), float(ref.EPS * mass)
 
 
 def mp_typical_body(mp, params, c, u, v, tau) -> complex:
@@ -154,7 +158,7 @@ def test_atypical_walks_match_direct_sums_and_mpmath(im_tau):
                 assert rel_err(got, want) <= char_tol(want, bound), (cell, n_prime, ell_prime, q_shift, u, v, tau)
                 body = characters._atypical_body(params, label.n_prime, ell_prime, u, v, tau, DEFAULT_TRUNC, q_shift)
                 _, body_bound = ref.atypical_body(params, label.n_prime, ell_prime, u, v, tau, DEFAULT_TRUNC, q_shift)
-                body_mp = mp_atypical_body(mp, params, label.n_prime, ell_prime, u, v, tau, q_shift)
+                body_mp, _ = mp_atypical_body(mp, params, label.n_prime, ell_prime, u, v, tau, q_shift)
                 assert rel_err(body, body_mp) <= char_tol(body_mp, body_bound), (cell, n_prime, ell_prime, q_shift)
                 checked += 1
     # at Im tau >= 1 the labels +-40 leave the double range; everything else is compared
@@ -189,6 +193,25 @@ def test_atypical_walk_returns_no_nan_where_pole_factors_overflow():
     except OverflowError:
         return
     assert cmath.isfinite(value), value
+
+
+def test_regularized_character_where_numerators_overflow():
+    # the j < 0 numerators t_j leave the double range here, though their terms
+    # t_j / (1 - z q^j) do not: the direct sum cannot be formed, and the walk
+    # divides by z q^j first
+    mp = _mp()
+    params, label = AlgebraParams(1, 1), AtypicalWLabel(40, -1)
+    u = 0.19408951133058905 - 0.29298027614733735j
+    v = 0.13914248049402445 - 0.4179806621142537j
+    tau = -0.301665635743412 + 1j
+    shift = EPSILON * label.n_prime ** 2
+    with pytest.raises(OverflowError):
+        ref.chi_w_atypical(params, label, u, v, tau, q_shift=shift)
+    body, bound = mp_atypical_body(mp, params, label.n_prime, label.ell_prime, u, v, tau, shift)
+    pref = -1j * characters.theta_eta_prefactor(u, tau, DEFAULT_TRUNC)
+    got = characters.chi_regularized(params, label, EPSILON, u, v, tau)
+    assert abs(body) > 1e279
+    assert rel_err(got, pref * body) <= char_tol(pref * body, abs(pref) * bound), (got, pref * body)
 
 
 # ---------------------------------------------------------------------------
