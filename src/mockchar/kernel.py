@@ -55,38 +55,14 @@ def tail_bound_gaussian(decay: float, growth: float, start: int) -> float:
     return math.exp(lead_log) / (1.0 - ratio)
 
 
-def _next_candidate(n: int) -> int:
-    return n + 4 if n < 32 else n + max(4, n // 4)
-
-
 def gaussian_cutoff(decay: float, growth: float, tol: float, max_terms: int) -> int:
-    """The first candidate n (4, 8, ..., 32, then steps of max(4, n // 4))
-    whose tail_bound_gaussian is <= tol.
-
-    Every candidate below the positive root of decay n^2 - growth n = -log(tol)
-    fails, because its lead term e^{-decay n^2 + growth n} alone exceeds tol.
-    Once two candidates have failed, the search jumps to the first candidate
-    at or above that root, taken with log(tol) raised by 1e-9 (1 + |log tol|),
-    so that rounding in log, exp and the root cannot pass over a candidate the
-    bound accepts.  (Most series stop at 4 or 8, where the jump would cost more
-    than the bounds it saves.)  Where log(tol) >= 0 there is no root, and
-    below the normal range exp loses that precision: there every candidate is
-    bounded.
-    """
     if decay <= 0.0:
         raise TailBoundExceeded("series has no Gaussian decay (decay=%g)" % decay)
     n = 4
     while n <= max_terms:
         if tail_bound_gaussian(decay, growth, n) <= tol:
             return n
-        n = _next_candidate(n)
-        if n == 12 and tol >= sys.float_info.min:
-            log_tol = math.log(tol)
-            log_tol += 1e-9 * (1.0 + abs(log_tol))
-            if log_tol < 0.0:
-                root = (growth + math.sqrt(growth * growth - 4.0 * decay * log_tol)) / (2.0 * decay)
-                while n < root and n <= max_terms:
-                    n = _next_candidate(n)
+        n = n + 4 if n < 32 else n + max(4, n // 4)
     raise TailBoundExceeded(
         "needed more than %d terms for tail tolerance %g (decay=%g growth=%g)"
         % (max_terms, tol, decay, growth)

@@ -3,7 +3,6 @@ transformation laws, truncation errors, and an mpmath oracle for the series."""
 
 import cmath
 import math
-import random
 from dataclasses import replace
 
 import numpy as np
@@ -316,61 +315,3 @@ def test_kernels_match_mpmath_oracle(u, tau):
     for got, want in refs:
         assert abs(got - want) <= 1e-13 * abs(want), (got, want)
 
-
-def _cutoff_by_bounds(decay, growth, tol, max_terms):
-    """gaussian_cutoff as a bound for every candidate: the reference for the
-    candidates it passes over."""
-    if decay <= 0.0:
-        raise TailBoundExceeded("series has no Gaussian decay (decay=%g)" % decay)
-    n = 4
-    while n <= max_terms:
-        if kernel.tail_bound_gaussian(decay, growth, n) <= tol:
-            return n
-        n = n + 4 if n < 32 else n + max(4, n // 4)
-    raise TailBoundExceeded(
-        "needed more than %d terms for tail tolerance %g (decay=%g growth=%g)"
-        % (max_terms, tol, decay, growth)
-    )
-
-
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except TailBoundExceeded as exc:
-        return str(exc)
-
-
-def test_gaussian_cutoff_passes_over_only_failing_candidates():
-    rng = random.Random(11)
-    candidates = [4, 8, 12, 16, 20, 24, 28, 32]
-    while len(candidates) < 20:
-        candidates.append(candidates[-1] + max(4, candidates[-1] // 4))
-    for i in range(6000):
-        decay = 10 ** rng.uniform(-6, 2)
-        growth = rng.choice((0.0, 10 ** rng.uniform(-3, 3)))
-        max_terms = rng.choice((16, 128, 512, 4096))
-        tol = 10 ** rng.uniform(-300, 1)
-        if i % 2:
-            # tol at the lead term of a candidate: the pass-over's borderline
-            n = rng.choice(candidates)
-            lead_log = -decay * n * n + growth * n
-            if -745.0 < lead_log < 0.0:
-                tol = math.exp(lead_log)
-        args = (decay, growth, tol, max_terms)
-        assert _outcome(kernel.gaussian_cutoff, *args) == _outcome(_cutoff_by_bounds, *args), args
-    for args in (
-        # tol at the lead term of the candidate the jump would land on: a jump
-        # to the root without a margin on log(tol) passes it over
-        (0.9559544188992075, 2.716799730145583, 3.5238716099062313e-293, 128),
-        (0.6312494891649193, 1.382109544080518, 3.0201994436176346e-262, 128),
-        # subnormal tol: exp has too few bits there to pass over anything
-        (0.19115095065378043, 0.0, 7.7134e-320, 128),
-        (45.90264246633255, 0.1433690859467814, 1.92676e-319, 128),
-    ):
-        assert kernel.gaussian_cutoff(*args) == _cutoff_by_bounds(*args), args
-    specials = (0.0, 5e-324, 2.3e-308, 1e-13, 1.0, 2.0, math.inf, math.nan)
-    for decay in (-1.0, 0.0, 1e-17, 0.3, 1e300, math.inf, math.nan):
-        for growth in (0.0, -5.0, 2.0, 1e200, math.inf, -math.inf, math.nan):
-            for tol in specials:
-                args = (decay, growth, tol, 128)
-                assert _outcome(kernel.gaussian_cutoff, *args) == _outcome(_cutoff_by_bounds, *args), args
