@@ -27,7 +27,7 @@ from .domain import (
     floor_re,
     identity_report,
 )
-from .errors import InvalidParameter, PoleProximity
+from .errors import InvalidParameter, PoleProximity, RangeExceeded
 from .kernel import (
     _lerch_walk,
     _peak_index,
@@ -130,7 +130,8 @@ def _atypical_body(
     q^{+-ell}.  For j < 0 a term is written -t_j (z q^j)^{-1} / (1 - (z q^j)^{-1}),
     as aK writes its n < 0 terms, so that no numerator leaves the double range
     where |z q^j| is huge and the term is not.  Every term checks its pole
-    factor.
+    factor.  A largest term or a sum beyond the double range raises
+    RangeExceeded.
     """
     a, K, ell = params.a, params.K, params.ell
     n_max = _atypical_cutoff(params, n_prime, u, v, tau, trunc)
@@ -149,7 +150,10 @@ def _atypical_body(
         m0 = _peak_index((j_peak + shift / K - ell_prime) / ell, lo, hi)
         j0 = m0 * ell + ell_prime
         h = half - shift
-        lead = cmath.exp(TWO_PI_I * (v * j0 + u * (a * j0 + h) + tau * (j0 * (j0 * K / 2.0 + h) + q_shift)))
+        try:
+            lead = cmath.exp(TWO_PI_I * (v * j0 + u * (a * j0 + h) + tau * (j0 * (j0 * K / 2.0 + h) + q_shift)))
+        except OverflowError:
+            raise RangeExceeded("the largest term, at index %d, leaves the double range" % j0) from None
         pole = TWO_PI_I * (u + j0 * tau)
         walked = _lerch_walk(
             -lead if j0 & 1 else lead,

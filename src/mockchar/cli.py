@@ -20,6 +20,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError, InvalidParameter, UnsupportedObject
 
@@ -567,7 +568,10 @@ def _add_common_flags(sub) -> None:
     sub.add_argument("--out")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared after it: parse_args
+    makes a new namespace per call and changes no parser state."""
     parser = argparse.ArgumentParser(
         prog="mockchar",
         description="Evaluate, expand, and verify the character and Appell-sum identities.",

@@ -50,3 +50,11 @@ class TailBoundExceeded(ConvergenceError):
 
 class QuadratureNoConvergence(ConvergenceError):
     """Adaptive quadrature exhausted its node budget above tolerance."""
+
+
+class RangeExceeded(ConvergenceError, OverflowError):
+    """A series term or pole factor left the double range.
+
+    Still an OverflowError, so code that caught the builtin error keeps
+    working; as a ConvergenceError it exits 3 from the CLI.
+    """

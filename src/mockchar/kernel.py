@@ -35,7 +35,7 @@ from .domain import (
     identity_report,
     lattice_distance,
 )
-from .errors import PoleProximity, QuadratureNoConvergence, TailBoundExceeded
+from .errors import PoleProximity, QuadratureNoConvergence, RangeExceeded, TailBoundExceeded
 
 
 def tail_bound_gaussian(decay: float, growth: float, start: int) -> float:
@@ -118,7 +118,7 @@ def _lerch_walk(
     w_k = e^{pole} and change by e^{pole_step} per step up and e^{-pole_step}
     per step down.  With pole_check, a term whose |1 - w_n| is below 1e-8
     raises PoleProximity, naming its index (index at the lead, index_step per
-    step).
+    step).  A sum that is not finite raises RangeExceeded.
     """
     w_lead = cmath.exp(pole)
     denom = 1.0 - w_lead
@@ -148,7 +148,7 @@ def _lerch_walk(
             acc += term / denom
     if not cmath.isfinite(acc):
         # a pole factor grown past the double range turns its term into inf/inf
-        raise OverflowError("a pole factor of the series leaves the double range")
+        raise RangeExceeded("a pole factor of the series leaves the double range")
     return acc
 
 

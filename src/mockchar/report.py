@@ -7,11 +7,13 @@ diffed across runs and parallelism degrees after dropping the volatile keys.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 SCHEMA = "mockchar-report/1"
 
@@ -44,6 +46,43 @@ def _jsonable(value):
     return str(value)
 
 
+def _json(value) -> str:
+    """The text _ENCODER writes for _jsonable(value).
+
+    The types that make up a report (finite floats and complex numbers, str,
+    int, None and str-keyed params) are written directly; anything else, such
+    as a non-finite number, a bool, a tuple or a Fraction, goes through
+    _jsonable and the encoder.
+    """
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        return repr(value)
+    if kind is str:
+        return _quote(value)
+    if kind is complex and cmath.isfinite(value):
+        return "[%r,%r]" % (value.real, value.imag)
+    if value is None:
+        return "null"
+    if kind is int:
+        return repr(value)
+    if kind is dict and all(type(k) is str for k in value):
+        return "{%s}" % ",".join([_quote(k) + ":" + _json(v) for k, v in sorted(value.items())])
+    return _ENCODER.encode(_jsonable(value))
+
+
+# the record's keys in sorted order, as _ENCODER writes to_record()
+_LINE = (
+    '{"abs_err":%s,"anchor":%s,"check_id":%s,"lhs":%s,"note":%s,"params":%s,'
+    '"rel_err":%s,"rhs":%s,"schema":' + _quote(SCHEMA) + ',"status":%s,'
+)
+_TAIL = '"tolerance":%s}'
+_VOLATILE_TAIL = '"timestamp":%s,"tolerance":%s,"wall_ms":%s}'
+
+
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     check_id: str
@@ -62,7 +101,7 @@ class VerificationReport:
         if self.status not in (PASS, FAIL, SKIP_SINGULAR):
             raise ValueError("bad status %r" % (self.status,))
 
-    def to_record(self, volatile: bool = True) -> dict:
+    def to_record(self, volatile: bool = True, timestamp: str | None = None) -> dict:
         rec = {
             "schema": SCHEMA,
             "check_id": self.check_id,
@@ -78,11 +117,26 @@ class VerificationReport:
         }
         if volatile:
             rec["wall_ms"] = _jsonable(self.wall_ms)
-            rec["timestamp"] = datetime.now(timezone.utc).isoformat()
+            rec["timestamp"] = _now() if timestamp is None else timestamp
         return rec
 
-    def to_json_line(self, volatile: bool = True) -> str:
-        return _ENCODER.encode(self.to_record(volatile))
+    def to_json_line(self, volatile: bool = True, timestamp: str | None = None) -> str:
+        """to_record() as one line of sorted, compact, strict JSON."""
+        head = _LINE % (
+            _json(self.abs_err),
+            _json(self.anchor),
+            _json(self.check_id),
+            _json(self.lhs),
+            _json(self.note),
+            _json(self.params),
+            _json(self.rel_err),
+            _json(self.rhs),
+            _json(self.status),
+        )
+        if not volatile:
+            return head + _TAIL % _json(self.tolerance)
+        stamp = _now() if timestamp is None else timestamp
+        return head + _VOLATILE_TAIL % (_json(stamp), _json(self.tolerance), _json(self.wall_ms))
 
 
 def make_report(
@@ -134,9 +188,9 @@ def skip_report(
 
 
 def write_jsonl(reports, fh, volatile: bool = True) -> None:
-    for rep in reports:
-        fh.write(rep.to_json_line(volatile))
-        fh.write("\n")
+    """One line per report, all stamped with the time of this call, in one write."""
+    stamp = _now() if volatile else None
+    fh.write("".join([rep.to_json_line(volatile, stamp) + "\n" for rep in reports]))
 
 
 def strip_volatile(line: str) -> str:

@@ -347,6 +347,95 @@ def test_convergence_failure_exit_code():
     assert exit_code(reports) == 3
 
 
+def test_reports_before_a_singular_cell_are_kept_and_share_the_wall_time():
+    from mockchar.errors import SingularEntry
+    from mockchar.suites import CheckSpec, SuiteConfig, _run_one
+
+    def half(ctx):
+        ctx.add("synthetic.half.ok", "anchor", 0.0, level=1)
+        raise SingularEntry("synthetic singular entry")
+
+    spec = CheckSpec("synthetic.half", "synthetic", "synthetic singular cell", 1e-9, half)
+    reports = _run_one(spec, SuiteConfig(suites=("synthetic",)))
+    assert [(r.check_id, r.status) for r in reports] == [
+        ("synthetic.half.ok", "pass"),
+        ("synthetic.half.singular", "skip-singular"),
+    ]
+    assert reports[0].params == {"level": 1}
+    assert reports[1].note == "synthetic singular entry"
+    assert reports[0].wall_ms == reports[1].wall_ms > 0.0
+
+
+def test_eval_beyond_the_double_range_exits_3(capsys):
+    code, out, err = run(
+        capsys, "eval", "chi_atypical", "--n", "1", "--l", "1", "--nprime", "40", "--lprime", "-1",
+        "--u", "0.19-0.29i", "--v", "0.14-0.42i", "--tau", "-0.3+1i",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("convergence failure: ") and "double range" in err
+
+
+# ---------------------------------------------------------------------------
+# one parser serves every call of main
+
+
+def _suites_in(path) -> set:
+    return {json.loads(ln)["check_id"].split(".", 1)[0] for ln in path.read_text().splitlines()}
+
+
+def test_parser_is_built_once():
+    from mockchar.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_does_not_keep_appended_suites(tmp_path, capsys):
+    from mockchar.suites import suite_names
+
+    few, every = tmp_path / "few.jsonl", tmp_path / "every.jsonl"
+    code, _, _ = run(capsys, "verify", "--suite", "kernel", "--suite", "lattice", "--out", str(few))
+    assert code == 0
+    code, _, _ = run(capsys, "verify", "--jobs", "2", "--out", str(every))
+    assert code == 0
+    assert _suites_in(few) == {"kernel", "lattice"}
+    assert _suites_in(every) == set(suite_names()) - {"all"}
+
+
+def test_bad_flag_after_a_good_call_still_exits_2(capsys):
+    argv = ["eval", "theta1", "--u", "0.1", "--tau", "i"]
+    assert run(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--bogus", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_eval_after_verify_takes_no_verify_flags(tmp_path, capsys):
+    f = tmp_path / "r.jsonl"
+    code, _, _ = run(capsys, "verify", "--suite", "kernel", "--seed", "3", "--tol", "1e-5",
+                     "--format", "json", "--out", str(f))
+    assert code == 0
+    code, out, _ = run(capsys, "eval", "theta1", "--u", "0.13+0.07i", "--tau", "1.1i")
+    assert code == 0
+    assert out.endswith("  (bound 1.000e-13)\n")
+
+
+def test_verify_to_stdout_writes_the_lines_of_out(tmp_path, capsys):
+    f = tmp_path / "r.jsonl"
+    argv = ["verify", "--suite", "mordell", "--seed", "5"]
+    code_file, summary_file, _ = run(capsys, *argv, "--out", str(f))
+    code_std, out_std, summary_std = run(capsys, *argv)
+    file_lines, std_lines = f.read_text().splitlines(), out_std.splitlines()
+    assert code_file == code_std
+    assert summary_file == summary_std
+    assert [strip_volatile(ln) for ln in std_lines] == [strip_volatile(ln) for ln in file_lines]
+    for lines in (file_lines, std_lines):
+        # one timestamp per file: the time the sink wrote it
+        assert len({json.loads(ln)["timestamp"] for ln in lines}) == 1
+
+
 # ---------------------------------------------------------------------------
 # the report sink writes strict JSON
 

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 import series_reference as ref
 from mockchar import appell, characters, kernel
 from mockchar.domain import DEFAULT_TRUNC, AlgebraParams, AtypicalWLabel, TypicalWLabel, rel_err
+from mockchar.errors import ConvergenceError, RangeExceeded
 
 IM_TAUS = (0.01, 0.02, 0.1, 1.0, 3.0)
 POINTS = 4
@@ -212,6 +213,23 @@ def test_regularized_character_where_numerators_overflow():
     got = characters.chi_regularized(params, label, EPSILON, u, v, tau)
     assert abs(body) > 1e279
     assert rel_err(got, pref * body) <= char_tol(pref * body, abs(pref) * bound), (got, pref * body)
+
+
+def test_atypical_character_beyond_the_double_range_raises_range_exceeded():
+    # the unregularized character at the point above: its largest term, at
+    # j = -13, is ~e^1650, and no double holds it
+    u = 0.19408951133058905 - 0.29298027614733735j
+    v = 0.13914248049402445 - 0.4179806621142537j
+    tau = -0.301665635743412 + 1j
+    with pytest.raises(RangeExceeded) as info:
+        characters.chi_w_atypical(AlgebraParams(1, 1), AtypicalWLabel(40, -1), u, v, tau)
+    assert isinstance(info.value, ConvergenceError) and isinstance(info.value, OverflowError)
+
+
+def test_lerch_walk_beyond_the_double_range_raises_range_exceeded():
+    # terms and pole factors both grow past 1e308: inf / inf
+    with pytest.raises(RangeExceeded):
+        kernel._lerch_walk(1.0 + 0j, 10.0 + 0j, 0j, 700.0 + 0j, 10.0 + 0j, 40, 0)
 
 
 # ---------------------------------------------------------------------------
