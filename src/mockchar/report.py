@@ -101,7 +101,7 @@ class VerificationReport:
         if self.status not in (PASS, FAIL, SKIP_SINGULAR):
             raise ValueError("bad status %r" % (self.status,))
 
-    def to_record(self, volatile: bool = True, timestamp: str | None = None) -> dict:
+    def to_record(self, volatile: bool = True) -> dict:
         rec = {
             "schema": SCHEMA,
             "check_id": self.check_id,
@@ -117,7 +117,7 @@ class VerificationReport:
         }
         if volatile:
             rec["wall_ms"] = _jsonable(self.wall_ms)
-            rec["timestamp"] = _now() if timestamp is None else timestamp
+            rec["timestamp"] = _now()
         return rec
 
     def to_json_line(self, volatile: bool = True, timestamp: str | None = None) -> str:

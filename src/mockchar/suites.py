@@ -16,7 +16,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from . import kernel, mordell
 from .appell import (
@@ -55,7 +54,7 @@ from .errors import ConvergenceError, InvalidParameter, PoleOnContour, PoleProxi
 from .kernel import eta, eta_pentagonal, theta1, theta3
 from . import modular_verlinde as mv
 from .qseries import qexpand
-from .report import make_report, skip_report
+from .report import VerificationReport, make_report, skip_report
 
 DEFAULT_GRID = ((0, 1), (1, 1), (2, 1), (2, 2))
 
@@ -107,31 +106,17 @@ class RunContext:
     samples: int
     tol: float
     grid: tuple
-    # one report factory per result; the runner calls each once with the
-    # check's wall time
-    pending: list = field(default_factory=list)
+    reports: list = field(default_factory=list)
 
     def add(self, sub_id: str, anchor: str, err: float, **params) -> None:
         err = float(err)
         note = "" if math.isfinite(err) else "non-finite value"
-        self.pending.append(
-            partial(make_report, sub_id, anchor, err, self.tol, params=params, note=note)
-        )
+        self.reports.append(make_report(sub_id, anchor, err, self.tol, params=params, note=note))
 
     def add_exact(self, sub_id: str, anchor: str, ok: bool, note: str = "", **params) -> None:
-        err = 0.0 if ok else math.inf
-        self.pending.append(
-            partial(make_report, sub_id, anchor, err, self.tol, params=params, note=note)
+        self.reports.append(
+            make_report(sub_id, anchor, 0.0 if ok else math.inf, self.tol, params=params, note=note)
         )
-
-    def build(self, wall_ms: float = 0.0) -> list:
-        """The recorded reports, each built with wall_ms."""
-        return [make(wall_ms=wall_ms) for make in self.pending]
-
-    @property
-    def reports(self) -> list:
-        """The reports recorded so far, with no wall time."""
-        return self.build()
 
 
 @dataclass(frozen=True)
@@ -788,16 +773,31 @@ def _run_one(spec: CheckSpec, config: SuiteConfig) -> list:
         spec.fn(ctx)
     except (PoleOnContour, PoleProximity, SingularEntry) as exc:
         # documented singular configurations only; never masks a failure
-        ctx.pending.append(
-            partial(skip_report, spec.check_id + ".singular", spec.anchor, str(exc), tol)
+        ctx.reports.append(
+            skip_report(spec.check_id + ".singular", spec.anchor, str(exc), tol)
         )
     except ConvergenceError as exc:
-        ctx.pending.append(
-            partial(make_report, spec.check_id + ".convergence", spec.anchor, math.inf, tol,
-                    note="convergence failure: %s" % exc)
+        ctx.reports.append(
+            make_report(spec.check_id + ".convergence", spec.anchor, math.inf, tol,
+                        note="convergence failure: %s" % exc)
         )
     wall = (time.perf_counter() - started) * 1000.0
-    return ctx.build(wall / max(len(ctx.pending), 1))
+    return [
+        VerificationReport(
+            check_id=r.check_id,
+            anchor=r.anchor,
+            params=r.params,
+            lhs=r.lhs,
+            rhs=r.rhs,
+            abs_err=r.abs_err,
+            rel_err=r.rel_err,
+            tolerance=r.tolerance,
+            status=r.status,
+            wall_ms=wall / max(len(ctx.reports), 1),
+            note=r.note,
+        )
+        for r in ctx.reports
+    ]
 
 
 def run_suites(config: SuiteConfig) -> list:

@@ -20,10 +20,16 @@ STAMP = "2026-01-02T03:04:05.678901+00:00"
 NON_FINITE = (math.inf, -math.inf, math.nan)
 
 
+def reference_line(rep: VerificationReport, volatile: bool = True, stamp: str = STAMP) -> str:
+    rec = rep.to_record(volatile)
+    if volatile:
+        rec["timestamp"] = stamp
+    return REFERENCE.encode(rec)
+
+
 def assert_pinned(rep: VerificationReport) -> None:
     for volatile in (True, False):
-        want = REFERENCE.encode(rep.to_record(volatile, timestamp=STAMP))
-        assert rep.to_json_line(volatile, timestamp=STAMP) == want
+        assert rep.to_json_line(volatile, timestamp=STAMP) == reference_line(rep, volatile)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -105,7 +111,7 @@ def test_sink_stamps_one_time_per_call_and_writes_once():
     assert len(stamps) == 1
     (stamp,) = stamps
     for rep, line in zip(reports, lines):
-        assert line == REFERENCE.encode(rep.to_record(timestamp=stamp))
+        assert line == reference_line(rep, stamp=stamp)
     quiet = Sink()
     write_jsonl(reports, quiet, volatile=False)
     assert quiet.writes[0].splitlines() == [rep.to_json_line(volatile=False) for rep in reports]
