@@ -17,13 +17,12 @@ from .domain import (
     DEFAULT_TRUNC,
     PI_I,
     TWO_PI_I,
-    QuadratureSpec,
     TruncationSpec,
     as_complex,
     as_tau,
 )
 from .errors import InvalidParameter
-from .kernel import _lerch_walk, _peak_index, gaussian_cutoff, require_pole_clearance, theta1
+from .kernel import _lead_exp, _lerch_walk, _peak_index, gaussian_cutoff, require_pole_clearance, theta1
 from .mordell import mordell_h
 
 
@@ -50,7 +49,8 @@ def aK(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     b_m = (-1)^{Km} q^{Km(m-1)/2+m} y^{-m}, so that no factor overflows where
     q^{-m} is huge and its numerator tiny.  Each side is walked outward from its
     largest numerator (kernel._lerch_walk): the term ratios change by q^K per
-    step and the pole factors z q^n and q^m/z by q.
+    step and the pole factors z q^n and q^m/z by q.  A largest numerator or a
+    sum beyond the double range raises RangeExceeded.
     """
     _check_level(level)
     uu = as_complex(u)
@@ -63,7 +63,7 @@ def aK(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     q = TWO_PI_I * tt
     # n >= 0: (-1)^{Kn} q^{Kn(n+1)/2} y^n is largest near n = -Im v/(K Im tau) - 1/2
     k = _peak_index(-vv.imag / (level * tt.imag) - 0.5, 0, n_max)
-    lead = cmath.exp(TWO_PI_I * (tt * (level * k * (k + 1) / 2.0) + vv * k))
+    lead = _lead_exp(TWO_PI_I * (tt * (level * k * (k + 1) / 2.0) + vv * k), k)
     acc = _lerch_walk(
         -lead if (level * k) & 1 else lead,
         TWO_PI_I * (level * (k + 1) * tt + vv),
@@ -76,7 +76,7 @@ def aK(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     )
     # n = -m < 0: -b_m z^{-1} is largest near m = (Im v/Im tau - 1)/K + 1/2
     k = _peak_index((vv.imag / tt.imag - 1.0) / level + 0.5, 1, n_max)
-    lead = cmath.exp(TWO_PI_I * (tt * (level * k * (k - 1) / 2.0 + k) - vv * k - uu))
+    lead = _lead_exp(TWO_PI_I * (tt * (level * k * (k - 1) / 2.0 + k) - vv * k - uu), -k)
     acc -= _lerch_walk(
         -lead if (level * k) & 1 else lead,
         TWO_PI_I * ((level * k + 1) * tt - vv),
@@ -202,7 +202,6 @@ def aK_s_transform_rhs(
     tau,
     variant: str = "AKS",
     trunc: TruncationSpec = DEFAULT_TRUNC,
-    quad: QuadratureSpec | None = None,
     sign_variant: str = "corrected",
 ) -> complex:
     """RHS of the S-transformation of A_K, in either stated form.
@@ -230,7 +229,7 @@ def aK_s_transform_rhs(
         for m in range(level):
             theta_arg = off + vv / level - m / level
             acc += theta1(theta_arg, tt / level, scaled) * mordell_h(
-                uu - off - vv / level + m / level, tt / level, quad
+                uu - off - vv / level + m / level, tt / level
             )
         extra = sign * (1j / (2.0 * level)) * cmath.exp(PI_I * uu * (level - 1)) * acc
     else:
@@ -238,6 +237,6 @@ def aK_s_transform_rhs(
         for m in range(level):
             acc += cmath.exp(TWO_PI_I * m * uu) * theta1(
                 vv + m * tt - (level - 1) / 2.0, level * tt, trunc
-            ) * mordell_h(level * uu - vv - m * tt + (level - 1) / 2.0, level * tt, quad)
+            ) * mordell_h(level * uu - vv - m * tt + (level - 1) / 2.0, level * tt)
         extra = sign * 0.5j * acc
     return prefactor * (base + extra)

@@ -27,8 +27,9 @@ from .domain import (
     floor_re,
     identity_report,
 )
-from .errors import InvalidParameter, PoleProximity, RangeExceeded
+from .errors import InvalidParameter, PoleProximity
 from .kernel import (
+    _lead_exp,
     _lerch_walk,
     _peak_index,
     _ratio_walk,
@@ -150,10 +151,9 @@ def _atypical_body(
         m0 = _peak_index((j_peak + shift / K - ell_prime) / ell, lo, hi)
         j0 = m0 * ell + ell_prime
         h = half - shift
-        try:
-            lead = cmath.exp(TWO_PI_I * (v * j0 + u * (a * j0 + h) + tau * (j0 * (j0 * K / 2.0 + h) + q_shift)))
-        except OverflowError:
-            raise RangeExceeded("the largest term, at index %d, leaves the double range" % j0) from None
+        lead = _lead_exp(
+            TWO_PI_I * (v * j0 + u * (a * j0 + h) + tau * (j0 * (j0 * K / 2.0 + h) + q_shift)), j0
+        )
         pole = TWO_PI_I * (u + j0 * tau)
         walked = _lerch_walk(
             -lead if j0 & 1 else lead,
@@ -225,13 +225,14 @@ def _typical_body_sum(
     params: AlgebraParams, c, u: complex, v: complex, tau: complex, trunc: TruncationSpec
 ) -> complex:
     """sum_m (-1)^{m ell} e^{2 pi i (m (ell v + n u + c tau) + m^2 (2 n ell + ell^2) tau / 2)},
-    walked outward from its largest term; the ratios change by q^{2 n ell + ell^2}."""
+    walked outward from its largest term; the ratios change by q^{2 n ell + ell^2}.
+    A largest term beyond the double range raises RangeExceeded."""
     n, ell = params.n, params.ell
     n_max = _typical_cutoff(params, c, u, v, tau, trunc)
     quad = (2.0 * n * ell + ell * ell) / 2.0
     # |term| is largest near m = -Im(ell v + n u + c tau) / (2 quad Im tau)
     k = _peak_index(-(v * ell + u * n + tau * c).imag / (2.0 * quad * tau.imag), -n_max, n_max)
-    lead = cmath.exp(TWO_PI_I * (v * (k * ell) + u * (k * n) + tau * (quad * k * k + c * k)))
+    lead = _lead_exp(TWO_PI_I * (v * (k * ell) + u * (k * n) + tau * (quad * k * k + c * k)), k)
     return _ratio_walk(
         -lead if (k * ell) & 1 else lead,
         TWO_PI_I * (v * ell + u * n + tau * (quad * (2 * k + 1) + c)),

@@ -2,16 +2,16 @@
 
 Series are summed over a symmetric window whose width is chosen so that the
 Gaussian tail bound falls below the requested tolerance.  Each sum is walked
-outward from its largest term: that term is one cmath.exp, every other term is
-its neighbour times a ratio, and the ratio itself changes by a constant factor
-per step because the exponent is quadratic in the index.  Quadrature is the
-trapezoid rule on a finite window with node doubling until two successive
-refinements agree to the tolerance or to the sum's rounding floor.  Its nodes
-sit on the nested grid x_k = k*h, so x and -x are exact negatives and every
-level reuses the nodes of the levels below it; the first integrand pass covers
-three levels and each later doubling evaluates only the new nodes.  numpy is
-imported by the quadrature functions on first use, so the series kernels load
-without it.
+outward from its largest term: that term is one cmath.exp (RangeExceeded if it
+leaves the double range), every other term is its neighbour times a ratio, and
+the ratio itself changes by a constant factor per step because the exponent is
+quadratic in the index.  Quadrature is the trapezoid rule on a finite window
+with node doubling until two successive refinements agree to the tolerance or
+to the sum's rounding floor.  Its nodes sit on the nested grid x_k = k*h, so x
+and -x are exact negatives and every level reuses the nodes of the levels below
+it; the first integrand pass covers three levels and each later doubling
+evaluates only the new nodes.  numpy is imported by the quadrature functions on
+first use, so the series kernels load without it.
 """
 
 from __future__ import annotations
@@ -73,6 +73,15 @@ def _peak_index(center: float, lo: int, hi: int) -> int:
     """The integer nearest to center, clamped to [lo, hi]: where a walk starts."""
     k = round(center)
     return lo if k < lo else hi if k > hi else k
+
+
+def _lead_exp(exponent: complex, index: int) -> complex:
+    """e^exponent, the largest term of a walk, at the given index.  A term
+    beyond the double range raises RangeExceeded."""
+    try:
+        return cmath.exp(exponent)
+    except OverflowError:
+        raise RangeExceeded("the largest term, at index %d, leaves the double range" % index) from None
 
 
 def _ratio_walk(lead: complex, up: complex, step: complex, n_up: int, n_down: int, sign: float = 1.0) -> complex:
@@ -158,7 +167,7 @@ def _theta1_cached(u: complex, tau: complex, n_max: int) -> complex:
     walked outward from its largest term; t_{n+1} = t_n * (-z q^{n+1})."""
     k = _peak_index(-u.imag / tau.imag - 0.5, -n_max, n_max)
     half = k + 0.5
-    lead = cmath.exp(PI_I * half * half * tau + TWO_PI_I * u * half)
+    lead = _lead_exp(PI_I * half * half * tau + TWO_PI_I * u * half, k)
     return -1j * _ratio_walk(
         -lead if k & 1 else lead, TWO_PI_I * (u + (k + 1) * tau), TWO_PI_I * tau, n_max - k, n_max + k, -1.0
     )
@@ -169,7 +178,7 @@ def _theta3_cached(u: complex, tau: complex, n_max: int) -> complex:
     """sum_{|n| <= n_max} e^{pi i tau n^2 + 2 pi i u n}, walked outward from
     its largest term; t_{n+1} = t_n * z q^{n+1/2}."""
     k = _peak_index(-u.imag / tau.imag, -n_max, n_max)
-    lead = cmath.exp((PI_I * k * tau + TWO_PI_I * u) * k) if k else 1.0 + 0.0j
+    lead = _lead_exp((PI_I * k * tau + TWO_PI_I * u) * k, k) if k else 1.0 + 0.0j
     return _ratio_walk(lead, TWO_PI_I * u + PI_I * (2 * k + 1) * tau, TWO_PI_I * tau, n_max - k, n_max + k)
 
 
@@ -373,7 +382,7 @@ def theta1_rescaling_check(
     return identity_report("theta1_rescaling", lhs, rhs, level=level)
 
 
-def gauss_identity_check(alpha, beta, quad: QuadratureSpec = DEFAULT_QUAD) -> dict:
+def gauss_identity_check(alpha, beta) -> dict:
     """Quadrature of e^{-alpha x^2 + beta x} against sqrt(pi/alpha) e^{beta^2/4 alpha}."""
     import numpy as np
 
@@ -383,13 +392,7 @@ def gauss_identity_check(alpha, beta, quad: QuadratureSpec = DEFAULT_QUAD) -> di
         raise ValueError("need Re alpha > 0 for a convergent Gaussian")
     # window: |integrand| <= e^{-Re(al) x^2 + |be| |x|} < tol outside
     half = (abs(be) + math.sqrt(abs(be) ** 2 + 4.0 * al.real * math.log(1e16))) / (2.0 * al.real)
-    spec = QuadratureSpec(
-        half_width=max(half, 4.0 / math.sqrt(al.real)),
-        nodes=quad.nodes,
-        contour_shift=0.0,
-        tail_tol=quad.tail_tol,
-        max_nodes=quad.max_nodes,
-    )
+    spec = QuadratureSpec(half_width=max(half, 4.0 / math.sqrt(al.real)))
     res = integrate_line(lambda xs: np.exp(-al * xs * xs + be * xs), spec, vectorized=True)
     lhs = res.value
     rhs = sqrt_principal(math.pi / al) * cmath.exp(be * be / (4.0 * al))

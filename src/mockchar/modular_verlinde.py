@@ -169,8 +169,7 @@ def index_sets(params: AlgebraParams) -> IndexSets:
     return IndexSets(params, s_values, m_values)
 
 
-def _require_in_s(params: AlgebraParams, value, name: str) -> int:
-    ell = params.ell
+def _require_in_s(ell: int, value, name: str) -> int:
     v = int(value)
     if v != value:
         raise IndexOutOfRange("%s must be an integer, got %r" % (name, value))
@@ -181,7 +180,7 @@ def _require_in_s(params: AlgebraParams, value, name: str) -> int:
 
 def _require_s_pair(params: AlgebraParams, pair) -> tuple:
     t, tp = pair
-    return _require_in_s(params, t, "t"), _require_in_s(params, tp, "t'")
+    return _require_in_s(params.ell, t, "t"), _require_in_s(params.ell, tp, "t'")
 
 
 def _coerce_m(params: AlgebraParams, m, name: str = "m", window: bool = False) -> Fraction:
@@ -296,21 +295,28 @@ def _s_at_raw(params: AlgebraParams, row, r, e, parity_sign: float):
     return parity_sign * phase / (2.0 * ell * np.sin(math.pi * e))
 
 
+def _s_tt_curve_const(params: AlgebraParams, r, c) -> complex:
+    """S_tt((r, 0), (c, 0)) = sign e^{2 pi i (R - 1/4)} / ell, with the phase
+    reduced exactly.
+
+    The zero-drift identity K e_c(0) + c - 2a - 1/2 = 0 (and its twin for r)
+    removes every term of the exponent linear in x or w and leaves the
+    rational constant R = -K e_r(0) e_c(0).  The parity sign
+    (-1)^{floor e_r(0) + floor e_c(0)} is half a turn per unit.  Both are
+    taken mod 1 in Fractions, so r -> r + j*ell*K on either slot changes no
+    bit of the entry."""
+    a, K = params.a, params.K
+    e_r0 = (a - Fraction(r)) / K + Fraction(1, 2)
+    e_c0 = (a - Fraction(c)) / K + Fraction(1, 2)
+    turns = -K * e_r0 * e_c0 + Fraction(math.floor(e_r0) + math.floor(e_c0), 2)
+    return cmath.exp(TWO_PI_I * (float(turns % 1) + S_TT_QUARTER_TERM)) / params.ell
+
+
 def _s_tt_curve_raw(params: AlgebraParams, r, x, c, w):
-    """Curve-normalized typical-typical entry; np-aware in w (and x)."""
-    K, ell, a = params.K, params.ell, params.a
-    _, e_r0 = curve_base_labels(params, r)
-    _, e_c0 = curve_base_labels(params, c)
-    sign = _parity(e_r0) * _parity(e_c0)
-    e_r = e_r0 - 1j * np.asarray(x, dtype=complex)
-    e_c = e_c0 - 1j * np.asarray(w, dtype=complex)
-    expo = (
-        e_r * K * e_c
-        + e_r * (float(c) - 2 * a - 0.5)
-        + e_c * (float(r) - 2 * a - 0.5)
-        + S_TT_QUARTER_TERM
-    )
-    val = sign * np.exp(TWO_PI_I * expo) / ell
+    """Curve-normalized typical-typical entry
+    S_tt((r, 0), (c, 0)) e^{-2 pi i K x w}; np-aware in w (and x)."""
+    xw = np.asarray(x, dtype=complex) * np.asarray(w, dtype=complex)
+    val = _s_tt_curve_const(params, r, c) * np.exp(-TWO_PI_I * params.K * xw)
     if np.ndim(val) == 0:
         return complex(val)
     return val
@@ -451,16 +457,6 @@ def _gauss_half_width(K: int, tau: complex, drift_re: float, tol: float = 1e-13)
     return max(half, 5.0 / math.sqrt(K * im))
 
 
-def _line_spec(half: float, quad: QuadratureSpec, shift: float = 0.0, tol: float | None = None) -> QuadratureSpec:
-    return QuadratureSpec(
-        half_width=half,
-        nodes=quad.nodes,
-        contour_shift=shift,
-        tail_tol=quad.tail_tol if tol is None else tol,
-        max_nodes=quad.max_nodes,
-    )
-
-
 def _gaussian_integral(alpha: complex, beta):
     """int_R e^{-alpha w^2 + beta w} dw = sqrt(pi/alpha) e^{beta^2/(4 alpha)}.
 
@@ -500,7 +496,6 @@ def _at_integral(
     r: Fraction,
     curve: tuple,
     tau: complex,
-    quad: QuadratureSpec,
     parity_on: bool,
     shift: float,
     rel_scale: float,
@@ -527,9 +522,10 @@ def _at_integral(
         return _s_at_raw(params, row, r, e, sign) * curve_gaussian(K, drift, tau, xs)
 
     half = _gauss_half_width(K, tau, drift_re)
-    atol = max(quad.tail_tol, 1e-9 * rel_scale)
-    res = integrate_line(f, _line_spec(half, quad, shift=shift, tol=atol), vectorized=True)
-    return pref * res.value
+    spec = QuadratureSpec(
+        half_width=half, contour_shift=shift, tail_tol=max(DEFAULT_QUAD.tail_tol, 1e-9 * rel_scale)
+    )
+    return pref * integrate_line(f, spec, vectorized=True).value
 
 
 def s_transform_atypical_check(
@@ -537,7 +533,6 @@ def s_transform_atypical_check(
     row,
     args,
     tau,
-    quad: QuadratureSpec = DEFAULT_QUAD,
     trunc: TruncationSpec = DEFAULT_TRUNC,
     at_sign: float | None = None,
     parity: bool | None = None,
@@ -580,7 +575,7 @@ def s_transform_atypical_check(
         shifts = _singular_shifts(side, params.K, tt) if singular else (0.0,)
         curve = _curve(params, r, u, v, tt, trunc)
         at_total += sum(
-            _at_integral(params, (t, tp), r, curve, tt, quad, parity_on, shift, scale)
+            _at_integral(params, (t, tp), r, curve, tt, parity_on, shift, scale)
             for shift in shifts
         ) / len(shifts)
 
@@ -598,15 +593,14 @@ def _typical_bracket(params: AlgebraParams, r: Fraction, curves: dict, tau: comp
     """x -> sum_c integral dw S_tt((r,x),(c,w)) chi_T-curve(c,w)(u,v) at each
     x of an array, with curves = {c: _curve(..., c, ...)} over the window M.
 
-    The entry factorizes exactly as S_tt((r,0),(c,0)) e^{-2 pi i K x w} (the
-    zero-drift identity K e_c(0) + c - 2a - 1/2 = 0 removes all other x and w
-    dependence), so each c contributes the Fourier transform of the curve
-    Gaussian e^{-2 pi B_c w + pi i tau K w^2}, which has a closed form.  The
-    x-free coefficient and linear term of each c are computed here, once."""
+    The entry factorizes exactly as S_tt((r,0),(c,0)) e^{-2 pi i K x w} (see
+    _s_tt_curve_const), so each c contributes the Fourier transform of the
+    curve Gaussian e^{-2 pi B_c w + pi i tau K w^2}, which has a closed form.
+    The x-free coefficient and linear term of each c are computed here, once."""
     K = params.K
     alpha = -math.pi * 1j * tau * K
     terms = [
-        (complex(_s_tt_curve_raw(params, r, 0.0, c, 0.0)) * pref, -2.0 * math.pi * drift)
+        (_s_tt_curve_const(params, r, c) * pref, -2.0 * math.pi * drift)
         for c, (pref, drift) in curves.items()
     ]
 
@@ -688,7 +682,6 @@ def lemma_trafoatyp_check(
     t: int,
     args,
     tau,
-    quad: QuadratureSpec = DEFAULT_QUAD,
     trunc: TruncationSpec = DEFAULT_TRUNC,
     half_sign: float | None = None,
     singular_side=None,
@@ -704,8 +697,8 @@ def lemma_trafoatyp_check(
         raise InvalidParameter("need a >= 0 and ell >= 1")
     pr = AlgebraParams(a, 1)
     K = pr.K
-    sv = _window_int(ell, s, "s")
-    tv = _window_int(ell, t, "t")
+    sv = _require_in_s(ell, s, "s")
+    tv = _require_in_s(ell, t, "t")
     u, v = _uv(args)
     tt = as_tau(tau)
     hs = LEMMA_HALF_SIGN if half_sign is None else float(half_sign)
@@ -729,7 +722,7 @@ def lemma_trafoatyp_check(
         shifts = _singular_shifts(side, K, tt) if singular else (0.0,)
         curve = _curve(pr, r, u, v - tv / ell, tt, trunc)
         total += sum(
-            _cosh_kernel_integral(pr, r, c_f, curve, tt, quad, shift, scale)
+            _cosh_kernel_integral(pr, r, c_f, curve, tt, shift, scale)
             for shift in shifts
         ) / len(shifts)
 
@@ -746,20 +739,12 @@ def lemma_trafoatyp_check(
     )
 
 
-def _window_int(ell: int, value, name: str) -> int:
-    v = int(value)
-    if v != value or not (-ell <= 2 * v < ell):
-        raise IndexOutOfRange("%s=%r outside -ell/2 <= %s < ell/2" % (name, value, name))
-    return v
-
-
 def _cosh_kernel_integral(
     params: AlgebraParams,
     r: Fraction,
     c: float,
     curve: tuple,
     tau: complex,
-    quad: QuadratureSpec,
     shift: float,
     rel_scale: float,
 ):
@@ -771,14 +756,16 @@ def _cosh_kernel_integral(
     K = params.K
     # on R + i*shift the Gaussian's linear coefficient gains K*shift*tau
     drift_re = drift.real + K * shift * tau.real
-    half = _gauss_half_width(K, tau, drift_re)
-    atol = max(quad.tail_tol, 1e-9 * rel_scale)
+    spec = QuadratureSpec(
+        half_width=_gauss_half_width(K, tau, drift_re),
+        contour_shift=shift,
+        tail_tol=max(DEFAULT_QUAD.tail_tol, 1e-9 * rel_scale),
+    )
 
     def f(xs):
         return curve_gaussian(K, drift, tau, xs) / np.cosh(math.pi * (xs + 1j * c))
 
-    res = integrate_line(f, _line_spec(half, quad, shift=shift, tol=atol), vectorized=True)
-    return pref * res.value
+    return pref * integrate_line(f, spec, vectorized=True).value
 
 
 def lemma_trafotypchar_check(
@@ -888,7 +875,6 @@ def s_compose_check(
     row,
     args,
     tau,
-    quad: QuadratureSpec = DEFAULT_QUAD,
     trunc: TruncationSpec = DEFAULT_TRUNC,
 ) -> dict:
     """Applying S twice sends (u, v) to (-u, -v); the automorphy prefactors
@@ -923,9 +909,7 @@ def s_compose_check(
                 inner += _s_aa_raw(params, (sY, spY), col) * chi
             at_inner = 0.0 + 0.0j
             for c, curve in curves.items():
-                at_inner += _at_integral(
-                    params, (sY, spY), c, curve, tt, quad, S_AT_PARITY, 0.0, scale
-                )
+                at_inner += _at_integral(params, (sY, spY), c, curve, tt, S_AT_PARITY, 0.0, scale)
             rhs += _s_aa_raw(params, (t, tp), (sY, spY)) * (inner + AT_BLOCK_SIGN * at_inner)
 
     # outer x-decay comes from the Fourier transform of the inner Gaussian;
@@ -938,7 +922,7 @@ def s_compose_check(
         drift_re = drift.real + t / ell
         half = _gauss_half_width(K, tt, drift_re)
         half_out = max(half, extra + math.sqrt(math.log(1e13) * im / (math.pi * K)) + abs(t) * im / (ell * K) + 1.0)
-        atol = max(quad.tail_tol, 1e-8 * scale)
+        spec = QuadratureSpec(half_width=half_out, tail_tol=max(DEFAULT_QUAD.tail_tol, 1e-8 * scale))
         bracket = _typical_bracket(params, r, curves, tt)
 
         def f_outer(xs, _r=r, _sign=sign, _e0=e0, _bracket=bracket):
@@ -947,8 +931,7 @@ def s_compose_check(
             s_at = _s_at_raw(params, (t, tp), _r, e, _sign)
             return s_at * _bracket(xs_re)
 
-        res = integrate_line(f_outer, _line_spec(half_out, quad, tol=atol), vectorized=True)
-        rhs += AT_BLOCK_SIGN * res.value
+        rhs += AT_BLOCK_SIGN * integrate_line(f_outer, spec, vectorized=True).value
 
     return identity_report("s_compose", lhs, rhs, row=(t, tp))
 
@@ -1168,26 +1151,25 @@ def unitarity_aa_check(params: AlgebraParams) -> dict:
     return {"check": "unitarity_aa", "max_abs_err": worst}
 
 
-def _gaussian_hat(width: float, freqs):
-    """Fourier transform int g(s) e^{-2 pi i f s} ds of the unit-mass Gaussian
-    g of the given width centered at 0, at each f in freqs (same shape)."""
-    return np.exp(-2.0 * (math.pi * width * np.asarray(freqs, dtype=float)) ** 2)
-
-
 def unitarity_tt_weak_check(
     params: AlgebraParams,
     e: float,
     m,
     m2,
     test_width: float = 0.05,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> dict:
     """Weak-sense typical unitarity against a Gaussian test function.
 
     Exact part: the lattice character sum over M collapses to ell^2*K times a
-    Kronecker delta.  Numerical part: pairing the double integral with a unit
-    Gaussian g of width ``test_width`` centered at e must return g(e) when
-    m = m2 and 0 otherwise.  The two parity factors (-1)^floor(e') from the
+    Kronecker delta.  Probe part: pairing the double integral with a unit
+    Gaussian g of width w = ``test_width`` centered at e must return g(e) when
+    m = m2 and 0 otherwise.  The e-integral turns g into its Fourier
+    transform at the lattice frequencies K e' - (m' - 1/2), whose phases in e
+    cancel those of the entries exactly, so the e'-integral is in closed
+    form: each m' in M contributes the Gaussian mass
+    e^{-dm^2/(2 w^2 K^2)} / (K w sqrt(2 pi)) times the character
+    e^{-2 pi i dm (m' - 1/2)/K}, with dm = m - m2, and the value is their sum
+    over ell^2.  The two parity factors (-1)^floor(e') from the
     summed entry and its conjugate cancel pointwise and are dropped; the test
     point e must stay several widths away from the integers so the remaining
     parities are constant on the support of g."""
@@ -1214,19 +1196,10 @@ def unitarity_tt_weak_check(
         val = cmath.exp(math.pi * 1j * j) * (-1.0) ** (math.floor(ef) + math.floor(ef - j))
         phase_err = max(phase_err, abs(val - 1.0))
 
-    fstar = math.sqrt(math.log(1e9) / 2.0) / (math.pi * w)
-    half_out = (fstar + ell * K / 2.0 + 1.0) / K
-    mp_arr = np.array([float(mp) for mp in sets.m_values])
-
-    def integrand(ep):
-        ep = np.real(ep)
-        nu = K * ep[None, :] - (mp_arr[:, None] - 0.5)
-        ghat = np.exp(-TWO_PI_I * ef * nu) * _gaussian_hat(w, nu)
-        osc = np.exp(TWO_PI_I * (ef * nu - ep[None, :] * dm))
-        return (osc * ghat).sum(axis=0) / (ell * ell)
-
-    spec = _line_spec(half_out, quad, tol=1e-8)
-    val = integrate_line(integrand, spec, vectorized=True).value
+    # the probe pairing: Gaussian mass times the lattice character sum
+    mass = math.exp(-0.5 * (dm / (w * K)) ** 2) / (K * w * math.sqrt(2.0 * math.pi))
+    characters = sum(cmath.exp(-TWO_PI_I * dm * (float(mp) - 0.5) / K) for mp in sets.m_values)
+    val = mass * characters / (ell * ell)
 
     predicted = (1.0 / (w * math.sqrt(2.0 * math.pi))) if mf == mf2 else 0.0
     scaled_err = abs(val - predicted) * w * math.sqrt(2.0 * math.pi)
@@ -1246,17 +1219,21 @@ def structure_constant_weak_check(
     col,
     m2,
     test_width: float = 0.05,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> dict:
     """Weak-sense check of the Verlinde coefficient N.
 
     N is the M-sum/x-integral of (S_at ratio) * S_tt * conj(S_tt); pairing it
-    with a unit Gaussian in e' centered on the predicted delta support must
-    return g(center) times the Kronecker factor.  The sins in the S_at ratio
-    cancel exactly, and the parities are constant Gaussian-support factors.
-    Alongside the claimed value the report carries the residual phase
-    e^{-pi i Delta/K} (-1)^{floor(e)+floor(e')} that the entry product
-    actually produces; it is 1 whenever the window forces Delta = 0."""
+    with a unit Gaussian g of width w in e' centered on the predicted delta
+    support must return g(center) times the Kronecker factor.  The sins in
+    the S_at ratio cancel exactly, and the parities are constant
+    Gaussian-support factors.  The e'-integral turns g into its Fourier
+    transform at nu = K x - k + 1/2, and in terms of nu the x-phase of the
+    transform's centre cancels the x-phase of the entries, so each k in M
+    contributes the Gaussian mass 1/(K w sqrt(2 pi)) times the character
+    e^{2 pi i k (Delta/K - t')}, and the whole sum carries the residual phase
+    e^{-pi i Delta/K} (-1)^{floor(e)+floor(e')}.  The report gives the value
+    against the claimed g(center) and against g(center) times that phase,
+    which is 1 whenever the window forces Delta = 0."""
     t, tp = _require_s_pair(params, row)
     m, e = col
     mf = _coerce_m(params, m)
@@ -1273,29 +1250,16 @@ def structure_constant_weak_check(
     kron = sc.kronecker_satisfied
 
     sets = index_sets(params)
-    k_arr = np.array([float(k) for k in sets.m_values])
     par = _parity(ef) * _parity(center)
-    fstar = math.sqrt(math.log(1e9) / 2.0) / (math.pi * w)
-    half_x = (fstar + ell * K / 2.0 + 1.0) / K
-
-    # e'-integral done first: frequency of e' is K x - k + 1/2 (the extra 1/2
-    # comes from the e^{pi i (e - e')} factor of the entry product)
-    def integrand(xs):
-        xs = np.real(xs)
-        nu = K * xs[None, :] - (k_arr[:, None] - 0.5)
-        ghat = np.exp(-TWO_PI_I * center * nu) * _gaussian_hat(w, nu)
-        xphase = np.exp(TWO_PI_I * (xs[None, :] * (K * ef + float(delta_shift))))
-        kphase = np.exp(-TWO_PI_I * (k_arr[:, None] * (ef + tp)))
-        return (xphase * kphase * ghat).sum(axis=0) * (
-            par * cmath.exp(math.pi * 1j * ef) / (ell * ell)
-        )
-
-    spec = _line_spec(half_x, quad, tol=1e-8)
-    val = integrate_line(integrand, spec, vectorized=True).value
+    residual_phase = par * cmath.exp(-math.pi * 1j * float(delta_shift) / K)
+    # the probe pairing: Gaussian mass times the lattice character sum
+    mass = 1.0 / (K * w * math.sqrt(2.0 * math.pi))
+    turn = float(delta_shift) / K - tp
+    characters = sum(cmath.exp(TWO_PI_I * float(k) * turn) for k in sets.m_values)
+    val = residual_phase * mass * characters / (ell * ell)
 
     g_center = 1.0 / (w * math.sqrt(2.0 * math.pi))
     predicted_plain = g_center if kron else 0.0
-    residual_phase = par * cmath.exp(-math.pi * 1j * float(delta_shift) / K)
     predicted_phased = g_center * residual_phase if kron else 0.0
     scale = w * math.sqrt(2.0 * math.pi)
     return {

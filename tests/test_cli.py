@@ -376,6 +376,28 @@ def test_eval_beyond_the_double_range_exits_3(capsys):
     assert err.startswith("convergence failure: ") and "double range" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the largest term of theta1, theta3 and of the characters built on them
+        ("theta1", "--u", "0.1+80i", "--tau", "10i"),
+        ("theta3", "--u", "0.1+80i", "--tau", "10i"),
+        ("chi_lattice", "--K", "2", "--n", "1", "--u", "0.1+80i", "--tau", "10i"),
+        # the n < 0 lead of aK
+        ("ak", "--K", "3", "--u", "0.1+3i", "--v", "0.2+80i", "--tau", "i"),
+        # the lead of the typical character's body sum
+        ("chi_t", "--n", "1", "--l", "1", "--nprime", "40", "--eprime", "0.3",
+         "--u", "0.19-0.29i", "--v", "0.14-0.42i", "--tau", "-0.3+1i"),
+    ],
+    ids=["theta1", "theta3", "chi_lattice", "ak", "chi_t"],
+)
+def test_eval_of_a_series_lead_beyond_the_double_range_exits_3(capsys, argv):
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("convergence failure: ") and "double range" in err
+
+
 # ---------------------------------------------------------------------------
 # one parser serves every call of main
 

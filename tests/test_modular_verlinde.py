@@ -7,6 +7,7 @@ checks: exact entry identities get float-noise gates, integral-backed
 transformations get 1e-5..1e-6.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -127,6 +128,35 @@ def test_unitarity_aa_matches_entrywise_sum(n, l):
     pr = AlgebraParams(n, l)
     got = mv.unitarity_aa_check(pr)["max_abs_err"]
     assert abs(got - _unitarity_aa_six_loops(pr)) <= 1e-15
+
+
+def _s_tt_curve_float(params, r, x, c, w):
+    """The typical-typical curve entry as one float exponent, every term kept:
+    the formula that the exact phase reduction replaced; kept as its reference."""
+    K, ell, a = params.K, params.ell, params.a
+    e_r0 = (a - float(r)) / K + 0.5
+    e_c0 = (a - float(c)) / K + 0.5
+    sign = -1.0 if (math.floor(e_r0) + math.floor(e_c0)) & 1 else 1.0
+    e_r = e_r0 - 1j * x
+    e_c = e_c0 - 1j * w
+    expo = e_r * K * e_c + e_r * (float(c) - 2 * a - 0.5) + e_c * (float(r) - 2 * a - 0.5) - 0.25
+    return sign * cmath.exp(2j * math.pi * expo) / ell
+
+
+@pytest.mark.parametrize("n,l", [(0, 1), (1, 1), (2, 1), (2, 2), (3, 3)])
+def test_s_tt_curve_entry_is_window_periodic_to_the_bit(n, l):
+    pr = AlgebraParams(n, l)
+    period = pr.ell * pr.K
+    xs = (0.0, 0.37, -0.81)
+    for r in mv.index_sets(pr).m_values:
+        for c in mv.index_sets(pr).m_values:
+            for x in xs:
+                for w in xs:
+                    got = mv._s_tt_curve_raw(pr, r, x, c, w)
+                    assert abs(got - _s_tt_curve_float(pr, r, x, c, w)) <= 1e-13, (r, c, x, w)
+                    for jr, jc in ((1, 0), (0, -1), (2, 3), (-3, 1)):
+                        shifted = mv._s_tt_curve_raw(pr, r + jr * period, x, c + jc * period, w)
+                        assert shifted == got, (r, c, x, w, jr, jc)
 
 
 @pytest.mark.parametrize("n,l", [(1, 1), (2, 2)])
@@ -261,22 +291,6 @@ def test_gaussian_integral_matches_quadrature(tau):
             assert abs(quad.value - closed) <= 1e-12 * max(abs(closed), 1.0), (K, beta, quad, closed)
 
 
-def test_gaussian_hat_matches_quadrature():
-    width = 0.05
-    freqs = [[0.0, 1.5, -4.0], [7.25, -11.0, 2.0]]
-    got = mv._gaussian_hat(width, freqs)
-    assert got.shape == (2, 3)
-    spec = QuadratureSpec(half_width=10.0 * width, tail_tol=1e-14)
-    for f, g in zip([f for row in freqs for f in row], got.ravel()):
-        quad = integrate_line(
-            lambda s: np.exp(-s * s / (2.0 * width * width) - 2j * math.pi * f * s)
-            / (width * math.sqrt(2.0 * math.pi)),
-            spec,
-            vectorized=True,
-        )
-        assert abs(quad.value - g) < 1e-12, (f, quad, g)
-
-
 def test_closed_form_checks_run_no_quadrature(monkeypatch):
     # the typical S-transformation and the typical lemma take every Gaussian
     # integral in closed form; quadrature must not creep back into them
@@ -289,6 +303,9 @@ def test_closed_form_checks_run_no_quadrature(monkeypatch):
     assert rep["rel_err"] < 1e-10, rep
     rep = mv.lemma_trafotypchar_check(1, 2, 1, 0, -1, 0.13, ARGS, TAU)
     assert rep["rel_err"] < 1e-10, rep
+    # so do the Gaussian-probe pairings of the weak checks
+    assert mv.unitarity_tt_weak_check(pr, 0.37, 0, 0)["scaled_err"] < 1e-12
+    assert mv.structure_constant_weak_check(pr, (0, 0), (0, 0.37), 0)["scaled_err"] < 1e-12
 
 
 def test_lemma_trafotypchar_interior():
@@ -338,8 +355,9 @@ def test_s_compose_computes_each_curve_and_character_once(monkeypatch):
     assert calls["curve_prefactor"] <= len(sets.m_values), calls
     assert calls["chi_w_atypical"] <= len(sets.s_values) ** 2 + 1, calls
     # computing them once changes no bit of the result (the value of the
-    # quadrature on the nested k*h grid, with the series summed by term ratios)
-    assert rep["rel_err"] == 6.043214920093688e-16, rep
+    # quadrature on the nested k*h grid, with the series summed by term ratios
+    # and the S_tt phases reduced exactly)
+    assert rep["rel_err"] == 5.261934177614806e-16, rep
 
 
 def test_structure_constant_kronecker():
@@ -424,6 +442,99 @@ def test_weak_checks_guard_lattice_proximity():
         mv.unitarity_tt_weak_check(pr, 0.01, 0, 0)
     with pytest.raises(InvalidParameter):
         mv.structure_constant_weak_check(pr, (0, 0), (0, 0.99), 0)
+
+
+def _probe_hat(width, freqs):
+    """Fourier transform of the unit-mass Gaussian probe of the given width."""
+    return np.exp(-2.0 * (math.pi * width * np.asarray(freqs, dtype=float)) ** 2)
+
+
+def _probe_spec(pr, width):
+    """A window past the frequency where the probe's transform drops below
+    1e-16, for integrands over the lattice frequencies K y - (k - 1/2)."""
+    fstar = math.sqrt(math.log(1e16) / 2.0) / (math.pi * width)
+    return QuadratureSpec(half_width=(fstar + pr.ell * pr.K / 2.0 + 1.0) / pr.K, tail_tol=1e-12)
+
+
+def _unitarity_tt_by_quadrature(pr, e, m, m2, width):
+    """The e'-integral of the weak unitarity check, integrand as written
+    before the pairing was taken in closed form; kept as its reference."""
+    ell, K = pr.ell, pr.K
+    dm = float(Fraction(m) - Fraction(m2))
+    mp_arr = np.array([float(mp) for mp in mv.index_sets(pr).m_values])
+
+    def integrand(ep):
+        ep = np.real(ep)
+        nu = K * ep[None, :] - (mp_arr[:, None] - 0.5)
+        ghat = np.exp(-2j * math.pi * e * nu) * _probe_hat(width, nu)
+        osc = np.exp(2j * math.pi * (e * nu - ep[None, :] * dm))
+        return (osc * ghat).sum(axis=0) / (ell * ell)
+
+    return integrate_line(integrand, _probe_spec(pr, width), vectorized=True).value
+
+
+def _n_weak_by_quadrature(pr, row, col, m2, width):
+    """The x-integral of the weak Verlinde-coefficient check (e'-integral
+    already done), integrand as written before the pairing was taken in
+    closed form; kept as its reference."""
+    t, tp = row
+    m, e = col
+    ell, K = pr.ell, pr.K
+    delta = float(Fraction(m2) - Fraction(m) - Fraction(t, ell))
+    center = e + delta / K
+    par = -1.0 if (math.floor(e) + math.floor(center)) & 1 else 1.0
+    k_arr = np.array([float(k) for k in mv.index_sets(pr).m_values])
+
+    def integrand(xs):
+        xs = np.real(xs)
+        nu = K * xs[None, :] - (k_arr[:, None] - 0.5)
+        ghat = np.exp(-2j * math.pi * center * nu) * _probe_hat(width, nu)
+        xphase = np.exp(2j * math.pi * (xs[None, :] * (K * e + delta)))
+        kphase = np.exp(-2j * math.pi * (k_arr[:, None] * (e + tp)))
+        return (xphase * kphase * ghat).sum(axis=0) * (par * cmath.exp(math.pi * 1j * e) / (ell * ell))
+
+    return integrate_line(integrand, _probe_spec(pr, width), vectorized=True).value
+
+
+@pytest.mark.parametrize(
+    "n,l,e,m,m2",
+    [
+        # the three suite calls
+        (1, 1, 0.37, 0, 0),
+        (1, 1, 0.37, 0, 1),
+        (2, 2, 0.41, Fraction(1, 2), Fraction(1, 2)),
+        # off the diagonal at rank two, and at a = 3
+        (2, 2, 0.41, Fraction(1, 2), Fraction(3, 2)),
+        (3, 1, 0.37, 1, 0),
+    ],
+)
+def test_unitarity_tt_weak_closed_form_matches_quadrature(n, l, e, m, m2):
+    pr = AlgebraParams(n, l)
+    width = 0.05
+    rep = mv.unitarity_tt_weak_check(pr, e, m, m2, test_width=width)
+    ref = _unitarity_tt_by_quadrature(pr, e, m, m2, width)
+    g_center = 1.0 / (width * math.sqrt(2.0 * math.pi))
+    assert abs(rep["value"] - ref) <= 1e-9 * g_center, (rep, ref)
+
+
+@pytest.mark.parametrize(
+    "n,l,row,col,m2,kron",
+    [
+        # the two suite calls
+        (1, 1, (0, 0), (0, 0.37), 0, True),
+        (2, 2, (-1, 0), (Fraction(1, 2), 0.41), Fraction(0), True),
+        # p' - p - t - t' ell K = 1 (mod ell^2 K): the Kronecker condition fails
+        (2, 2, (-1, 0), (Fraction(1, 2), 0.41), Fraction(1, 2), False),
+    ],
+)
+def test_structure_constant_weak_closed_form_matches_quadrature(n, l, row, col, m2, kron):
+    pr = AlgebraParams(n, l)
+    width = 0.05
+    rep = mv.structure_constant_weak_check(pr, row, col, m2, test_width=width)
+    assert rep["kronecker_satisfied"] is kron
+    ref = _n_weak_by_quadrature(pr, row, col, m2, width)
+    g_center = 1.0 / (width * math.sqrt(2.0 * math.pi))
+    assert abs(rep["value"] - ref) <= 1e-9 * g_center, (rep, ref)
 
 
 def test_structure_constant_weak():
