@@ -94,7 +94,7 @@ def a1(u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     return aK(1, u, v, tau, trunc)
 
 
-def aK_via_rel1(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
+def aK_via_rel1(level: int, u, v, tau) -> complex:
     """A_K as sum_{m<K} z^m A_1(Ku, v + m*tau + (K-1)/2; K*tau)."""
     _check_level(level)
     uu = as_complex(u)
@@ -103,18 +103,18 @@ def aK_via_rel1(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) ->
     acc = 0.0 + 0.0j
     for m in range(level):
         acc += cmath.exp(TWO_PI_I * uu * m) * a1(
-            level * uu, vv + m * tt + (level - 1) / 2.0, level * tt, trunc
+            level * uu, vv + m * tt + (level - 1) / 2.0, level * tt
         )
     return acc
 
 
-def aK_via_rel2(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
+def aK_via_rel2(level: int, u, v, tau) -> complex:
     """A_K as K^{-1} z^{(K-1)/2} sum_{m<K} A_1(u, v/K + m/K + tau(K-1)/(2K); tau/K)."""
     _check_level(level)
     uu = as_complex(u)
     vv = as_complex(v)
     tt = as_tau(tau)
-    scaled = trunc.scaled(math.sqrt(level))  # nome |q|^{1/K} decays slower
+    scaled = DEFAULT_TRUNC.scaled(math.sqrt(level))  # nome |q|^{1/K} decays slower
     acc = 0.0 + 0.0j
     for m in range(level):
         acc += a1(
@@ -126,9 +126,9 @@ def aK_via_rel2(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) ->
     return acc * cmath.exp(PI_I * uu * (level - 1)) / level
 
 
-def aK_tau_plus_one(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
+def aK_tau_plus_one(level: int, u, v, tau) -> complex:
     """LHS of the T-law: A_K at tau + 1 (the law states it equals A_K at tau)."""
-    return aK(level, u, v, as_tau(tau) + 1.0, trunc)
+    return aK(level, u, v, as_tau(tau) + 1.0)
 
 
 def aK_elliptic_rhs(
@@ -137,7 +137,6 @@ def aK_elliptic_rhs(
     u,
     v,
     tau,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
     coefficient_variant: str = "corrected",
 ) -> complex:
     """RHS of the four elliptic shift laws for A_K.
@@ -153,7 +152,7 @@ def aK_elliptic_rhs(
     uu = as_complex(u)
     vv = as_complex(v)
     tt = as_tau(tau)
-    base = aK(level, uu, vv, tau, trunc)
+    base = aK(level, uu, vv, tau)
     sign_K = -1.0 if level & 1 else 1.0
     if which == "u+1":
         return sign_K * base
@@ -172,7 +171,7 @@ def aK_elliptic_rhs(
         theta_sum = 0.0 + 0.0j
         for m in range(level):
             theta_sum += cmath.exp(TWO_PI_I * m * uu + PI_I * m * tt) * theta1(
-                vv + m * tt + (level + 1) / 2.0, level * tt, trunc
+                vv + m * tt + (level + 1) / 2.0, level * tt
             )
         extra = (
             coeff
@@ -189,7 +188,7 @@ def aK_elliptic_rhs(
         extra = (
             coeff
             * cmath.exp(PI_I * (uu * (level - 2) - vv) - PI_I * tt * level / 4.0)
-            * theta1(vv + (level + 1) / 2.0, level * tt, trunc)
+            * theta1(vv + (level + 1) / 2.0, level * tt)
         )
         return main + extra
     raise InvalidParameter("unknown shift %r" % (which,))
@@ -201,7 +200,6 @@ def aK_s_transform_rhs(
     v,
     tau,
     variant: str = "AKS",
-    trunc: TruncationSpec = DEFAULT_TRUNC,
     sign_variant: str = "corrected",
 ) -> complex:
     """RHS of the S-transformation of A_K, in either stated form.
@@ -220,10 +218,10 @@ def aK_s_transform_rhs(
     vv = as_complex(v)
     tt = as_tau(tau)
     sign = -1.0 if sign_variant == "corrected" else 1.0
-    base = aK(level, uu, vv, tau, trunc)
+    base = aK(level, uu, vv, tau)
     prefactor = tt * cmath.exp(-PI_I * (level * uu * uu - 2.0 * vv * uu) / tt)
     if variant == "AKS":
-        scaled = trunc.scaled(math.sqrt(level))
+        scaled = DEFAULT_TRUNC.scaled(math.sqrt(level))
         acc = 0.0 + 0.0j
         off = (level - 1) * tt / (2.0 * level)
         for m in range(level):
@@ -236,7 +234,7 @@ def aK_s_transform_rhs(
         acc = 0.0 + 0.0j
         for m in range(level):
             acc += cmath.exp(TWO_PI_I * m * uu) * theta1(
-                vv + m * tt - (level - 1) / 2.0, level * tt, trunc
+                vv + m * tt - (level - 1) / 2.0, level * tt
             ) * mordell_h(level * uu - vv - m * tt + (level - 1) / 2.0, level * tt)
         extra = sign * 0.5j * acc
     return prefactor * (base + extra)

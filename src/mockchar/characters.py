@@ -70,7 +70,7 @@ def chi_gl11_typical(n, e, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> 
     return (
         1j
         * sign
-        * cmath.exp(TWO_PI_I * (vv * e + uu * n + tt * conformal_dim(n, e)))
+        * _lead_exp(TWO_PI_I * (vv * e + uu * n + tt * conformal_dim(n, e)))
         * theta_eta_prefactor(uu, tt, trunc)
     )
 
@@ -92,7 +92,7 @@ def chi_gl11_atypical(n, ell: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TR
     return (
         sign
         * 1j
-        * cmath.exp(TWO_PI_I * (vv * ell + uu * (n + 0.5) + tt * conformal_dim(n, ell)))
+        * _lead_exp(TWO_PI_I * (vv * ell + uu * (n + 0.5) + tt * conformal_dim(n, ell)))
         / denom
         * theta_eta_prefactor(uu, tt, trunc)
         * case
@@ -188,15 +188,7 @@ def chi_w_atypical(
     return -1j * theta_eta_prefactor(uu, tt, trunc) * body
 
 
-def chi_regularized(
-    params: AlgebraParams,
-    label: AtypicalWLabel,
-    epsilon: float,
-    u,
-    v,
-    tau,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
-) -> complex:
+def chi_regularized(params: AlgebraParams, label: AtypicalWLabel, epsilon: float, u, v, tau) -> complex:
     """q^{eps n'^2} times the atypical character, with the regulator folded into
     each term's exponent so large labels neither overflow nor underflow."""
     if not float(epsilon) > 0.0:
@@ -206,8 +198,8 @@ def chi_regularized(
     tt = as_tau(tau)
     require_pole_clearance(uu, tt)
     shift = float(epsilon) * label.n_prime ** 2
-    body = _atypical_body(params, label.n_prime, label.ell_prime, uu, vv, tt, trunc, q_shift=shift)
-    return -1j * theta_eta_prefactor(uu, tt, trunc) * body
+    body = _atypical_body(params, label.n_prime, label.ell_prime, uu, vv, tt, DEFAULT_TRUNC, q_shift=shift)
+    return -1j * theta_eta_prefactor(uu, tt) * body
 
 
 def _typical_cutoff(
@@ -259,7 +251,7 @@ def chi_w_typical(
     e_prime = label.e_prime
     n, ell, K = params.n, params.ell, params.K
     sign = -1.0 if floor_re(e_prime) & 1 else 1.0
-    lead = cmath.exp(
+    lead = _lead_exp(
         TWO_PI_I * (vv * e_prime + uu * n_prime + tt * (n_prime * e_prime + e_prime * e_prime / 2.0))
     )
     c = n * e_prime + n_prime * ell + ell * e_prime
@@ -304,9 +296,7 @@ def curve_base_labels(params: AlgebraParams, r):
     return n0, e0
 
 
-def curve_prefactor(
-    params: AlgebraParams, r, u: complex, v: complex, tau: complex, trunc: TruncationSpec = DEFAULT_TRUNC
-) -> complex:
+def curve_prefactor(params: AlgebraParams, r, u: complex, v: complex, tau: complex) -> complex:
     """x-independent factor of the typical character along the curve
     (a_r(x), e_r(x)); the whole label sum lives here because the sum's
     exponent is x-free once n = a*ell is used."""
@@ -314,9 +304,9 @@ def curve_prefactor(
     n0, e0 = curve_base_labels(params, r)
     sign = -1.0 if math.floor(e0) & 1 else 1.0
     c = n * e0 + ell * n0 + ell * e0
-    body = _typical_body_sum(params, c, u, v, tau, trunc)
-    lead = cmath.exp(TWO_PI_I * (v * e0 + u * n0 + tau * (n0 * e0 + e0 * e0 / 2.0)))
-    return 1j * sign * lead * body * theta_eta_prefactor(u, tau, trunc)
+    body = _typical_body_sum(params, c, u, v, tau, DEFAULT_TRUNC)
+    lead = _lead_exp(TWO_PI_I * (v * e0 + u * n0 + tau * (n0 * e0 + e0 * e0 / 2.0)))
+    return 1j * sign * lead * body * theta_eta_prefactor(u, tau)
 
 
 def curve_gaussian(K: int, drift: complex, tau: complex, x):
@@ -336,15 +326,7 @@ def curve_drift(params: AlgebraParams, r, u: complex, v: complex, tau: complex) 
     return (a + 1) * u - v + tau * (a * e0 - n0)
 
 
-def chi_w_typical_curve(
-    params: AlgebraParams,
-    r,
-    x,
-    u,
-    v,
-    tau,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
-):
+def chi_w_typical_curve(params: AlgebraParams, r, x, u, v, tau):
     """Typical character along the continued-label curve (a_r(x), e_r(x)).
 
     x may be a numpy array; the only per-x work is one exponential, since
@@ -357,20 +339,12 @@ def chi_w_typical_curve(
     uu = as_complex(u)
     vv = as_complex(v)
     tt = as_tau(tau)
-    value = curve_prefactor(params, r, uu, vv, tt, trunc) * curve_gaussian(
+    value = curve_prefactor(params, r, uu, vv, tt) * curve_gaussian(
         params.K, curve_drift(params, r, uu, vv, tt), tt, x
     )
     if np.ndim(x) == 0:
         return complex(value)
     return value
-
-
-def curve_label_a(params: AlgebraParams, m, x):
-    """a_m(x) = a(a-m)/(2a+1) + a/2 + ix(a+1)."""
-    import numpy as np
-
-    a, K = params.a, params.K
-    return a * (a - m) / K + a / 2.0 + 1j * np.asarray(x, dtype=complex) * (a + 1)
 
 
 def curve_label_e(params: AlgebraParams, m, x):
@@ -381,14 +355,7 @@ def curve_label_e(params: AlgebraParams, m, x):
     return (a - m) / K + 0.5 - 1j * np.asarray(x, dtype=complex)
 
 
-def chi_via_appell(
-    params: AlgebraParams,
-    n_prime,
-    u,
-    v,
-    tau,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
-) -> complex:
+def chi_via_appell(params: AlgebraParams, n_prime, u, v, tau) -> complex:
     """chi of the (n', 0) atypical in the ell = 1 family through the level-K
     Appell sum: -i (theta1/eta^3) z^{n'-a} A_{2a+1}(u, v+au+tau(n'-a))."""
     if params.ell != 1:
@@ -402,9 +369,9 @@ def chi_via_appell(
     npr = as_complex(n_prime)
     return (
         -1j
-        * theta_eta_prefactor(uu, tt, trunc)
+        * theta_eta_prefactor(uu, tt)
         * cmath.exp(TWO_PI_I * uu * (npr - a))
-        * aK(2 * a + 1, uu, vv + a * uu + tt * (npr - a), tt, trunc)
+        * aK(2 * a + 1, uu, vv + a * uu + tt * (npr - a), tt)
     )
 
 
@@ -416,7 +383,6 @@ def elliptic_shift_atypical(
     v,
     tau,
     alpha: float = 0.0,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
 ) -> dict:
     uu = as_complex(u)
     vv = as_complex(v)
@@ -424,25 +390,25 @@ def elliptic_shift_atypical(
     a = params.a
     npr, lpr = label.n_prime, label.ell_prime
     if shift == "u+1":
-        lhs = chi_w_atypical(params, label, uu + 1.0, vv, tt, trunc)
-        rhs = cmath.exp(TWO_PI_I * (a * lpr + npr)) * chi_w_atypical(params, label, uu, vv, tt, trunc)
+        lhs = chi_w_atypical(params, label, uu + 1.0, vv, tt)
+        rhs = cmath.exp(TWO_PI_I * (a * lpr + npr)) * chi_w_atypical(params, label, uu, vv, tt)
     elif shift == "v+1":
-        lhs = chi_w_atypical(params, label, uu, vv + 1.0, tt, trunc)
-        rhs = chi_w_atypical(params, label, uu, vv, tt, trunc)
+        lhs = chi_w_atypical(params, label, uu, vv + 1.0, tt)
+        rhs = chi_w_atypical(params, label, uu, vv, tt)
     elif shift == "u+tau":
-        lhs = chi_w_atypical(params, label, uu + tt, vv, tt, trunc)
+        lhs = chi_w_atypical(params, label, uu + tt, vv, tt)
         rhs = cmath.exp(-TWO_PI_I * vv) * chi_w_atypical(
-            params, AtypicalWLabel(npr - a - 1.0, lpr + 1), uu, vv, tt, trunc
+            params, AtypicalWLabel(npr - a - 1.0, lpr + 1), uu, vv, tt
         )
     elif shift == "v+tau":
-        lhs = chi_w_atypical(params, label, uu, vv + tt, tt, trunc)
+        lhs = chi_w_atypical(params, label, uu, vv + tt, tt)
         rhs = cmath.exp(-TWO_PI_I * uu) * chi_w_atypical(
-            params, AtypicalWLabel(npr + 1.0, lpr), uu, vv, tt, trunc
+            params, AtypicalWLabel(npr + 1.0, lpr), uu, vv, tt
         )
     elif shift == "v+alpha*tau":
-        lhs = chi_w_atypical(params, label, uu, vv + alpha * tt, tt, trunc)
+        lhs = chi_w_atypical(params, label, uu, vv + alpha * tt, tt)
         rhs = cmath.exp(-TWO_PI_I * uu * alpha) * chi_w_atypical(
-            params, AtypicalWLabel(npr + alpha, lpr), uu, vv, tt, trunc
+            params, AtypicalWLabel(npr + alpha, lpr), uu, vv, tt
         )
     else:
         raise InvalidParameter("unknown shift %r" % (shift,))
@@ -457,77 +423,58 @@ def elliptic_shift_typical(
     v,
     tau,
     alpha: float = 0.0,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
 ) -> dict:
     uu = as_complex(u)
     vv = as_complex(v)
     tt = as_tau(tau)
     npr, epr = label.n_prime, label.e_prime
     if shift == "u+1":
-        lhs = chi_w_typical(params, label, uu + 1.0, vv, tt, trunc)
-        rhs = cmath.exp(TWO_PI_I * (npr - 0.5)) * chi_w_typical(params, label, uu, vv, tt, trunc)
+        lhs = chi_w_typical(params, label, uu + 1.0, vv, tt)
+        rhs = cmath.exp(TWO_PI_I * (npr - 0.5)) * chi_w_typical(params, label, uu, vv, tt)
     elif shift == "v+1":
-        lhs = chi_w_typical(params, label, uu, vv + 1.0, tt, trunc)
-        rhs = cmath.exp(TWO_PI_I * epr) * chi_w_typical(params, label, uu, vv, tt, trunc)
+        lhs = chi_w_typical(params, label, uu, vv + 1.0, tt)
+        rhs = cmath.exp(TWO_PI_I * epr) * chi_w_typical(params, label, uu, vv, tt)
     elif shift == "u+tau":
-        lhs = chi_w_typical(params, label, uu + tt, vv, tt, trunc)
+        lhs = chi_w_typical(params, label, uu + tt, vv, tt)
         rhs = cmath.exp(-TWO_PI_I * vv) * chi_w_typical(
-            params, TypicalWLabel(npr - 1.0, epr + 1.0), uu, vv, tt, trunc
+            params, TypicalWLabel(npr - 1.0, epr + 1.0), uu, vv, tt
         )
     elif shift == "v+tau":
-        lhs = chi_w_typical(params, label, uu, vv + tt, tt, trunc)
+        lhs = chi_w_typical(params, label, uu, vv + tt, tt)
         rhs = cmath.exp(-TWO_PI_I * uu) * chi_w_typical(
-            params, TypicalWLabel(npr + 1.0, epr), uu, vv, tt, trunc
+            params, TypicalWLabel(npr + 1.0, epr), uu, vv, tt
         )
     elif shift == "v+alpha*tau":
-        lhs = chi_w_typical(params, label, uu, vv + alpha * tt, tt, trunc)
+        lhs = chi_w_typical(params, label, uu, vv + alpha * tt, tt)
         rhs = cmath.exp(-TWO_PI_I * uu * alpha) * chi_w_typical(
-            params, TypicalWLabel(npr + alpha, epr), uu, vv, tt, trunc
+            params, TypicalWLabel(npr + alpha, epr), uu, vv, tt
         )
     else:
         raise InvalidParameter("unknown shift %r" % (shift,))
     return identity_report("elliptic_typical_" + shift, lhs, rhs, shift=shift, alpha=alpha)
 
 
-def verify_atyp_typ_difference(
-    params: AlgebraParams,
-    label: AtypicalWLabel,
-    u,
-    v,
-    tau,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
-) -> dict:
+def verify_atyp_typ_difference(params: AlgebraParams, label: AtypicalWLabel, u, v, tau) -> dict:
     """chi_A(n'+1, l') - chi_A(n', l') = chi_T(n' + l'a + 1/2, l')."""
     npr, lpr = label.n_prime, label.ell_prime
-    lhs = chi_w_atypical(params, AtypicalWLabel(npr + 1.0, lpr), u, v, tau, trunc) - chi_w_atypical(
-        params, label, u, v, tau, trunc
+    lhs = chi_w_atypical(params, AtypicalWLabel(npr + 1.0, lpr), u, v, tau) - chi_w_atypical(
+        params, label, u, v, tau
     )
-    rhs = chi_w_typical(
-        params,
-        TypicalWLabel(npr + lpr * params.a + 0.5, complex(lpr)),
-        u,
-        v,
-        tau,
-        trunc,
-    )
+    rhs = chi_w_typical(params, TypicalWLabel(npr + lpr * params.a + 0.5, complex(lpr)), u, v, tau)
     return identity_report("atyp_typ_difference", lhs, rhs)
 
 
-def verify_typical_periodicity(
-    params: AlgebraParams, label: TypicalWLabel, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC
-) -> dict:
+def verify_typical_periodicity(params: AlgebraParams, label: TypicalWLabel, u, v, tau) -> dict:
     shifted = TypicalWLabel(label.n_prime + params.n, label.e_prime + params.ell)
-    lhs = chi_w_typical(params, label, u, v, tau, trunc)
-    rhs = chi_w_typical(params, shifted, u, v, tau, trunc)
+    lhs = chi_w_typical(params, label, u, v, tau)
+    rhs = chi_w_typical(params, shifted, u, v, tau)
     return identity_report("typical_periodicity", lhs, rhs)
 
 
-def verify_atypical_periodicity(
-    params: AlgebraParams, label: AtypicalWLabel, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC
-) -> dict:
+def verify_atypical_periodicity(params: AlgebraParams, label: AtypicalWLabel, u, v, tau) -> dict:
     shifted = AtypicalWLabel(label.n_prime, label.ell_prime + params.ell)
-    lhs = chi_w_atypical(params, label, u, v, tau, trunc)
-    rhs = chi_w_atypical(params, shifted, u, v, tau, trunc)
+    lhs = chi_w_atypical(params, label, u, v, tau)
+    rhs = chi_w_atypical(params, shifted, u, v, tau)
     return identity_report("atypical_periodicity", lhs, rhs)
 
 
@@ -544,7 +491,6 @@ def chiunity_decompose(
     tau,
     n_prime=0.0,
     e_prime=0.0,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
 ) -> dict:
     """The four root-of-unity decompositions between the (n, ell) and the
     (a, 1) families; `index` is the free label t (or s for typ-bwd)."""
@@ -557,34 +503,34 @@ def chiunity_decompose(
     window = _unity_window(params)
     t = index
     if direction == "atyp-fwd":
-        lhs = chi_w_atypical(params, AtypicalWLabel(as_complex(n_prime), t), uu, vv, tt, trunc)
+        lhs = chi_w_atypical(params, AtypicalWLabel(as_complex(n_prime), t), uu, vv, tt)
         rhs = sum(
-            xi ** (-t * s) * chi_w_atypical(params1, AtypicalWLabel(as_complex(n_prime), 0), uu, vv + s / ell, tt, trunc)
+            xi ** (-t * s) * chi_w_atypical(params1, AtypicalWLabel(as_complex(n_prime), 0), uu, vv + s / ell, tt)
             for s in window
         ) / ell
     elif direction == "atyp-bwd":
-        lhs = chi_w_atypical(params1, AtypicalWLabel(as_complex(n_prime), 0), uu, vv + t / ell, tt, trunc)
+        lhs = chi_w_atypical(params1, AtypicalWLabel(as_complex(n_prime), 0), uu, vv + t / ell, tt)
         rhs = sum(
-            xi ** (t * s) * chi_w_atypical(params, AtypicalWLabel(as_complex(n_prime), s), uu, vv, tt, trunc)
+            xi ** (t * s) * chi_w_atypical(params, AtypicalWLabel(as_complex(n_prime), s), uu, vv, tt)
             for s in window
         )
     elif direction == "typ-fwd":
         npr = as_complex(n_prime)
         epr = as_complex(e_prime)
-        lhs = chi_w_typical(params, TypicalWLabel(npr + t * a, epr + t), uu, vv, tt, trunc)
+        lhs = chi_w_typical(params, TypicalWLabel(npr + t * a, epr + t), uu, vv, tt)
         rhs = sum(
             xi ** (-s * t)
             * cmath.exp(-TWO_PI_I * epr * s / ell)
-            * chi_w_typical(params1, TypicalWLabel(npr, epr), uu, vv + s / ell, tt, trunc)
+            * chi_w_typical(params1, TypicalWLabel(npr, epr), uu, vv + s / ell, tt)
             for s in window
         ) / ell
     elif direction == "typ-bwd":
         npr = as_complex(n_prime)
         epr = as_complex(e_prime)
         s = index
-        lhs = chi_w_typical(params1, TypicalWLabel(npr, epr), uu, vv + s / ell, tt, trunc)
+        lhs = chi_w_typical(params1, TypicalWLabel(npr, epr), uu, vv + s / ell, tt)
         rhs = cmath.exp(TWO_PI_I * epr * s / ell) * sum(
-            xi ** (s * t2) * chi_w_typical(params, TypicalWLabel(npr + t2 * a, epr + t2), uu, vv, tt, trunc)
+            xi ** (s * t2) * chi_w_typical(params, TypicalWLabel(npr + t2 * a, epr + t2), uu, vv, tt)
             for t2 in window
         )
     else:
@@ -601,23 +547,23 @@ def chi_lattice(alpha_sq: int, n: int, u, tau, trunc: TruncationSpec = DEFAULT_T
     uu = as_complex(u)
     tt = as_tau(tau)
     return (
-        cmath.exp(TWO_PI_I * (uu * n / alpha + tt * n * n / (2.0 * alpha_sq)))
+        _lead_exp(TWO_PI_I * (uu * n / alpha + tt * n * n / (2.0 * alpha_sq)))
         * theta3(alpha * uu + n * tt, alpha_sq * tt, trunc)
         / eta(tt, trunc)
     )
 
 
-def lattice_s_check(alpha_sq: int, u, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> dict:
+def lattice_s_check(alpha_sq: int, u, tau) -> dict:
     """S-law of the lattice characters for every residue n."""
     uu = as_complex(u)
     tt = as_tau(tau)
     worst = -1.0
     alpha = math.sqrt(alpha_sq)
     for n in range(alpha_sq):
-        lhs = chi_lattice(alpha_sq, n, uu / tt, -1.0 / tt, trunc)
+        lhs = chi_lattice(alpha_sq, n, uu / tt, -1.0 / tt)
         acc = 0.0 + 0.0j
         for l in range(alpha_sq):
-            acc += cmath.exp(-TWO_PI_I * n * l / alpha_sq) * chi_lattice(alpha_sq, l, uu, tt, trunc)
+            acc += cmath.exp(-TWO_PI_I * n * l / alpha_sq) * chi_lattice(alpha_sq, l, uu, tt)
         rhs = cmath.exp(PI_I * uu * uu / tt) / alpha * acc
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     return {"check": "lattice_s_law", "alpha_sq": alpha_sq, "rel_err": worst, "abs_err": worst}

@@ -11,7 +11,6 @@ it, which check nothing again.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -180,10 +179,6 @@ class AlgebraParams:
     def K(self) -> int:
         return 2 * self.a + 1
 
-    @property
-    def xi(self) -> complex:
-        return cmath.exp(TWO_PI_I / self.ell)
-
 
 @dataclass(frozen=True)
 class AtypicalWLabel:
@@ -208,15 +203,6 @@ class TypicalWLabel:
     def __post_init__(self):
         object.__setattr__(self, "n_prime", as_complex(self.n_prime))
         object.__setattr__(self, "e_prime", as_complex(self.e_prime))
-
-    @property
-    def parity(self) -> int:
-        return floor_re(self.e_prime)
-
-    @property
-    def indecomposable(self) -> bool:
-        e = complex(self.e_prime)
-        return e.imag == 0.0 and e.real == int(e.real)
 
 
 @dataclass(frozen=True)

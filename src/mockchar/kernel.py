@@ -75,12 +75,15 @@ def _peak_index(center: float, lo: int, hi: int) -> int:
     return lo if k < lo else hi if k > hi else k
 
 
-def _lead_exp(exponent: complex, index: int) -> complex:
-    """e^exponent, the largest term of a walk, at the given index.  A term
-    beyond the double range raises RangeExceeded."""
+def _lead_exp(exponent: complex, index: int | None = None) -> complex:
+    """e^exponent: the largest term of a walk, at the given index, or with
+    index None a label lead outside the walks.  A value beyond the double
+    range raises RangeExceeded."""
     try:
         return cmath.exp(exponent)
     except OverflowError:
+        if index is None:
+            raise RangeExceeded("the label lead leaves the double range") from None
         raise RangeExceeded("the largest term, at index %d, leaves the double range" % index) from None
 
 
@@ -225,12 +228,12 @@ def eta(tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     return _eta_cached(as_tau(tau), trunc)
 
 
-def eta_pentagonal(tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
+def eta_pentagonal(tau) -> complex:
     """Independent eta evaluation via the pentagonal-number series."""
     tt = as_tau(tau)
     decay = 3.0 * math.pi * tt.imag
     growth = math.pi * tt.imag
-    k_max = gaussian_cutoff(decay, growth, trunc.tail_tol, trunc.max_terms)
+    k_max = gaussian_cutoff(decay, growth, DEFAULT_TRUNC.tail_tol, DEFAULT_TRUNC.max_terms)
     acc = 0.0 + 0.0j
     for k in range(-k_max, k_max + 1):
         term = cmath.exp(TWO_PI_I * tt * (k * (3 * k - 1) / 2.0 + 1.0 / 24.0))
@@ -238,16 +241,12 @@ def eta_pentagonal(tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     return acc
 
 
-def eta_cubed(tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
-    return eta(tau, trunc) ** 3
-
-
-def require_pole_clearance(u, tau, clearance: float = POLE_CLEARANCE, what: str = "u") -> None:
+def require_pole_clearance(u, tau) -> None:
     """Poles sit on u in Z + tau*Z; reject arguments too close to that lattice.
     Callers pass u and tau already validated."""
     d = lattice_distance(u, tau)
-    if d < clearance:
-        raise PoleProximity("%s is %.3g from the pole lattice (clearance %g)" % (what, d, clearance))
+    if d < POLE_CLEARANCE:
+        raise PoleProximity("u is %.3g from the pole lattice (clearance %g)" % (d, POLE_CLEARANCE))
 
 
 def sqrt_principal(w) -> complex:
@@ -364,21 +363,19 @@ def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = Fa
             )
 
 
-def theta1_rescaling_check(
-    level: int, u, tau, trunc: TruncationSpec = DEFAULT_TRUNC
-) -> dict:
+def theta1_rescaling_check(level: int, u, tau) -> dict:
     """theta1 at tau/K as a K-term combination of theta1 at K*tau."""
     if level < 1:
         raise ValueError("level must be >= 1")
     uu = as_complex(u)
     tt = as_tau(tau)
     kk = float(level)
-    lhs = theta1(uu, tt / kk, trunc)
+    lhs = theta1(uu, tt / kk)
     rhs = 0.0 + 0.0j
     for n in range(level):
         shift = n - (level - 1) / 2.0
         pref = cmath.exp(2j * math.pi * (tt * shift * shift / (2.0 * kk) + shift * (uu + 0.5)))
-        rhs += pref * theta1(kk * uu + tt * shift + (level - 1) / 2.0, kk * tt, trunc)
+        rhs += pref * theta1(kk * uu + tt * shift + (level - 1) / 2.0, kk * tt)
     return identity_report("theta1_rescaling", lhs, rhs, level=level)
 
 

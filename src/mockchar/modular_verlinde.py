@@ -29,21 +29,18 @@ from .characters import (
     curve_base_labels,
     curve_drift,
     curve_gaussian,
-    curve_label_a,
     curve_label_e,
     curve_prefactor,
 )
 from .domain import (
     CONTOUR_EPS,
     DEFAULT_QUAD,
-    DEFAULT_TRUNC,
     POLE_CLEARANCE,
     TWO_PI_I,
     AlgebraParams,
     AtypicalWLabel,
     QuadratureSpec,
     RegulatorSpec,
-    TruncationSpec,
     TypicalWLabel,
     as_complex,
     as_tau,
@@ -71,12 +68,10 @@ __all__ = [
     "SINGULAR_CONTOUR_SIDE",
     "T_PHASE_VARIANT",
     "IndexSets",
-    "LabelCurvePoint",
     "SMatrixEntry",
     "StructureConstant",
     "fusion_target",
     "index_sets",
-    "label_curve_point",
     "lemma_trafoatyp_check",
     "lemma_trafotypchar_check",
     "s_compose_check",
@@ -84,7 +79,6 @@ __all__ = [
     "s_entry_at",
     "s_entry_consistency_check",
     "s_entry_tt",
-    "s_entry_tt_curve",
     "s_periodicity_check",
     "s_transform_atypical_check",
     "s_transform_typical_check",
@@ -219,28 +213,6 @@ def _m_window(params: AlgebraParams, m: Fraction) -> tuple:
 
 
 @dataclass(frozen=True)
-class LabelCurvePoint:
-    """Point (a_r(x), e_r(x)) on the typical label curve through window index r."""
-
-    r: Fraction
-    x: complex
-    a_value: complex
-    e_value: complex
-
-
-def label_curve_point(params: AlgebraParams, r, x) -> LabelCurvePoint:
-    rf = Fraction(r)
-    xx = as_complex(x)
-    a_val = curve_label_a(params, rf, xx)
-    e_val = curve_label_e(params, rf, xx)
-    # cross-relation tying the two coordinates to the window index
-    resid = a_val - (2 * params.a - rf - e_val * (params.a + 1) + 0.5)
-    if abs(resid) > 1e-9:
-        raise InvalidParameter("curve labels violate the cross-relation: %r" % resid)
-    return LabelCurvePoint(rf, xx, a_val, e_val)
-
-
-@dataclass(frozen=True)
 class SMatrixEntry:
     kind: str
     row: tuple
@@ -343,13 +315,7 @@ def s_entry_aa(params: AlgebraParams, row, col) -> SMatrixEntry:
     return SMatrixEntry("aa", row, col, _s_aa_raw(params, row, col))
 
 
-def s_entry_at(
-    params: AlgebraParams,
-    row,
-    label,
-    label_kind: str = "m",
-    parity: bool | None = None,
-) -> SMatrixEntry:
+def s_entry_at(params: AlgebraParams, row, label, label_kind: str = "m") -> SMatrixEntry:
     """Atypical-to-typical entry.
 
     ``label_kind="m"``: label = (m, e) with m in M and e the real (or complex)
@@ -358,7 +324,6 @@ def s_entry_at(
     parity sign is locked to the real-axis value e_r(0).
     """
     row = _require_s_pair(params, row)
-    use_parity = S_AT_PARITY if parity is None else bool(parity)
     if label_kind == "m":
         m, e = label
         mf = _coerce_m(params, m)
@@ -366,7 +331,7 @@ def s_entry_at(
         ee = as_complex(e)
         if ee.imag == 0.0 and abs(ee.real - round(ee.real)) < POLE_CLEARANCE:
             raise SingularEntry("sin(pi e) vanishes at integer e=%r" % e)
-        sign = _parity(ee.real) if use_parity else 1.0
+        sign = _parity(ee.real) if S_AT_PARITY else 1.0
         value = complex(_s_at_raw(params, row, r, ee, sign))
         return SMatrixEntry("at", row, (mf, ee), value)
     if label_kind == "r":
@@ -377,7 +342,7 @@ def s_entry_at(
         ee = e0 - 1j * xx
         if abs(complex(np.sin(math.pi * ee))) < POLE_CLEARANCE:
             raise SingularEntry("curve point (r=%s, x=%r) sits on a pole of 1/sin" % (rf, x))
-        sign = _parity(e0) if use_parity else 1.0
+        sign = _parity(e0) if S_AT_PARITY else 1.0
         value = complex(_s_at_raw(params, row, rf, ee, sign))
         return SMatrixEntry("at", row, (rf, xx), value)
     raise InvalidParameter("label_kind must be 'm' or 'r'")
@@ -394,16 +359,6 @@ def s_entry_tt(params: AlgebraParams, col, col2) -> SMatrixEntry:
     mf2 = _coerce_m(params, m2, "m'")
     value = _s_tt_real_raw(params, (mf, e), (mf2, e2))
     return SMatrixEntry("tt", (mf, as_complex(e)), (mf2, as_complex(e2)), value)
-
-
-def s_entry_tt_curve(params: AlgebraParams, row, col) -> SMatrixEntry:
-    """Typical-typical entry between curve points (r, x) and (c, w)."""
-    r, x = row
-    c, w = col
-    rf = Fraction(r)
-    cf = Fraction(c)
-    value = _s_tt_curve_raw(params, rf, as_complex(x), cf, as_complex(w))
-    return SMatrixEntry("tt_curve", (rf, as_complex(x)), (cf, as_complex(w)), complex(value))
 
 
 def s_entry_consistency_check(params: AlgebraParams, r, x, c, w) -> dict:
@@ -441,10 +396,10 @@ def _uv(args) -> tuple:
     return as_complex(u), as_complex(v)
 
 
-def _curve(params: AlgebraParams, c, u: complex, v: complex, tau: complex, trunc: TruncationSpec) -> tuple:
+def _curve(params: AlgebraParams, c, u: complex, v: complex, tau: complex) -> tuple:
     """(C_c, B_c): the x-free prefactor and the drift of the typical curve c.
     Checks compute them once per curve and hand them to every integrand."""
-    return curve_prefactor(params, c, u, v, tau, trunc), curve_drift(params, c, u, v, tau)
+    return curve_prefactor(params, c, u, v, tau), curve_drift(params, c, u, v, tau)
 
 
 def _gauss_half_width(K: int, tau: complex, drift_re: float, tol: float = 1e-13) -> float:
@@ -533,7 +488,6 @@ def s_transform_atypical_check(
     row,
     args,
     tau,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
     at_sign: float | None = None,
     parity: bool | None = None,
     singular_side=None,
@@ -552,16 +506,14 @@ def s_transform_atypical_check(
     parity_on = S_AT_PARITY if parity is None else bool(parity)
     side = SINGULAR_CONTOUR_SIDE if singular_side is None else singular_side
 
-    lhs = chi_w_atypical(
-        params, AtypicalWLabel(t / ell, tp), u / tt, v / tt, -1.0 / tt, trunc
-    )
+    lhs = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), u / tt, v / tt, -1.0 / tt)
     sets = index_sets(params)
 
     aa = 0.0 + 0.0j
     for s in sets.s_values:
         for sp in sets.s_values:
             aa += _s_aa_raw(params, (t, tp), (s, sp)) * chi_w_atypical(
-                params, AtypicalWLabel(s / ell, sp), u, v, tt, trunc
+                params, AtypicalWLabel(s / ell, sp), u, v, tt
             )
 
     scale = abs(lhs)
@@ -573,7 +525,7 @@ def s_transform_atypical_check(
         if singular:
             singular_rows.append(r)
         shifts = _singular_shifts(side, params.K, tt) if singular else (0.0,)
-        curve = _curve(params, r, u, v, tt, trunc)
+        curve = _curve(params, r, u, v, tt)
         at_total += sum(
             _at_integral(params, (t, tp), r, curve, tt, parity_on, shift, scale)
             for shift in shifts
@@ -614,13 +566,7 @@ def _typical_bracket(params: AlgebraParams, r: Fraction, curves: dict, tau: comp
     return bracket
 
 
-def s_transform_typical_check(
-    params: AlgebraParams,
-    row,
-    args,
-    tau,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
-) -> dict:
+def s_transform_typical_check(params: AlgebraParams, row, args, tau) -> dict:
     """chi_T-curve(r, x)(u/tau, v/tau; -1/tau) against the S_tt expansion.
 
     The Gaussian integrals of the expansion are taken in closed form."""
@@ -629,8 +575,8 @@ def s_transform_typical_check(
     xf = float(x)
     u, v = _uv(args)
     tt = as_tau(tau)
-    lhs = chi_w_typical_curve(params, rf, xf, u / tt, v / tt, -1.0 / tt, trunc)
-    curves = {c: _curve(params, c, u, v, tt, trunc) for c in index_sets(params).m_values}
+    lhs = chi_w_typical_curve(params, rf, xf, u / tt, v / tt, -1.0 / tt)
+    curves = {c: _curve(params, c, u, v, tt) for c in index_sets(params).m_values}
     bracket = _typical_bracket(params, rf, curves, tt)(np.array([xf]))[0]
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * bracket
     return identity_report("s_transform_typical", lhs, rhs, row=(rf, xf))
@@ -642,7 +588,6 @@ def t_transform_check(
     family: str,
     args,
     tau,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
     variant: str | None = None,
 ) -> dict:
     """tau -> tau + 1 on an atypical label (t, t') or a typical curve point (r, x)."""
@@ -651,8 +596,8 @@ def t_transform_check(
     ell, a, K = params.ell, params.a, params.K
     if family == "atyp":
         t, tp = _require_s_pair(params, label)
-        lhs = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), u, v, tt + 1.0, trunc)
-        base = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), u, v, tt, trunc)
+        lhs = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), u, v, tt + 1.0)
+        base = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), u, v, tt)
         rhs = cmath.exp(TWO_PI_I * t * tp / ell) * base
         return identity_report("t_transform_atyp", lhs, rhs, label=(t, tp))
     if family == "typ":
@@ -665,8 +610,8 @@ def t_transform_check(
         beta = a - float(rf)
         quad_term = beta * beta / K if which == "K" else beta * beta / (K * K)
         expo = math.pi * 1j * (quad_term + beta + a / 2.0 + 0.25 + K * xf * xf)
-        lhs = chi_w_typical_curve(params, rf, xf, u, v, tt + 1.0, trunc)
-        rhs = cmath.exp(expo) * chi_w_typical_curve(params, rf, xf, u, v, tt, trunc)
+        lhs = chi_w_typical_curve(params, rf, xf, u, v, tt + 1.0)
+        rhs = cmath.exp(expo) * chi_w_typical_curve(params, rf, xf, u, v, tt)
         return identity_report("t_transform_typ", lhs, rhs, label=(rf, xf), variant=which)
     raise InvalidParameter("family must be 'atyp' or 'typ'")
 
@@ -682,7 +627,6 @@ def lemma_trafoatyp_check(
     t: int,
     args,
     tau,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
     half_sign: float | None = None,
     singular_side=None,
 ) -> dict:
@@ -704,10 +648,8 @@ def lemma_trafoatyp_check(
     hs = LEMMA_HALF_SIGN if half_sign is None else float(half_sign)
     side = SINGULAR_CONTOUR_SIDE if singular_side is None else singular_side
 
-    lhs = chi_w_atypical(
-        pr, AtypicalWLabel(tv / ell, 0), u / tt, v / tt + sv / ell, -1.0 / tt, trunc
-    )
-    base = chi_w_atypical(pr, AtypicalWLabel(sv / ell, 0), u, v - tv / ell, tt, trunc)
+    lhs = chi_w_atypical(pr, AtypicalWLabel(tv / ell, 0), u / tt, v / tt + sv / ell, -1.0 / tt)
+    base = chi_w_atypical(pr, AtypicalWLabel(sv / ell, 0), u, v - tv / ell, tt)
     scale = abs(lhs)
 
     total = 0.0 + 0.0j
@@ -720,7 +662,7 @@ def lemma_trafoatyp_check(
         if singular:
             singular_terms.append(m)
         shifts = _singular_shifts(side, K, tt) if singular else (0.0,)
-        curve = _curve(pr, r, u, v - tv / ell, tt, trunc)
+        curve = _curve(pr, r, u, v - tv / ell, tt)
         total += sum(
             _cosh_kernel_integral(pr, r, c_f, curve, tt, shift, scale)
             for shift in shifts
@@ -777,7 +719,6 @@ def lemma_trafotypchar_check(
     x: float,
     args,
     tau,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
     phase_variant: str | None = None,
     quarter_term: float | None = None,
 ) -> dict:
@@ -816,7 +757,7 @@ def lemma_trafotypchar_check(
     xf = float(x)
 
     r_left = Fraction(m) - Fraction(sv, ell)
-    lhs = chi_w_typical_curve(pr, r_left, xf, u / tt, v / tt + tv / ell, -1.0 / tt, trunc)
+    lhs = chi_w_typical_curve(pr, r_left, xf, u / tt, v / tt + tv / ell, -1.0 / tt)
 
     alpha = -math.pi * 1j * tt * K
     total = 0.0 + 0.0j
@@ -829,7 +770,7 @@ def lemma_trafotypchar_check(
             * (-1j * xf * tv / ell + sv * tv / (ell * ell * K) - quad_term / K + quarter)
         )
         r_right = Fraction(mp) - Fraction(tv, ell)
-        pref = curve_prefactor(pr, r_right, u, v - sv / ell, tt, trunc)
+        pref = curve_prefactor(pr, r_right, u, v - sv / ell, tt)
         drift = curve_drift(pr, r_right, u, v - sv / ell, tt)
         beta = -2.0 * math.pi * drift + 2.0 * math.pi * sv / ell - TWO_PI_I * K * xf
         total += const_phase * pref * complex(_gaussian_integral(alpha, beta))
@@ -870,13 +811,7 @@ def _def_am_quadratic(which: str, mp: int, m: int) -> float:
 # composition and periodicity
 
 
-def s_compose_check(
-    params: AlgebraParams,
-    row,
-    args,
-    tau,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
-) -> dict:
+def s_compose_check(params: AlgebraParams, row, args, tau) -> dict:
     """Applying S twice sends (u, v) to (-u, -v); the automorphy prefactors
     cancel, so chi_A(-u, -v) must equal the double S-matrix expansion."""
     t, tp = _require_s_pair(params, row)
@@ -885,13 +820,13 @@ def s_compose_check(
     ell, K = params.ell, params.K
     sets = index_sets(params)
 
-    lhs = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), -u, -v, tt, trunc)
+    lhs = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), -u, -v, tt)
     scale = abs(lhs)
 
     # everything that does not depend on the outer row (sY, s'Y) or on x:
     # the atypical characters and each curve's prefactor and drift
     atypicals = [
-        ((sZ, spZ), chi_w_atypical(params, AtypicalWLabel(sZ / ell, spZ), u, v, tt, trunc))
+        ((sZ, spZ), chi_w_atypical(params, AtypicalWLabel(sZ / ell, spZ), u, v, tt))
         for sZ in sets.s_values
         for spZ in sets.s_values
     ]
@@ -899,7 +834,7 @@ def s_compose_check(
         _, e0 = curve_base_labels(params, c)
         if _dist_to_integers(e0) < 1e-9:
             raise PoleOnContour("composition check hit a singular row; shift unsupported here")
-    curves = {c: _curve(params, c, u, v, tt, trunc) for c in sets.m_values}
+    curves = {c: _curve(params, c, u, v, tt) for c in sets.m_values}
 
     rhs = 0.0 + 0.0j
     for sY in sets.s_values:
@@ -936,7 +871,10 @@ def s_compose_check(
     return identity_report("s_compose", lhs, rhs, row=(t, tp))
 
 
-def s_periodicity_check(params: AlgebraParams, seed: int = 0, trials: int = 10) -> dict:
+_PERIODICITY_TRIALS = 10
+
+
+def s_periodicity_check(params: AlgebraParams, seed: int = 0) -> dict:
     """Window shifts: S_aa under t' -> t' + m*ell (either slot), S_at under
     t' -> t' + m*ell and r -> r + m'*ell*K, S_tt under r -> r + m*ell*K on
     both slots.  All hold exactly entrywise; the at/tt cases need the parity
@@ -945,7 +883,7 @@ def s_periodicity_check(params: AlgebraParams, seed: int = 0, trials: int = 10) 
     sets = index_sets(params)
     ell, K = params.ell, params.K
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(_PERIODICITY_TRIALS):
         t, tp = rng.choice(sets.s_values), rng.choice(sets.s_values)
         s, sp = rng.choice(sets.s_values), rng.choice(sets.s_values)
         jr = int(rng.integers(-3, 4))
@@ -975,7 +913,7 @@ def s_periodicity_check(params: AlgebraParams, seed: int = 0, trials: int = 10) 
         base_tt = _s_tt_curve_raw(params, r, x, c, w)
         shifted_tt = _s_tt_curve_raw(params, r + jr * ell * K, x, c + jc * ell * K, w)
         worst = max(worst, abs(complex(base_tt) - complex(shifted_tt)))
-    return {"check": "s_periodicity", "max_abs_err": worst, "trials": trials}
+    return {"check": "s_periodicity", "max_abs_err": worst, "trials": _PERIODICITY_TRIALS}
 
 
 # ---------------------------------------------------------------------------
@@ -1023,14 +961,7 @@ def fusion_target(params: AlgebraParams, row, col) -> dict:
     }
 
 
-def verlinde_product_at(
-    params: AlgebraParams,
-    row,
-    col,
-    args,
-    tau,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
-) -> dict:
+def verlinde_product_at(params: AlgebraParams, row, col, args, tau) -> dict:
     """Atypical x typical product.
 
     The windowed and unfolded target labels differ by eps*(n, ell), which the
@@ -1048,8 +979,8 @@ def verlinde_product_at(
     ft = fusion_target(params, (t, tp), (mf, ee))
     direct, windowed = ft["direct"], ft["windowed"]
 
-    chi_direct = chi_w_typical(params, direct, u, v, tt, trunc)
-    chi_windowed = chi_w_typical(params, windowed, u, v, tt, trunc)
+    chi_direct = chi_w_typical(params, direct, u, v, tt)
+    chi_windowed = chi_w_typical(params, windowed, u, v, tt)
     window_err = rel_err(chi_direct, chi_windowed)
 
     sc = structure_constant(params, (t, tp), (mf, ee), (ft["m_windowed"], windowed.e_prime))
@@ -1082,7 +1013,6 @@ def verlinde_product_aa(
     m_cutoff: int,
     args,
     tau,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
 ) -> dict:
     """Atypical x atypical product in the regularized sense.
 
@@ -1107,23 +1037,21 @@ def verlinde_product_aa(
     x0 = (s + t) / ell
     y = sp + tp
 
-    upper = chi_w_atypical(params, AtypicalWLabel(x0 + m_cutoff + 1, y), u, v, tt, trunc)
-    lower = chi_w_atypical(params, AtypicalWLabel(x0, y), u, v, tt, trunc)
+    upper = chi_w_atypical(params, AtypicalWLabel(x0 + m_cutoff + 1, y), u, v, tt)
+    lower = chi_w_atypical(params, AtypicalWLabel(x0, y), u, v, tt)
     ladder = 0.0 + 0.0j
     for i in range(0, m_cutoff + 1):
-        ladder += chi_w_typical(
-            params, TypicalWLabel(x0 + i + y * a + 0.5, y), u, v, tt, trunc
-        )
+        ladder += chi_w_typical(params, TypicalWLabel(x0 + i + y * a + 0.5, y), u, v, tt)
     tel = identity_report("telescope", upper - lower, ladder)
 
     # ell'-periodicity lets the summed flow label be reduced into the window
     reduced = y - ell * ((y + ell // 2) // ell)
-    chi_sum = chi_w_atypical(params, AtypicalWLabel(x0, y), u, v, tt, trunc)
-    chi_red = chi_w_atypical(params, AtypicalWLabel(x0, int(reduced)), u, v, tt, trunc)
+    chi_sum = chi_w_atypical(params, AtypicalWLabel(x0, y), u, v, tt)
+    chi_red = chi_w_atypical(params, AtypicalWLabel(x0, int(reduced)), u, v, tt)
     label_rel_err = abs(chi_sum - chi_red) / max(abs(chi_sum), 1.0)
 
     tail = max(
-        abs(chi_regularized(params, AtypicalWLabel(npr, y), reg.epsilon, u, v, tt, trunc))
+        abs(chi_regularized(params, AtypicalWLabel(npr, y), reg.epsilon, u, v, tt))
         for npr in (30, 31, 40)
     )
     return {

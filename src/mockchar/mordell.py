@@ -69,8 +69,8 @@ def mordell_h_quad(u, tau, quad: QuadratureSpec | None = None) -> QuadratureResu
     return integrate_line(integrand, _quad_for(uu, tt, quad, 0.0), vectorized=True)
 
 
-def mordell_h(u, tau, quad: QuadratureSpec | None = None) -> complex:
-    return mordell_h_quad(u, tau, quad).value
+def mordell_h(u, tau) -> complex:
+    return mordell_h_quad(u, tau).value
 
 
 def mordell_h_s_quad(
@@ -121,11 +121,11 @@ def mordell_h_s_quad(
     return QuadratureResult(res.value + side * sign * g0, res.error, res.nodes)
 
 
-def mordell_h_s(s, u, tau, quad: QuadratureSpec | None = None, eps: float | None = None) -> complex:
-    return mordell_h_s_quad(s, u, tau, quad, eps).value
+def mordell_h_s(s, u, tau, eps: float | None = None) -> complex:
+    return mordell_h_s_quad(s, u, tau, eps=eps).value
 
 
-def mordell_h_contour(s: float, u, tau, quad: QuadratureSpec | None = None) -> complex:
+def mordell_h_contour(s: float, u, tau) -> complex:
     """The h_s integrand taken over the shifted line R + is (used as an oracle)."""
     import numpy as np
 
@@ -138,32 +138,32 @@ def mordell_h_contour(s: float, u, tau, quad: QuadratureSpec | None = None) -> c
         x = t + s_c
         return np.exp(_PI_I * tt * x * x - _TWO_PI * uu * x) / np.cosh(math.pi * t)
 
-    return integrate_line(integrand, _quad_for(uu, tt, quad, 0.0), vectorized=True).value
+    return integrate_line(integrand, _quad_for(uu, tt, None, 0.0), vectorized=True).value
 
 
-def verify_mordell_shift(s: float, u, tau, quad: QuadratureSpec | None = None) -> dict:
+def verify_mordell_shift(s: float, u, tau) -> dict:
     """Check h(u + s*tau) = q^{s^2/2} z^s h_s(u) on -1/2 <= s < 1/2."""
     if not -0.5 <= float(s) < 0.5:
         raise InvalidParameter("shift identity needs -1/2 <= s < 1/2, got %g" % s)
     uu = as_complex(u)
     tt = as_tau(tau)
-    lhs = mordell_h(uu + s * tt, tt, quad)
+    lhs = mordell_h(uu + s * tt, tt)
     prefactor = cmath.exp(_PI_I * tt * s * s + 2j * math.pi * uu * s)
-    rhs = prefactor * mordell_h_s(s, uu, tt, quad)
+    rhs = prefactor * mordell_h_s(s, uu, tt)
     return identity_report("mordell_shift", lhs, rhs, s=float(s))
 
 
-def verify_h1_reflection(u, tau, quad: QuadratureSpec | None = None) -> dict:
+def verify_h1_reflection(u, tau) -> dict:
     """Check h_1(u) = -h(u)."""
-    lhs = mordell_h_s(1.0, u, tau, quad)
-    rhs = -mordell_h(u, tau, quad)
+    lhs = mordell_h_s(1.0, u, tau)
+    rhs = -mordell_h(u, tau)
     return identity_report("h1_reflection", lhs, rhs)
 
 
-def verify_contour_identity(s: float, u, tau, quad: QuadratureSpec | None = None) -> dict:
+def verify_contour_identity(s: float, u, tau) -> dict:
     """Check int_{R+is} = q^{-s^2/2} z^{-s} h(u + s*tau)."""
     uu = as_complex(u)
     tt = as_tau(tau)
-    lhs = mordell_h_contour(s, uu, tt, quad)
-    rhs = cmath.exp(-_PI_I * tt * s * s - 2j * math.pi * uu * s) * mordell_h(uu + s * tt, tt, quad)
+    lhs = mordell_h_contour(s, uu, tt)
+    rhs = cmath.exp(-_PI_I * tt * s * s - 2j * math.pi * uu * s) * mordell_h(uu + s * tt, tt)
     return identity_report("contour_identity", lhs, rhs)

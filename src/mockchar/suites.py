@@ -14,7 +14,7 @@ import cmath
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import kernel, mordell
@@ -25,9 +25,9 @@ from .appell import (
     aK_tau_plus_one,
     aK_via_rel1,
     aK_via_rel2,
-    a1,
 )
 from .characters import (
+    chi_regularized,
     chi_via_appell,
     chi_w_atypical,
     chi_w_typical,
@@ -54,7 +54,7 @@ from .errors import ConvergenceError, InvalidParameter, PoleOnContour, PoleProxi
 from .kernel import eta, eta_pentagonal, theta1, theta3
 from . import modular_verlinde as mv
 from .qseries import qexpand
-from .report import VerificationReport, make_report, skip_report
+from .report import make_report, skip_report
 
 DEFAULT_GRID = ((0, 1), (1, 1), (2, 1), (2, 2))
 
@@ -696,8 +696,6 @@ def _product_aa(ctx: RunContext):
 @_check("verlinde.regulator", "verlinde", "regularized character vanishes at large labels", 1e-12)
 def _regulator(ctx: RunContext):
     pr = AlgebraParams(3, 1)
-    from .characters import chi_regularized
-
     worst = 0.0
     for npr in (30, 31, 40):
         val = abs(chi_regularized(pr, AtypicalWLabel(npr, 0), 0.1, 0.2 + 0.1j, 0.1, 1j))
@@ -782,22 +780,8 @@ def _run_one(spec: CheckSpec, config: SuiteConfig) -> list:
                         note="convergence failure: %s" % exc)
         )
     wall = (time.perf_counter() - started) * 1000.0
-    return [
-        VerificationReport(
-            check_id=r.check_id,
-            anchor=r.anchor,
-            params=r.params,
-            lhs=r.lhs,
-            rhs=r.rhs,
-            abs_err=r.abs_err,
-            rel_err=r.rel_err,
-            tolerance=r.tolerance,
-            status=r.status,
-            wall_ms=wall / max(len(ctx.reports), 1),
-            note=r.note,
-        )
-        for r in ctx.reports
-    ]
+    share = wall / max(len(ctx.reports), 1)
+    return [replace(r, wall_ms=share) for r in ctx.reports]
 
 
 def run_suites(config: SuiteConfig) -> list:

@@ -398,6 +398,30 @@ def test_eval_of_a_series_lead_beyond_the_double_range_exits_3(capsys, argv):
     assert err.startswith("convergence failure: ") and "double range" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the label lead y^e' z^n' q^{n'e' + e'^2/2} of the typical character
+        ("chi_t", "--n", "1", "--l", "1", "--nprime", "0.5", "--eprime", "0.3+120i",
+         "--u", "0.19", "--v", "0.14", "--tau", "i"),
+        # the y^e z^n q^{h(n, e)} factor of the gl(1|1) typical character
+        ("chi_gl11_typical", "--n", "1", "--eprime", "0.3+200i", "--u", "0.1", "--v", "0.1",
+         "--tau", "i"),
+        # the same factor of the gl(1|1) atypical character, at large negative n
+        ("chi_gl11_atypical", "--n", "-1000", "--l", "1", "--u", "0.1", "--v", "0.1", "--tau", "i"),
+        # z^{n/alpha} q^{n^2/(2 alpha^2)} of the lattice character
+        ("chi_lattice", "--K", "2", "--n", "3", "--u", "0.1-80i", "--tau", "i"),
+    ],
+    ids=["chi_t", "chi_gl11_typical", "chi_gl11_atypical", "chi_lattice"],
+)
+def test_eval_of_a_label_lead_beyond_the_double_range_exits_3(capsys, argv):
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("convergence failure: ") and "label lead leaves the double range" in err
+    assert "index" not in err
+
+
 # ---------------------------------------------------------------------------
 # one parser serves every call of main
 

@@ -5,6 +5,7 @@ Every check that reads sys.modules runs in a fresh interpreter, since this
 test process has long since loaded everything.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 import mockchar
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mockchar.__file__)))
+PKG = os.path.join(SRC, "mockchar")
 HEAVY = ("suites", "report", "modular_verlinde", "characters", "qseries", "appell", "mordell",
          "kernel")
 
@@ -106,3 +108,33 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError):
         mockchar.no_such_name
     assert getattr(mockchar, "backend_name", None) is None
+
+
+# Module-level imports kept for other modules to import from: mordell
+# re-exports CONTOUR_EPS as the default contour depth.
+REEXPORTS = {("mordell.py", "CONTOUR_EPS")}
+
+
+def test_no_unused_module_level_import():
+    unused = []
+    for fname in sorted(os.listdir(PKG)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(PKG, fname)) as f:
+            tree = ast.parse(f.read())
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {
+            elt.value
+            for n in tree.body
+            if isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in n.targets)
+            for elt in ast.walk(n.value)
+            if isinstance(elt, ast.Constant)
+        }
+        unused += [(fname, name) for name in bound if name not in used and (fname, name) not in REEXPORTS]
+    assert not unused, unused

@@ -16,7 +16,6 @@ from mockchar.domain import DEFAULT_QUAD, DEFAULT_TRUNC, QuadratureSpec, Truncat
 from mockchar.errors import PoleProximity, QuadratureNoConvergence, TailBoundExceeded
 from mockchar.kernel import (
     eta,
-    eta_cubed,
     eta_pentagonal,
     gauss_identity_check,
     integrate_line,
@@ -67,11 +66,6 @@ def test_eta_cutoff_and_its_errors_on_every_call():
             eta(1e-4j)
 
 
-def test_eta_cubed_jacobi_vs_power():
-    for tau in (1.1j, 0.2 + 0.9j):
-        assert abs(eta_cubed(tau) - eta(tau) ** 3) < 1e-14
-
-
 def test_theta1_odd():
     u, tau = 0.21 + 0.07j, 0.1 + 1.3j
     assert abs(theta1(-u, tau) + theta1(u, tau)) < 1e-14
@@ -83,7 +77,7 @@ def test_theta1_derivative_at_zero_is_2pi_eta_cubed():
     tau = 0.13 + 1.1j
     h = 1e-5
     deriv = (theta1(h, tau) - theta1(-h, tau)) / (2.0 * h)
-    assert abs(deriv - 2.0 * math.pi * eta_cubed(tau)) < 1e-8
+    assert abs(deriv - 2.0 * math.pi * eta(tau) ** 3) < 1e-8
 
 
 @settings(max_examples=25, deadline=None)

@@ -207,4 +207,4 @@ def test_window_grows_with_argument():
 
 def test_capped_quadrature_raises():
     with pytest.raises(QuadratureNoConvergence):
-        mordell_h(0.1, 1j, QuadratureSpec(half_width=6.0, nodes=4, max_nodes=8))
+        mordell_h_quad(0.1, 1j, QuadratureSpec(half_width=6.0, nodes=4, max_nodes=8))
