@@ -83,20 +83,17 @@ def chi_gl11_atypical(n, ell: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TR
     vv = as_complex(v)
     tt = as_tau(tau)
     require_pole_clearance(uu, tt)
-    denom = 1.0 - cmath.exp(TWO_PI_I * (uu + ell * tt))
+    eps = float(epsilon_fn(ell))
+    # the lead y^ell z^{n+1/2} q^{h(n, ell)} and the case factor, one exponent
+    expo = TWO_PI_I * (vv * ell + uu * (n + 0.5 - eps) + tt * (conformal_dim(n, ell) + ell * (0.5 - eps)))
+    w = TWO_PI_I * (uu + ell * tt)  # z q^ell = e^w
+    sign = 1.0 if ell & 1 else -1.0  # -(-1)^ell
+    if w.real > 0.0:  # |z q^ell| > 1: 1/(1 - e^w) = -e^{-w} / (1 - e^{-w})
+        expo, w, sign = expo - w, -w, -sign
+    denom = 1.0 - cmath.exp(w)
     if abs(denom) < 1e-8:
         raise PoleProximity("1 - z q^ell vanishes at this point")
-    eps = epsilon_fn(ell)
-    case = cmath.exp(TWO_PI_I * (-float(eps) * uu + ell * (0.5 - float(eps)) * tt))
-    sign = 1.0 if ell & 1 else -1.0  # -(-1)^ell
-    return (
-        sign
-        * 1j
-        * _lead_exp(TWO_PI_I * (vv * ell + uu * (n + 0.5) + tt * conformal_dim(n, ell)))
-        / denom
-        * theta_eta_prefactor(uu, tt, trunc)
-        * case
-    )
+    return sign * 1j * _lead_exp(expo) / denom * theta_eta_prefactor(uu, tt, trunc)
 
 
 def _atypical_cutoff(
@@ -311,8 +308,7 @@ def curve_prefactor(params: AlgebraParams, r, u: complex, v: complex, tau: compl
 
 def curve_gaussian(K: int, drift: complex, tau: complex, x):
     """x-dependent factor: exp(-2*pi*x*B_r + pi*i*tau*K*x^2) with the drift
-    B_r = curve_drift(...); x may be a numpy array (complex allowed for
-    shifted contours)."""
+    B_r = curve_drift(...); x may be a complex numpy array."""
     import numpy as np
 
     xs = np.asarray(x, dtype=complex)
@@ -331,8 +327,7 @@ def chi_w_typical_curve(params: AlgebraParams, r, x, u, v, tau):
 
     x may be a numpy array; the only per-x work is one exponential, since
     the label sum collapses into the x-free curve_prefactor.  The result is
-    entire in x (the parity sign is locked to the real-axis value), which is
-    what the shifted-contour quadratures rely on.
+    entire in x: the parity sign is locked to the real-axis value.
     """
     import numpy as np
 

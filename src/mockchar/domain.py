@@ -110,14 +110,6 @@ DEFAULT_QUAD = QuadratureSpec()
 
 POLE_CLEARANCE = 1e-6
 
-# Depth of a contour that steps off a kernel pole on the real axis.  When one
-# pole of the 1/cosh kernels (Mordell, rank-one lemma) or of the S-matrix 1/sin
-# kernel sits on the real axis, all of them sit on iZ, so R -+ i/2 runs midway
-# between the on-axis pole and the next one.  The trapezoid error falls like
-# e^{-2 pi d/h} in the distance d to the nearest pole, so this depth needs the
-# fewest nodes; by Cauchy every depth in (0, 1) gives the same value.
-CONTOUR_EPS = 0.5
-
 
 def contour_depth(depth) -> float:
     """depth, checked to lie in (0, 1): depth 0 runs through the on-axis pole
@@ -126,19 +118,6 @@ def contour_depth(depth) -> float:
     if not 0.0 < d < 1.0:
         raise InvalidParameter("contour depth must lie in (0, 1), got %r" % (depth,))
     return d
-
-
-def midway_depth(tilt: float) -> float:
-    """Default depth for a Gaussian kernel e^{pi i tau K x^2} with tilt = K |Re tau|.
-
-    On R - i*d the Gaussian gains the factor e^{2 pi d tilt |t|}, which must
-    not outgrow the kernel's e^{-pi |t|} decay, or the quadrature sums large
-    cancelling terms over windows sized for the real axis.  So the depth is
-    CONTOUR_EPS, lowered to 1/(2 tilt) where that is smaller."""
-    tilt = abs(float(tilt))
-    if 2.0 * CONTOUR_EPS * tilt <= 1.0:
-        return CONTOUR_EPS
-    return 0.5 / tilt
 
 
 def lattice_distance(w: complex, tau: complex) -> float:

@@ -363,6 +363,27 @@ def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = Fa
             )
 
 
+def _sinh_pole_line(alpha: complex, beta: complex, side: float, spec: QuadratureSpec) -> QuadratureResult:
+    """int e^{alpha x^2 + beta x} / sinh(pi x) dx along a line passing the pole
+    at 0 on the given side (+1 above, -1 below, 0 neither): the principal value
+    on R plus side times the half-residue -pi i Res_0 = -i.  The principal value
+    pairs x with -x into e^{alpha x^2} sinh(beta x) / sinh(pi x), even, analytic
+    out to +-i and beta/pi at 0, with the exponents combined so that nothing
+    overflows before the Gaussian decays: one trapezoid call on spec (on R)."""
+    import numpy as np
+
+    def principal(xs):
+        x = xs.real
+        ax = np.abs(x)
+        gauss = alpha * x * x - math.pi * ax
+        # 0/0 at x = 0, replaced below (integrate_line ignores invalid values)
+        out = np.sign(x) * (np.exp(gauss + beta * x) - np.exp(gauss - beta * x)) / -np.expm1(-2.0 * math.pi * ax)
+        return np.where(x == 0.0, beta / math.pi, out)
+
+    res = integrate_line(principal, spec, vectorized=True)
+    return QuadratureResult(res.value - side * 1j, res.error, res.nodes)
+
+
 def theta1_rescaling_check(level: int, u, tau) -> dict:
     """theta1 at tau/K as a K-term combination of theta1 at K*tau."""
     if level < 1:

@@ -33,7 +33,6 @@ from .characters import (
     curve_prefactor,
 )
 from .domain import (
-    CONTOUR_EPS,
     DEFAULT_QUAD,
     POLE_CLEARANCE,
     TWO_PI_I,
@@ -44,10 +43,8 @@ from .domain import (
     TypicalWLabel,
     as_complex,
     as_tau,
-    contour_depth,
     floor_re,
     identity_report,
-    midway_depth,
     rel_err,
 )
 from .errors import (
@@ -56,11 +53,10 @@ from .errors import (
     PoleOnContour,
     SingularEntry,
 )
-from .kernel import integrate_line
+from .kernel import _sinh_pole_line, integrate_line
 
 __all__ = [
     "AT_BLOCK_SIGN",
-    "CONTOUR_EPS",
     "DEF_AM_VARIANT",
     "DEF_AM_VARIANTS",
     "LEMMA_HALF_SIGN",
@@ -103,14 +99,11 @@ __all__ = [
 #                     atypical S-transformation.
 #   LEMMA_HALF_SIGN   sign of the 1/2 in front of the cosh-kernel integral in
 #                     the rank-one transformation lemma.
-#   SINGULAR_CONTOUR_SIDE  which side the x-contour is pushed to when a kernel
-#                     pole lands on the real axis (+1 means Im x = +d,
-#                     "pv" averages both sides).  The 1/sin and cosh kernels
-#                     have their poles on iZ, so d = CONTOUR_EPS = 1/2 (from
-#                     domain) runs midway to the next pole; domain.midway_depth
-#                     lowers d where K |Re tau| > 1 would let the Gaussian's
-#                     tilt outgrow the kernel decay.  |side| * d must stay
-#                     below 1, the gap to the next pole.
+#   SINGULAR_CONTOUR_SIDE  which side of a kernel pole on the real axis the
+#                     x-contour passes: +1 above, -1 below, "pv" neither.
+#                     Such a row is integrated on R as the principal value
+#                     plus side times the half-residue (kernel._sinh_pole_line),
+#                     which holds at every Im tau.
 #   T_PHASE_VARIANT   "K" uses (a-r)^2/K in the typical T-phase; "K2" keeps
 #                     (a-r)^2/K^2.  Only "K" is consistent with tau -> tau + 1
 #                     applied directly to the character.
@@ -259,7 +252,7 @@ def _s_at_raw(params: AlgebraParams, row, r, e, parity_sign: float):
     """(1/2ell) * parity * e^{2 pi i (t' r - e t/ell)} / sin(pi e).
 
     ``e`` may be a complex scalar or ndarray; ``parity_sign`` is locked by the
-    caller to the real-axis value of e so contour shifts stay analytic.
+    caller to the real-axis value of e so the entry stays analytic in x.
     """
     t, tp = row
     ell = params.ell
@@ -420,17 +413,13 @@ def _gaussian_integral(alpha: complex, beta):
     return cmath.sqrt(math.pi / alpha) * np.exp(np.asarray(beta) ** 2 / (4.0 * alpha))
 
 
-def _singular_shifts(side, K: int, tau: complex) -> tuple:
-    """Signed depths of the contours of a row whose kernel pole sits on the
-    real axis: one for a numeric side, both for "pv".  Side 0 runs through the
-    pole (left to the PoleOnContour checks)."""
-    depth = midway_depth(K * tau.real)
-    if side == "pv":
-        return (depth, -depth)
-    shift = float(side) * depth
-    if shift != 0.0:
-        contour_depth(abs(shift))
-    return (shift,)
+def _contour_side(side) -> float:
+    """The half-residue sign of a singular_side: +1 or -1 as given, 0 for "pv"."""
+    if side == 0:
+        raise PoleOnContour("singular_side 0 runs the contour through the kernel pole")
+    if side != "pv" and side not in (1, -1):
+        raise InvalidParameter("singular_side must be +1, -1 or 'pv', got %r" % (side,))
+    return 0.0 if side == "pv" else float(side)
 
 
 def _dist_to_half_integers(y: float) -> float:
@@ -452,34 +441,35 @@ def _at_integral(
     curve: tuple,
     tau: complex,
     parity_on: bool,
-    shift: float,
+    side: float | None,
     rel_scale: float,
 ):
-    """C_r * integral over (R + i shift) of S_at(row; r, x) G_r(x) dx, with
-    curve = (C_r, B_r) from _curve.
+    """C_r * integral over R of S_at(row; r, x) G_r(x) dx, with curve =
+    (C_r, B_r) from _curve.  A row with integer e_r(0) = n has its 1/sin pole
+    at x = 0 and takes the half-residue sign side; other rows take None.
 
     The x-free prefactor C_r of the curve character is pulled out so the
     quadrature sees an O(1) integrand."""
     t, tp = row
     ell, K = params.ell, params.K
     _, e0 = curve_base_labels(params, r)
-    if _dist_to_integers(e0 + shift) < POLE_CLEARANCE:
-        raise PoleOnContour(
-            "1/sin pole on the shifted contour (e0=%r, shift=%r)" % (e0, shift)
-        )
     sign = _parity(e0) if parity_on else 1.0
     pref, drift = curve
-    # on R + i*shift the Gaussian's linear coefficient gains K*shift*tau
-    drift_re = drift.real + t / ell + K * shift * tau.real
+    spec = QuadratureSpec(
+        half_width=_gauss_half_width(K, tau, drift.real + t / ell),
+        tail_tol=max(DEFAULT_QUAD.tail_tol, 1e-9 * rel_scale),
+    )
+    if side is not None:
+        # sin(pi(n - ix)) = -(-1)^n i sinh(pi x); the phase's x-part joins the Gaussian
+        n = round(e0)
+        phase = (-1) ** n * 1j * cmath.exp(TWO_PI_I * (tp * float(r) - n * t / ell)) / (2.0 * ell)
+        kernel = _sinh_pole_line(math.pi * 1j * tau * K, -2.0 * math.pi * (drift + t / ell), side, spec)
+        return pref * sign * phase * kernel.value
 
     def f(xs):
         e = e0 - 1j * xs
         return _s_at_raw(params, row, r, e, sign) * curve_gaussian(K, drift, tau, xs)
 
-    half = _gauss_half_width(K, tau, drift_re)
-    spec = QuadratureSpec(
-        half_width=half, contour_shift=shift, tail_tol=max(DEFAULT_QUAD.tail_tol, 1e-9 * rel_scale)
-    )
     return pref * integrate_line(f, spec, vectorized=True).value
 
 
@@ -494,10 +484,10 @@ def s_transform_atypical_check(
 ) -> dict:
     """chi_A(u/tau, v/tau; -1/tau) against the S-matrix expansion.
 
-    Rows with integer e_r(0) put the 1/sin pole at x = 0; those integrals run
-    along R + i*side*d with d = midway_depth(K Re tau), midway to the next
-    pole (side="pv" averages both sides).  A side with |side|*d >= 1 raises
-    InvalidParameter."""
+    Rows with integer e_r(0) put the 1/sin pole at x = 0 on the contour R.
+    Their integral is the principal value on R plus side times the
+    half-residue: side +1 passes above the pole, -1 below, "pv" neither.
+    Side 0 raises PoleOnContour, any other value InvalidParameter."""
     t, tp = _require_s_pair(params, row)
     u, v = _uv(args)
     tt = as_tau(tau)
@@ -521,15 +511,12 @@ def s_transform_atypical_check(
     singular_rows = []
     for r in sets.m_values:
         _, e0 = curve_base_labels(params, r)
-        singular = _dist_to_integers(e0) < 1e-9
-        if singular:
+        sigma = None
+        if _dist_to_integers(e0) < 1e-9:
             singular_rows.append(r)
-        shifts = _singular_shifts(side, params.K, tt) if singular else (0.0,)
+            sigma = _contour_side(side)
         curve = _curve(params, r, u, v, tt)
-        at_total += sum(
-            _at_integral(params, (t, tp), r, curve, tt, parity_on, shift, scale)
-            for shift in shifts
-        ) / len(shifts)
+        at_total += _at_integral(params, (t, tp), r, curve, tt, parity_on, sigma, scale)
 
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * (aa + sign * at_total)
     return identity_report(
@@ -634,9 +621,8 @@ def lemma_trafoatyp_check(
 
     chi_A(u/tau, v/tau + s/ell; -1/tau) against the flowed atypical plus the
     cosh-kernel integral over the 2a+1 typical curves.  The kernel pole hits
-    the contour exactly when m = 2a and s = -ell/2; that term integrates along
-    R + i*side*d with d = midway_depth(K Re tau), midway to the next pole.  A
-    side with |side|*d >= 1 raises InvalidParameter."""
+    R exactly when m = 2a and s = -ell/2; that term is the principal value on
+    R plus side times the half-residue, as in s_transform_atypical_check."""
     if a < 0 or ell <= 0:
         raise InvalidParameter("need a >= 0 and ell >= 1")
     pr = AlgebraParams(a, 1)
@@ -658,15 +644,12 @@ def lemma_trafoatyp_check(
         r = Fraction(m) - Fraction(sv, ell)
         c_m = Fraction(a - m) + Fraction(sv, ell)
         c_f = float(c_m) / K
-        singular = (2 * c_m == -K) or _dist_to_half_integers(c_f) < 1e-12
-        if singular:
+        sigma = None
+        if (2 * c_m == -K) or _dist_to_half_integers(c_f) < 1e-12:
             singular_terms.append(m)
-        shifts = _singular_shifts(side, K, tt) if singular else (0.0,)
+            sigma = _contour_side(side)
         curve = _curve(pr, r, u, v - tv / ell, tt)
-        total += sum(
-            _cosh_kernel_integral(pr, r, c_f, curve, tt, shift, scale)
-            for shift in shifts
-        ) / len(shifts)
+        total += _cosh_kernel_integral(pr, r, c_f, curve, tt, sigma, scale)
 
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * (base + hs * 0.5 * total)
     return identity_report(
@@ -687,22 +670,23 @@ def _cosh_kernel_integral(
     c: float,
     curve: tuple,
     tau: complex,
-    shift: float,
+    side: float | None,
     rel_scale: float,
 ):
-    """C_r * integral over (R + i shift) of G_r(x) / cosh(pi (x + i c)) dx,
-    with curve = (C_r, B_r) from _curve."""
-    if _dist_to_half_integers(c + shift) < POLE_CLEARANCE:
-        raise PoleOnContour("cosh pole on the shifted contour (c=%r, shift=%r)" % (c, shift))
+    """C_r * integral over R of G_r(x) / cosh(pi (x + i c)) dx, with curve =
+    (C_r, B_r) from _curve.  A half-integer c = k + 1/2 puts the pole at
+    x = 0 and takes the half-residue sign side; other c take None."""
     pref, drift = curve
     K = params.K
-    # on R + i*shift the Gaussian's linear coefficient gains K*shift*tau
-    drift_re = drift.real + K * shift * tau.real
     spec = QuadratureSpec(
-        half_width=_gauss_half_width(K, tau, drift_re),
-        contour_shift=shift,
+        half_width=_gauss_half_width(K, tau, drift.real),
         tail_tol=max(DEFAULT_QUAD.tail_tol, 1e-9 * rel_scale),
     )
+    if side is not None:
+        # cosh(pi(x + i(k + 1/2))) = i (-1)^k sinh(pi x)
+        k = math.floor(c)
+        kernel = _sinh_pole_line(math.pi * 1j * tau * K, -2.0 * math.pi * drift, side, spec).value
+        return pref * kernel / (1j * (-1) ** k)
 
     def f(xs):
         return curve_gaussian(K, drift, tau, xs) / np.cosh(math.pi * (xs + 1j * c))
@@ -833,7 +817,7 @@ def s_compose_check(params: AlgebraParams, row, args, tau) -> dict:
     for c in sets.m_values:
         _, e0 = curve_base_labels(params, c)
         if _dist_to_integers(e0) < 1e-9:
-            raise PoleOnContour("composition check hit a singular row; shift unsupported here")
+            raise PoleOnContour("composition check hit a singular row, which it does not support")
     curves = {c: _curve(params, c, u, v, tt) for c in sets.m_values}
 
     rhs = 0.0 + 0.0j
@@ -844,7 +828,7 @@ def s_compose_check(params: AlgebraParams, row, args, tau) -> dict:
                 inner += _s_aa_raw(params, (sY, spY), col) * chi
             at_inner = 0.0 + 0.0j
             for c, curve in curves.items():
-                at_inner += _at_integral(params, (sY, spY), c, curve, tt, S_AT_PARITY, 0.0, scale)
+                at_inner += _at_integral(params, (sY, spY), c, curve, tt, S_AT_PARITY, None, scale)
             rhs += _s_aa_raw(params, (t, tp), (sY, spY)) * (inner + AT_BLOCK_SIGN * at_inner)
 
     # outer x-decay comes from the Fourier transform of the inner Gaussian;

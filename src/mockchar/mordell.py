@@ -10,11 +10,11 @@ trapezoid runs, the principal part of that nearest pole, r e^{-(x - x0)^2} /
 trapezoid then sees a function analytic out to the next pole, at least 1/2
 away, and needs a few hundred nodes whether that pole is 1/2 or 1e-3 away.
 
-At s = +-1/2 that pole sits on the real axis and the contour drops to
-R - i*eps.  By default eps is CONTOUR_EPS = 1/2, lowered to 1/(2|Re tau|)
-where the Gaussian's tilt on the shifted line would outgrow the 1/cosh decay
-(domain.midway_depth).  Any eps in (0, 1) gives the same value.  Other s stay
-on the real axis.
+At s = +-1/2 that pole sits on the real axis at x = 0, and h_s is taken on R
+passing below it: the principal value on R plus sigma times the half-residue,
+with sigma = -1 (kernel._sinh_pole_line).  An explicit eps instead runs the
+pole-subtracted trapezoid on R - i*eps, eps in (0, 1), which gives the same
+value by Cauchy; it is the independent reference of the default route.
 
 The integrands are numpy expressions; each builder imports numpy when it runs.
 """
@@ -24,18 +24,16 @@ from __future__ import annotations
 import cmath
 import math
 
-from .domain import (  # CONTOUR_EPS is re-exported as the default depth
-    CONTOUR_EPS,
+from .domain import (
     DEFAULT_QUAD,
     QuadratureSpec,
     as_complex,
     as_tau,
     contour_depth,
     identity_report,
-    midway_depth,
 )
 from .errors import InvalidParameter
-from .kernel import QuadratureResult, integrate_line
+from .kernel import QuadratureResult, _sinh_pole_line, integrate_line
 
 _TWO_PI = 2.0 * math.pi
 _PI_I = 1j * math.pi
@@ -70,7 +68,19 @@ def mordell_h_quad(u, tau, quad: QuadratureSpec | None = None) -> QuadratureResu
 
 
 def mordell_h(u, tau) -> complex:
-    return mordell_h_quad(u, tau).value
+    """h(u; tau), with u stepped by +-tau (at most 64 times) to |Im u| <= Im tau/2
+    through h(u) + e^{-2 pi i u - pi i tau} h(u + tau) = 2 e^{-pi i u - pi i tau/4}:
+    farther out the quadrature's terms cancel up to 1e7 times |h|."""
+    uu, tt = as_complex(u), as_tau(tau)
+    a, b = 0.0j, 1.0 + 0.0j  # h(u) = a + b h(uu) as uu steps
+    for _ in range(64):
+        if 2.0 * abs(uu.imag) <= tt.imag:
+            break
+        step = -1.0 if uu.imag > 0.0 else 1.0
+        a += b * 2.0 * cmath.exp(-step * _PI_I * uu - _PI_I * tt / 4.0)
+        b *= -cmath.exp(-step * 2.0 * _PI_I * uu - _PI_I * tt)
+        uu += step * tt
+    return a + b * mordell_h_quad(uu, tt).value
 
 
 def mordell_h_s_quad(
@@ -81,7 +91,8 @@ def mordell_h_s_quad(
     eps: float | None = None,
 ) -> QuadratureResult:
     """h_s with its quadrature error and node count.  At |s| = 1/2 the
-    contour is R - i*eps, with eps in (0, 1); None takes midway_depth."""
+    contour passes below the pole at 0: on R by default, or along R - i*eps
+    for an eps in (0, 1)."""
     import numpy as np
 
     if isinstance(s, complex):
@@ -95,7 +106,11 @@ def mordell_h_s_quad(
     tt = as_tau(tau)
     shift = 0.0
     if abs(abs(s) - 0.5) < 1e-12:
-        shift = -(midway_depth(tt.real) if eps is None else contour_depth(eps))
+        if eps is None:
+            # cosh(pi(x -+ i/2)) = -+i sinh(pi x), and R passes below the pole
+            res = _sinh_pole_line(_PI_I * tt, -_TWO_PI * uu, -1.0, _quad_for(uu, tt, quad, 0.0))
+            return QuadratureResult((1j if s > 0 else -1j) * res.value, res.error, res.nodes)
+        shift = -contour_depth(eps)
 
     def gauss(x):
         return np.exp(_PI_I * tt * x * x - _TWO_PI * uu * x)

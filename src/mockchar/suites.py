@@ -326,8 +326,8 @@ def _mordell_h1(ctx: RunContext):
 
 @_check("mordell.eps-independence", "mordell", "half-integer shift contour stability", 1e-8)
 def _mordell_eps(ctx: RunContext):
-    # the default contour runs midway between poles; eps = 1e-3 hugs the
-    # on-axis pole, so the two routes share no node
+    # the default takes the principal value on R plus the half-residue;
+    # eps = 1e-3 runs the trapezoid on R - 1e-3 i, so the two share no node
     for s in (0.5, -0.5):
         tau = rand_tau(ctx.rng, im_lo=0.9, im_hi=1.6)
         u = rand_arg(ctx.rng, im_max=0.2)

@@ -63,6 +63,19 @@ def test_gl11_atypical_vs_typical_limit_structure():
     assert cmath.isfinite(val)
 
 
+@pytest.mark.parametrize(
+    "args,frozen",
+    [
+        ((1, -3, 0.1 + 0.02j, 0.13 - 0.05j, 0.1 + 1.1j), -4.3314570207095895e-06 - 5.26379800262946e-06j),
+        ((0.5 + 0.2j, -3, -0.2 + 0.3j, 0.1, -0.2 + 0.9j), -1.954937747282823e-08 - 1.4760985290731207e-08j),
+    ],
+)
+def test_gl11_atypical_at_negative_ell_keeps_its_value(args, frozen):
+    # |z q^ell| > 1 here, so 1/(1 - z q^ell) is taken as -(z q^ell)^{-1} /
+    # (1 - (z q^ell)^{-1}); the value computed with the direct form is frozen
+    assert abs(chi_gl11_atypical(*args) - frozen) <= 1e-14 * abs(frozen)
+
+
 @pytest.mark.parametrize("n,ell", [(0, 1), (1, 1), (2, 1), (2, 2), (3, 3)])
 def test_w_typical_routes_agree(n, ell):
     params = AlgebraParams(n, ell)

@@ -422,6 +422,16 @@ def test_eval_of_a_label_lead_beyond_the_double_range_exits_3(capsys, argv):
     assert "index" not in err
 
 
+def test_eval_of_gl11_atypical_at_large_negative_ell_is_finite(capsys):
+    # z q^ell and the case factor each leave the double range at ell = -300,
+    # while the character itself is ~e^{-2.8e5}: it prints 0, not a traceback
+    code, out, err = run(capsys, "eval", "chi_gl11_atypical", "--n", "1", "--l", "-300", "--u", "0.1",
+                         "--v", "0.1", "--tau", "i", "--format", "json")
+    assert (code, err) == (0, "")
+    value = json.loads(out)
+    assert (value["re"], value["im"]) == (0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # one parser serves every call of main
 

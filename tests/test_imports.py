@@ -110,11 +110,6 @@ def test_unknown_attribute_raises():
     assert getattr(mockchar, "backend_name", None) is None
 
 
-# Module-level imports kept for other modules to import from: mordell
-# re-exports CONTOUR_EPS as the default contour depth.
-REEXPORTS = {("mordell.py", "CONTOUR_EPS")}
-
-
 def test_no_unused_module_level_import():
     unused = []
     for fname in sorted(os.listdir(PKG)):
@@ -136,5 +131,5 @@ def test_no_unused_module_level_import():
             for elt in ast.walk(n.value)
             if isinstance(elt, ast.Constant)
         }
-        unused += [(fname, name) for name in bound if name not in used and (fname, name) not in REEXPORTS]
+        unused += [(fname, name) for name in bound if name not in used]
     assert not unused, unused

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import mockchar.modular_verlinde as mv
-from mockchar.domain import AlgebraParams, QuadratureSpec, RegulatorSpec, midway_depth
+from mockchar.domain import AlgebraParams, QuadratureSpec, RegulatorSpec
 from mockchar.errors import (
     IndexOutOfRange,
     InvalidParameter,
@@ -226,54 +226,129 @@ def test_singular_contour_depth_must_stay_below_next_pole():
         mv.s_transform_atypical_check(AlgebraParams(2, 2), (0, 0), ARGS, TAU, singular_side=-3.0)
 
 
+def _mp_shifted_line(alpha, beta, kernel, depth=0.25):
+    """mpmath reference: int e^{alpha x^2 + beta x} kernel(x) dx along
+    R + i*depth, at 25 digits, over 16 Gaussian widths on either side of the
+    Gaussian's peak on that line.
+
+    The singular rows' kernels have their poles on iZ, so this line passes
+    above the on-axis pole and below the next one.  The Gaussian grows by
+    e^{-Re(alpha) depth^2} on the line, which the working precision absorbs."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(25):
+        al, be, d = mp.mpc(alpha), mp.mpc(beta), mp.mpf(depth)
+        peak = (2 * al.imag * d - be.real) / (2 * al.real)
+        width = 1 / mp.sqrt(-2 * al.real)
+
+        def f(t):
+            x = mp.mpc(t, d)
+            return mp.exp(al * x * x + be * x) * kernel(mp, x)
+
+        points = [peak + k * width for k in range(-16, 17, 8)]
+        return complex(mp.quad(f, points, method="gauss-legendre"))
+
+
+def _mp_at_row(params, row, r, curve, tau):
+    """The singular S_at row integral of _at_integral, on a line above the pole."""
+    t, tp = row
+    ell, K = params.ell, params.K
+    _, e0 = mv.curve_base_labels(params, r)
+    sign = mv._parity(e0)
+
+    def kernel(mp, x):
+        e = e0 - 1j * x
+        return sign * mp.exp(2j * mp.pi * (tp * float(r) - e * t / ell)) / (2 * ell * mp.sin(mp.pi * e))
+
+    pref, drift = curve
+    return pref * _mp_shifted_line(math.pi * 1j * tau * K, -2.0 * math.pi * drift, kernel)
+
+
+def _mp_lemma_term(pr, c, curve, tau):
+    """The singular cosh-kernel term of _cosh_kernel_integral, on a line above the pole."""
+    pref, drift = curve
+    return pref * _mp_shifted_line(
+        math.pi * 1j * tau * pr.K, -2.0 * math.pi * drift, lambda mp, x: 1 / mp.cosh(mp.pi * (x + 1j * c))
+    )
+
+
+def _singular_lemma_term(tau, args=ARGS):
+    """(pr, r, c, curve) of the one singular term of lemma cell (1, 2, -1, 0):
+    m = 2a, r = m - s/ell, c = (a - m + s/ell) / K = -1/2."""
+    pr = AlgebraParams(1, 1)
+    u, v = args
+    r = Fraction(5, 2)
+    return pr, r, -0.5, mv._curve(pr, r, u, v, tau)
+
+
 @pytest.mark.parametrize("tau", [1.2 + 0.5j, 2.0 + 0.3j, -1.5 + 0.4j])
 def test_singular_rows_at_large_re_tau(tau):
-    # K |Re tau| > 1 (K = 3 in both cells): the default depth is lowered so
-    # the Gaussian's tilt on the shifted line cannot outgrow the kernel decay;
-    # it must agree with a contour 1e-3 off the pole
-    near_side = 1e-3 / midway_depth(3 * tau.real)
+    # K |Re tau| > 1 (K = 3 in both cells): the principal value on R needs no
+    # depth rule; each singular integral matches mpmath on a line above the pole
+    rep = mv.lemma_trafoatyp_check(1, 2, -1, 0, ARGS, tau)
+    assert rep["rel_err"] < 1e-10, rep
+    pr, r, c, curve = _singular_lemma_term(tau)
+    ref = _mp_lemma_term(pr, c, curve, tau)
+    got = mv._cosh_kernel_integral(pr, r, c, curve, tau, 1.0, abs(rep["lhs"]))
+    assert abs(got - ref) < 1e-10 * abs(ref), (got, ref)
+
+    params, row = AlgebraParams(2, 2), (0, 0)
+    rep = mv.s_transform_atypical_check(params, row, ARGS, tau)
+    assert rep["rel_err"] < 1e-10, rep
+    for r in rep["singular_rows"]:
+        curve = mv._curve(params, r, *ARGS, tau)
+        ref = _mp_at_row(params, row, r, curve, tau)
+        got = mv._at_integral(params, row, r, curve, tau, True, 1.0, abs(rep["lhs"]))
+        assert abs(got - ref) < 1e-10 * abs(ref), (r, got, ref)
+
+
+def _tall_point(T):
+    """tau = iT with u and v scaled so the Gaussian peaks stay near R."""
+    return 1j * T, (0.1 + 0.15j * T, 0.05 + 0.05j * T)
+
+
+@pytest.mark.parametrize("T", [2.0, 8.0, 12.5, 20.0])
+@pytest.mark.parametrize("cell", [(0, 1), (1, 1), (2, 1), (2, 2)])
+def test_singular_rows_match_mpmath_at_large_im_tau(cell, T):
+    # the shifted contours of the old depth rule lost every digit by
+    # Im tau = 12.5; the principal value on R holds at every Im tau.  Every
+    # row meets 1e-12; the singular integrals of the row the suites sample,
+    # whose t != 0 enters the Gaussian, are compared with mpmath.
+    tau, args = _tall_point(T)
+    params = AlgebraParams(*cell)
+    sets = mv.index_sets(params)
+    for row in [(t, tp) for t in sets.s_values for tp in sets.s_values]:
+        rep = mv.s_transform_atypical_check(params, row, args, tau)
+        assert rep["rel_err"] <= 1e-12, (row, rep)
+    row = (sets.s_values[0], sets.s_values[-1])
+    rep = mv.s_transform_atypical_check(params, row, args, tau)
+    assert bool(rep["singular_rows"]) == (cell == (2, 2))
+    for r in rep["singular_rows"]:
+        curve = mv._curve(params, r, *args, tau)
+        ref = _mp_at_row(params, row, r, curve, tau)
+        got = mv._at_integral(params, row, r, curve, tau, True, 1.0, abs(rep["lhs"]))
+        assert abs(got - ref) <= 1e-12 * abs(ref), (r, got, ref)
+
+
+@pytest.mark.parametrize("T", [2.0, 8.0, 12.5, 20.0])
+def test_singular_lemma_term_matches_mpmath_at_large_im_tau(T):
+    tau, args = _tall_point(T)
+    rep = mv.lemma_trafoatyp_check(1, 2, -1, 0, args, tau)
+    assert rep["singular_terms"] == (2,)
+    assert rep["rel_err"] <= 1e-12, rep
+    pr, r, c, curve = _singular_lemma_term(tau, args)
+    ref = _mp_lemma_term(pr, c, curve, tau)
+    got = mv._cosh_kernel_integral(pr, r, c, curve, tau, 1.0, abs(rep["lhs"]))
+    assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
+
+
+def test_principal_value_side_is_the_mean_of_both_sides():
+    # the half-residue enters with the side's sign, so "pv" sits halfway
     for check in (
-        lambda **kw: mv.lemma_trafoatyp_check(1, 2, -1, 0, ARGS, tau, **kw),
-        lambda **kw: mv.s_transform_atypical_check(AlgebraParams(2, 2), (0, 0), ARGS, tau, **kw),
+        lambda side: mv.lemma_trafoatyp_check(1, 2, -1, 0, ARGS, TAU, singular_side=side),
+        lambda side: mv.s_transform_atypical_check(AlgebraParams(2, 2), (0, 0), ARGS, TAU, singular_side=side),
     ):
-        rep = check()
-        near = check(singular_side=near_side)
-        assert rep["rel_err"] < 1e-10, rep
-        assert abs(rep["rhs"] - near["rhs"]) < 1e-10 * abs(near["rhs"]), (rep, near)
-
-
-@pytest.mark.parametrize("tau", [0.4 + 1.1j, -0.3 + 0.9j])
-def test_singular_row_window_follows_contour_tilt(monkeypatch, tau):
-    # On R + i*d the Gaussian e^{pi i tau K x^2} gains the drift K d Re(tau),
-    # and the window of a singular row must be sized for it.  Within the
-    # default depth the kernel decay hides a window sized without it, so the
-    # drift is read where the window is sized: halving the depth moves each
-    # singular row's drift by K (d/2) Re(tau) and leaves the other rows alone.
-    K = 3
-    depth = midway_depth(K * tau.real)
-    seen = []
-    sized = mv._gauss_half_width
-
-    def spy(k, tau_, drift_re, *rest):
-        seen.append(drift_re)
-        return sized(k, tau_, drift_re, *rest)
-
-    monkeypatch.setattr(mv, "_gauss_half_width", spy)
-    for check in (
-        lambda side: mv.lemma_trafoatyp_check(1, 2, -1, 0, ARGS, tau, singular_side=side),
-        lambda side: mv.s_transform_atypical_check(AlgebraParams(2, 2), (0, 0), ARGS, tau,
-                                                   singular_side=side),
-    ):
-        drifts = []
-        for side in (1.0, 0.5):
-            seen.clear()
-            check(side)
-            drifts.append(list(seen))
-        tilt = K * depth / 2 * abs(tau.real)
-        moved = [abs(a - b) for a, b in zip(*drifts)]
-        assert 0 < moved.count(0.0) < len(moved), moved
-        for m in moved:
-            assert m == 0.0 or m == pytest.approx(tilt, rel=1e-12), moved
+        above, below, pv = (check(side)["rhs"] for side in (1, -1, "pv"))
+        assert abs(pv - (above + below) / 2) <= 1e-14 * abs(pv), (above, below, pv)
 
 
 @pytest.mark.parametrize("tau", [1.1j, 0.1 + 1.1j, -0.45 + 0.8j, 0.3 + 1.9j])

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from mockchar.domain import QuadratureSpec, contour_depth, midway_depth
+from mockchar.domain import QuadratureSpec, contour_depth
 from mockchar.errors import InvalidParameter, QuadratureNoConvergence
 from mockchar.kernel import integrate_line
 from mockchar.mordell import (
@@ -73,8 +73,8 @@ def test_half_shift_epsilon_independence(s):
 
 @pytest.mark.parametrize("s", [0.5, -0.5])
 def test_half_shift_midway_contour(s):
-    # the default contour runs midway between poles: it agrees with the
-    # contour that hugs the on-axis pole, with a few hundred nodes
+    # the default principal value on R agrees with the contour that hugs
+    # the on-axis pole, with a few hundred nodes
     u, tau = 0.12 + 0.03j, 1.15j
     res = mordell_h_s_quad(s, u, tau)
     assert res.nodes <= 1025, res
@@ -90,9 +90,8 @@ def test_half_shift_contour_depth_domain(eps):
 
 @pytest.mark.parametrize("tau", [2 + 0.1j, 1.2 + 0.05j, -2 + 0.1j, 5 + 0.2j])
 def test_half_shift_midway_contour_at_large_re_tau(tau):
-    # on R - i/2 the Gaussian gains e^{pi Re(tau) t}, which outgrows the
-    # 1/cosh decay once |Re tau| > 1: the default depth drops to
-    # 1/(2|Re tau|) and the window follows the shifted Gaussian peak
+    # on a line below R the Gaussian would gain e^{2 pi d Re(tau) t}, which
+    # outgrows the 1/cosh decay once |Re tau| > 1; the default stays on R
     u = 0.1
     res = mordell_h_s_quad(0.5, u, tau)
     assert res.nodes <= 4097, res
@@ -170,10 +169,6 @@ def test_contour_depth_helpers():
     for bad in (0.0, -0.1, 1.0, 2.0):
         with pytest.raises(InvalidParameter):
             contour_depth(bad)
-    assert midway_depth(0.0) == 0.5
-    assert midway_depth(-1.0) == 0.5
-    assert midway_depth(2.0) == 0.25
-    assert midway_depth(-4.0) == 0.125
 
 
 @pytest.mark.parametrize("s", [-0.4, -0.15, 0.0, 0.2, 0.45])
@@ -208,3 +203,64 @@ def test_window_grows_with_argument():
 def test_capped_quadrature_raises():
     with pytest.raises(QuadratureNoConvergence):
         mordell_h_quad(0.1, 1j, QuadratureSpec(half_width=6.0, nodes=4, max_nodes=8))
+
+
+def _mp_h_s_below(s, u, tau):
+    """mpmath reference for h_s at |s| = 1/2: the kernel on R - i/4, below
+    the on-axis pole and above the next one, over |Re x| <= 24, beyond which
+    the integrand is below e^{-60} at every tau tested."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(25):
+        uu, tt, d = mp.mpc(u), mp.mpc(tau), mp.mpf(0.25)
+
+        def f(t):
+            x = mp.mpc(t, -d)
+            return mp.exp(mp.pi * 1j * tt * x * x - 2 * mp.pi * uu * x) / mp.cosh(mp.pi * (x - 1j * s))
+
+        return complex(mp.quad(f, mp.linspace(-24, 24, 25), method="gauss-legendre"))
+
+
+@pytest.mark.parametrize("tau", [1j, 8j, 12.5j, 20j, -2 + 0.1j, 2 + 0.3j])
+@pytest.mark.parametrize("s", [0.5, -0.5])
+def test_half_shift_matches_mpmath_up_to_large_im_tau(s, tau):
+    # the principal value on R needs no contour depth, so no Gaussian growth
+    # e^{pi Im(tau) d^2} eats digits at large Im tau
+    u = 0.1 + 0.05j
+    res = mordell_h_s_quad(s, u, tau)
+    ref = _mp_h_s_below(s, u, tau)
+    assert abs(res.value - ref) <= 1e-13 * abs(ref), (res, ref)
+    assert res.nodes <= 513, res
+
+
+def _mp_h(u, tau):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        uu, tt = mp.mpc(u), mp.mpc(tau)
+        return complex(mp.quad(
+            lambda x: mp.exp(mp.pi * 1j * tt * x * x - 2 * mp.pi * uu * x) / mp.cosh(mp.pi * x),
+            [-mp.inf] + list(mp.linspace(-24, 24, 25)) + [mp.inf],
+        ))
+
+
+# |Im u| from 0.75 to 3 Im tau, above and below the axis, so the elliptic
+# step of mordell_h runs up to three times in either direction.  At
+# u = 0.2 + 3.9i the direct trapezoid is off by 5e-13 relative: its terms
+# cancel ~1e7 times |h|.
+STEP_INPUTS = [
+    (0.2 + 3.9j, 1.3j),
+    (0.2 + 2.6j, 1.3j),
+    (0.2 - 2.6j, 1.3j),
+    (0.3 + 2.0j, 0.2 + 1.1j),
+    (-0.1 - 2.1j, -0.3 + 1.0j),
+    (0.37 - 1.9j, 0.1 + 0.9j),
+    (-0.25 + 1.2j, 0.15 + 1.6j),
+]
+
+
+@pytest.mark.parametrize("u,tau", STEP_INPUTS)
+def test_h_off_axis_matches_direct_quadrature_and_mpmath(u, tau):
+    ref = _mp_h(u, tau)
+    assert abs(mordell_h(u, tau) - ref) <= 1e-14 * abs(ref)
+    direct = mordell_h_quad(u, tau)
+    assert abs(mordell_h(u, tau) - direct.value) <= direct.error + 1e-14 * abs(ref)
+
