@@ -306,17 +306,8 @@ def curve_prefactor(params: AlgebraParams, r, u: complex, v: complex, tau: compl
     return 1j * sign * lead * body * theta_eta_prefactor(u, tau)
 
 
-def curve_gaussian(K: int, drift: complex, tau: complex, x):
-    """x-dependent factor: exp(-2*pi*x*B_r + pi*i*tau*K*x^2) with the drift
-    B_r = curve_drift(...); x may be a complex numpy array."""
-    import numpy as np
-
-    xs = np.asarray(x, dtype=complex)
-    return np.exp(-2.0 * math.pi * xs * drift + PI_I * tau * K * xs * xs)
-
-
 def curve_drift(params: AlgebraParams, r, u: complex, v: complex, tau: complex) -> complex:
-    """B_r in curve_gaussian's exponent; also sizes quadrature windows."""
+    """B_r in the curve Gaussian e^{-2 pi x B_r + pi i tau K x^2}."""
     a = params.a
     n0, e0 = curve_base_labels(params, r)
     return (a + 1) * u - v + tau * (a * e0 - n0)
@@ -334,9 +325,10 @@ def chi_w_typical_curve(params: AlgebraParams, r, x, u, v, tau):
     uu = as_complex(u)
     vv = as_complex(v)
     tt = as_tau(tau)
-    value = curve_prefactor(params, r, uu, vv, tt) * curve_gaussian(
-        params.K, curve_drift(params, r, uu, vv, tt), tt, x
-    )
+    xs = np.asarray(x, dtype=complex)
+    drift = curve_drift(params, r, uu, vv, tt)
+    gauss = np.exp(-2.0 * math.pi * xs * drift + PI_I * tt * params.K * xs * xs)
+    value = curve_prefactor(params, r, uu, vv, tt) * gauss
     if np.ndim(x) == 0:
         return complex(value)
     return value

@@ -129,6 +129,7 @@ def _eval_registry():
     quadrature tolerance, and the closed-form S-matrix entries ignore it.
     """
     from .domain import (
+        DEFAULT_QUAD,
         DEFAULT_TRUNC,
         AtypicalWLabel,
         QuadratureSpec,
@@ -140,8 +141,7 @@ def _eval_registry():
         trunc = DEFAULT_TRUNC if tol is None else TruncationSpec(tail_tol=tol)
         return fn(*xs, trunc=trunc), trunc.tail_tol
 
-    def quadrature(tol, fn, *xs):
-        res = fn(*xs, quad=None if tol is None else QuadratureSpec(tail_tol=tol))
+    def quadrature(res):
         return res.value, res.error, {"nodes": res.nodes}
 
     def uvt(args):
@@ -183,13 +183,13 @@ def _eval_registry():
     def do_h(args, tol):
         from .mordell import mordell_h_quad
 
-        return quadrature(tol, mordell_h_quad, *ut(args))
+        return quadrature(mordell_h_quad(*ut(args), quad=None if tol is None else QuadratureSpec(tail_tol=tol)))
 
     def do_h_s(args, tol):
         from .mordell import mordell_h_s_quad
 
         s = parse_real(_require(args, "s"))
-        return quadrature(tol, mordell_h_s_quad, s, *ut(args))
+        return quadrature(mordell_h_s_quad(s, *ut(args), tail_tol=DEFAULT_QUAD.tail_tol if tol is None else tol))
 
     def do_chi_gl11_typical(args, tol):
         from .characters import chi_gl11_typical

@@ -35,7 +35,7 @@ from .domain import (
     identity_report,
     lattice_distance,
 )
-from .errors import PoleProximity, QuadratureNoConvergence, RangeExceeded, TailBoundExceeded
+from .errors import PoleOnContour, PoleProximity, QuadratureNoConvergence, RangeExceeded, TailBoundExceeded
 
 
 def tail_bound_gaussian(decay: float, growth: float, start: int) -> float:
@@ -215,12 +215,20 @@ def theta_cutoff(u: complex, tau: complex, trunc: TruncationSpec) -> int:
 def theta1(u, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     uu = as_complex(u)
     tt = as_tau(tau)
-    return _theta1_cached(uu, tt, theta_cutoff(uu, tt, trunc))
+    if -0.5 <= uu.real <= 0.5:
+        return _theta1_cached(uu, tt, theta_cutoff(uu, tt, trunc))
+    # theta1(u + n) = (-1)^n theta1(u), exactly: far from 0 the terms cancel
+    n = round(uu.real)
+    uu -= n
+    value = _theta1_cached(uu, tt, theta_cutoff(uu, tt, trunc))
+    return -value if n & 1 else value
 
 
 def theta3(u, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     uu = as_complex(u)
     tt = as_tau(tau)
+    if not -0.5 <= uu.real <= 0.5:
+        uu -= round(uu.real)  # theta3(u + n) = theta3(u), exactly
     return _theta3_cached(uu, tt, theta_cutoff(uu, tt, trunc))
 
 
@@ -363,25 +371,94 @@ def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = Fa
             )
 
 
-def _sinh_pole_line(alpha: complex, beta: complex, side: float, spec: QuadratureSpec) -> QuadratureResult:
-    """int e^{alpha x^2 + beta x} / sinh(pi x) dx along a line passing the pole
-    at 0 on the given side (+1 above, -1 below, 0 neither): the principal value
-    on R plus side times the half-residue -pi i Res_0 = -i.  The principal value
-    pairs x with -x into e^{alpha x^2} sinh(beta x) / sinh(pi x), even, analytic
-    out to +-i and beta/pi at 0, with the exponents combined so that nothing
-    overflows before the Gaussian decays: one trapezoid call on spec (on R)."""
+_ON_AXIS = 1e-9  # a kernel pole closer to R than this is taken as on it
+_WINDOW_LOG = 16.0 * math.log(10.0)  # the window ends 1e-16 below the largest term
+
+
+def _pole_line_window(decay: float, logs) -> float:
+    """Half width for _pole_line, with decay = -Re alpha and logs = [(ln|c_j|,
+    beta_j)] over the nonzero c_j.  Away from the pole a term is about
+    |c| e^{-decay x^2 + Re(beta) x - pi|x|}, which peaks at
+    |c| e^{max(|Re beta| - pi, 0)^2 / (4 decay)}; the window ends where every
+    term is 1e-16 below the largest peak.  It also spans each Gaussian's own
+    peak |Re beta| / (2 decay), so where Re alpha is too small to confine the
+    Gaussians the trapezoid cannot converge and raises."""
+    top = max(lc + max(abs(b.real) - math.pi, 0.0) ** 2 / (4.0 * decay) for lc, b in logs)
+    half = max(abs(b.real) for _, b in logs) / (2.0 * decay)
+    for lc, b in logs:
+        # the larger root of -decay x^2 + slope x + room = 0
+        slope, room = abs(b.real) - math.pi, lc - top + _WINDOW_LOG
+        disc = slope * slope + 4.0 * decay * room
+        if slope >= 0.0 and disc >= 0.0:
+            half = max(half, (slope + math.sqrt(disc)) / (2.0 * decay))
+        elif room > 0.0:
+            half = max(half, 2.0 * room / (math.sqrt(disc) - slope))
+    return half
+
+
+def _pole_line(alpha: complex, terms, p: float, side: float | None, tail_tol: float) -> QuadratureResult:
+    """sum_j c_j int_R e^{alpha x^2 + beta_j x} / sinh(pi(x - ip)) dx for
+    terms = [(c_j, beta_j)] and Re alpha < 0, in one integrate_line call.
+
+    With x0 = i y0 the nearest kernel pole, y0 = p + k in (-1/2, 1/2] and
+    k = floor(1/2 - p), the kernel is (-1)^k / sinh(pi(x - x0)), which keeps
+    full relative accuracy near x0; r = G(x0) / pi, G the sum of the
+    Gaussians, is the residue of G / sinh(pi(x - x0)) there.
+    - On R (|y0| < _ON_AXIS): the principal value, x paired with -x into
+      (G(x) - G(-x)) / (2 sinh(pi x)), plus side times the half-residue
+      -i pi r (side +1 passes above the pole, -1 below, 0 is the principal
+      value; None raises PoleOnContour).
+    - Near, where no Gaussian grows by more than e from its peak on R to x0
+      (one term, beta = 0: -Re(alpha) y0^2 <= 1): r e^{-w (x - x0)^2} / (x - x0)
+      is subtracted and its integral, +-i pi r with + for a pole above R,
+      added back, so the trapezoid sees the next pole, at least 1/2 away.
+      w = max(-Re alpha, 1): as wide as the Gaussians, but no wider than the
+      kernel's e^{-pi|x|} keeps the integrand; a complex w = -alpha would tilt
+      the subtracted Gaussian by e^{2 Im(alpha) y0 x}.
+    - Far: G / sinh as it is; subtracting would cancel terms of size |G(x0)|.
+    """
     import numpy as np
 
-    def principal(xs):
-        x = xs.real
-        ax = np.abs(x)
-        gauss = alpha * x * x - math.pi * ax
-        # 0/0 at x = 0, replaced below (integrate_line ignores invalid values)
-        out = np.sign(x) * (np.exp(gauss + beta * x) - np.exp(gauss - beta * x)) / -np.expm1(-2.0 * math.pi * ax)
-        return np.where(x == 0.0, beta / math.pi, out)
+    coeffs = np.array([c for c, _ in terms], dtype=complex)
+    betas = np.array([b for _, b in terms], dtype=complex)
+    decay = -alpha.real
+    logs = [(math.log(abs(c)), b) for c, b in terms if c]
+    half = _pole_line_window(decay, logs)
+    k = math.floor(0.5 - p)
+    y0 = p + k
+    if abs(y0) < _ON_AXIS:
+        if side is None:
+            raise PoleOnContour("a kernel pole lies on the real axis and no side was given")
 
-    res = integrate_line(principal, spec, vectorized=True)
-    return QuadratureResult(res.value - side * 1j, res.error, res.nodes)
+        def f(xs):
+            x = xs.real
+            ax = np.abs(x)[:, None]
+            gauss = alpha * ax * ax - math.pi * ax
+            bx = np.multiply.outer(x, betas)
+            # 0/0 at x = 0, replaced below (integrate_line ignores invalid values)
+            odd = (np.exp(gauss + bx) - np.exp(gauss - bx)) @ coeffs
+            out = np.sign(x) * odd / -np.expm1(-2.0 * math.pi * ax[:, 0])
+            return np.where(x == 0.0, (coeffs @ betas) / math.pi, out)
+
+        add = -side * 1j * coeffs.sum()
+    else:
+        x0 = 1j * y0
+        r, width = 0.0, max(decay, 1.0)
+        at_pole = max(lc + decay * y0 * y0 - b.imag * y0 for lc, b in logs)
+        if at_pole <= max(lc + b.real * b.real / (4.0 * decay) for lc, b in logs) + 1.0:
+            r = sum(c * cmath.exp(alpha * x0 * x0 + b * x0) for c, b in terms) / math.pi
+            # the subtracted Gaussian lacks the kernel's decay: span it to 1e-16 of its peak
+            half = max(half, math.sqrt(_WINDOW_LOG / width + y0 * y0))
+
+        def f(xs):
+            dx = xs - x0
+            gauss = np.exp(alpha * (xs * xs)[:, None] + np.multiply.outer(xs, betas)) @ coeffs
+            return gauss / np.sinh(math.pi * dx) - r * np.exp(-width * dx * dx) / dx
+
+        add = math.copysign(1.0, y0) * 1j * math.pi * r
+    res = integrate_line(f, QuadratureSpec(half_width=half, tail_tol=tail_tol), vectorized=True)
+    sign = -1.0 if k & 1 else 1.0
+    return QuadratureResult(sign * (res.value + add), res.error, res.nodes)
 
 
 def theta1_rescaling_check(level: int, u, tau) -> dict:

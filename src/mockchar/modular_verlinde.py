@@ -26,9 +26,7 @@ from .characters import (
     chi_w_atypical,
     chi_w_typical,
     chi_w_typical_curve,
-    curve_base_labels,
     curve_drift,
-    curve_gaussian,
     curve_label_e,
     curve_prefactor,
 )
@@ -38,7 +36,6 @@ from .domain import (
     TWO_PI_I,
     AlgebraParams,
     AtypicalWLabel,
-    QuadratureSpec,
     RegulatorSpec,
     TypicalWLabel,
     as_complex,
@@ -53,7 +50,7 @@ from .errors import (
     PoleOnContour,
     SingularEntry,
 )
-from .kernel import _sinh_pole_line, integrate_line
+from .kernel import _pole_line
 
 __all__ = [
     "AT_BLOCK_SIGN",
@@ -102,7 +99,7 @@ __all__ = [
 #   SINGULAR_CONTOUR_SIDE  which side of a kernel pole on the real axis the
 #                     x-contour passes: +1 above, -1 below, "pv" neither.
 #                     Such a row is integrated on R as the principal value
-#                     plus side times the half-residue (kernel._sinh_pole_line),
+#                     plus side times the half-residue (kernel._pole_line),
 #                     which holds at every Im tau.
 #   T_PHASE_VARIANT   "K" uses (a-r)^2/K in the typical T-phase; "K2" keeps
 #                     (a-r)^2/K^2.  Only "K" is consistent with tau -> tau + 1
@@ -260,6 +257,36 @@ def _s_at_raw(params: AlgebraParams, row, r, e, parity_sign: float):
     return parity_sign * phase / (2.0 * ell * np.sin(math.pi * e))
 
 
+def _s_at_curve_const(params: AlgebraParams, row, r, parity: bool) -> tuple:
+    """(C, f) with S_at(row; r, x) = C e^{-2 pi x t/ell} / sin(pi(f - ix)) on
+    the curve e = e0 - ix, e0 = e_r(0), f = e0 mod 1 (0 on a singular row).
+
+    The parity sign (-1)^floor(e0) cancels that of sin(pi(e0 - ix)), and the
+    phase of C = e^{2 pi i (t' r - e0 t/ell)} / 2ell is reduced mod 1 exactly,
+    so r -> r + j*ell*K and t' -> t' + j*ell change no bit of the entry.
+    Without parity (the rejected convention) C carries (-1)^floor(e0)."""
+    t, tp = int(row[0]), int(row[1])
+    rf = Fraction(r)
+    d = rf.denominator
+    # e0 = num/den and t' r - e0 t/ell = (2 K ell t' r_num - num t) / (den ell), in integers
+    num, den = 2 * (params.a * d - rf.numerator) + params.K * d, 2 * params.K * d
+    turns_den = den * params.ell
+    turns = (2 * params.K * params.ell * tp * rf.numerator - num * t) % turns_den / turns_den
+    const = cmath.exp(TWO_PI_I * turns) / (2.0 * params.ell)
+    if not parity and (num // den) & 1:
+        const = -const
+    return const, num % den / den
+
+
+def _s_at_curve(params: AlgebraParams, row, r, x: complex) -> complex:
+    """S_at(row; r, x) at the curve point (r, x), with the parity sign."""
+    const, f = _s_at_curve_const(params, row, r, S_AT_PARITY)
+    sin = cmath.sin(math.pi * (f - 1j * x))
+    if abs(sin) < POLE_CLEARANCE:
+        raise SingularEntry("curve point (r=%s, x=%r) sits on a pole of 1/sin" % (r, x))
+    return const * cmath.exp(-2.0 * math.pi * x * row[0] / params.ell) / sin
+
+
 def _s_tt_curve_const(params: AlgebraParams, r, c) -> complex:
     """S_tt((r, 0), (c, 0)) = sign e^{2 pi i (R - 1/4)} / ell, with the phase
     reduced exactly.
@@ -329,15 +356,8 @@ def s_entry_at(params: AlgebraParams, row, label, label_kind: str = "m") -> SMat
         return SMatrixEntry("at", row, (mf, ee), value)
     if label_kind == "r":
         r, x = label
-        rf = Fraction(r)
-        _, e0 = curve_base_labels(params, rf)
-        xx = as_complex(x)
-        ee = e0 - 1j * xx
-        if abs(complex(np.sin(math.pi * ee))) < POLE_CLEARANCE:
-            raise SingularEntry("curve point (r=%s, x=%r) sits on a pole of 1/sin" % (rf, x))
-        sign = _parity(e0) if S_AT_PARITY else 1.0
-        value = complex(_s_at_raw(params, row, rf, ee, sign))
-        return SMatrixEntry("at", row, (rf, xx), value)
+        rf, xx = Fraction(r), as_complex(x)
+        return SMatrixEntry("at", row, (rf, xx), _s_at_curve(params, row, rf, xx))
     raise InvalidParameter("label_kind must be 'm' or 'r'")
 
 
@@ -395,16 +415,6 @@ def _curve(params: AlgebraParams, c, u: complex, v: complex, tau: complex) -> tu
     return curve_prefactor(params, c, u, v, tau), curve_drift(params, c, u, v, tau)
 
 
-def _gauss_half_width(K: int, tau: complex, drift_re: float, tol: float = 1e-13) -> float:
-    """Half width L with exp(-pi K Im(tau) L^2 + 2 pi |drift| L) <= tol."""
-    im = tau.imag
-    decay = math.pi * K * im
-    target = math.log(1.0 / tol)
-    d = 2.0 * math.pi * abs(drift_re)
-    half = (d + math.sqrt(d * d + 4.0 * decay * target)) / (2.0 * decay)
-    return max(half, 5.0 / math.sqrt(K * im))
-
-
 def _gaussian_integral(alpha: complex, beta):
     """int_R e^{-alpha w^2 + beta w} dw = sqrt(pi/alpha) e^{beta^2/(4 alpha)}.
 
@@ -420,10 +430,6 @@ def _contour_side(side) -> float:
     if side != "pv" and side not in (1, -1):
         raise InvalidParameter("singular_side must be +1, -1 or 'pv', got %r" % (side,))
     return 0.0 if side == "pv" else float(side)
-
-
-def _dist_to_half_integers(y: float) -> float:
-    return abs((y % 1.0) - 0.5)
 
 
 def _dist_to_integers(y: float) -> float:
@@ -445,32 +451,18 @@ def _at_integral(
     rel_scale: float,
 ):
     """C_r * integral over R of S_at(row; r, x) G_r(x) dx, with curve =
-    (C_r, B_r) from _curve.  A row with integer e_r(0) = n has its 1/sin pole
+    (C_r, B_r) from _curve.  A row with integer e_r(0) has its 1/sin pole
     at x = 0 and takes the half-residue sign side; other rows take None.
 
     The x-free prefactor C_r of the curve character is pulled out so the
     quadrature sees an O(1) integrand."""
-    t, tp = row
-    ell, K = params.ell, params.K
-    _, e0 = curve_base_labels(params, r)
-    sign = _parity(e0) if parity_on else 1.0
+    const, f = _s_at_curve_const(params, row, r, parity_on)
     pref, drift = curve
-    spec = QuadratureSpec(
-        half_width=_gauss_half_width(K, tau, drift.real + t / ell),
-        tail_tol=max(DEFAULT_QUAD.tail_tol, 1e-9 * rel_scale),
-    )
-    if side is not None:
-        # sin(pi(n - ix)) = -(-1)^n i sinh(pi x); the phase's x-part joins the Gaussian
-        n = round(e0)
-        phase = (-1) ** n * 1j * cmath.exp(TWO_PI_I * (tp * float(r) - n * t / ell)) / (2.0 * ell)
-        kernel = _sinh_pole_line(math.pi * 1j * tau * K, -2.0 * math.pi * (drift + t / ell), side, spec)
-        return pref * sign * phase * kernel.value
-
-    def f(xs):
-        e = e0 - 1j * xs
-        return _s_at_raw(params, row, r, e, sign) * curve_gaussian(K, drift, tau, xs)
-
-    return pref * integrate_line(f, spec, vectorized=True).value
+    # 1/sin(pi(f - ix)) = i/sinh(pi(x + if)); the phase's x-part joins the Gaussian
+    beta = -2.0 * math.pi * (drift + row[0] / params.ell)
+    res = _pole_line(math.pi * 1j * tau * params.K, [(1j * const, beta)], -f, side,
+                     max(DEFAULT_QUAD.tail_tol, 1e-9 * rel_scale))
+    return pref * res.value
 
 
 def s_transform_atypical_check(
@@ -510,9 +502,8 @@ def s_transform_atypical_check(
     at_total = 0.0 + 0.0j
     singular_rows = []
     for r in sets.m_values:
-        _, e0 = curve_base_labels(params, r)
         sigma = None
-        if _dist_to_integers(e0) < 1e-9:
+        if _s_at_curve_const(params, (t, tp), r, parity_on)[1] == 0.0:
             singular_rows.append(r)
             sigma = _contour_side(side)
         curve = _curve(params, r, u, v, tt)
@@ -528,29 +519,12 @@ def s_transform_atypical_check(
     )
 
 
-def _typical_bracket(params: AlgebraParams, r: Fraction, curves: dict, tau: complex):
-    """x -> sum_c integral dw S_tt((r,x),(c,w)) chi_T-curve(c,w)(u,v) at each
-    x of an array, with curves = {c: _curve(..., c, ...)} over the window M.
-
-    The entry factorizes exactly as S_tt((r,0),(c,0)) e^{-2 pi i K x w} (see
-    _s_tt_curve_const), so each c contributes the Fourier transform of the
-    curve Gaussian e^{-2 pi B_c w + pi i tau K w^2}, which has a closed form.
-    The x-free coefficient and linear term of each c are computed here, once."""
-    K = params.K
-    alpha = -math.pi * 1j * tau * K
-    terms = [
-        (_s_tt_curve_const(params, r, c) * pref, -2.0 * math.pi * drift)
-        for c, (pref, drift) in curves.items()
-    ]
-
-    def bracket(xs):
-        xs_arr = np.asarray(xs, dtype=float)
-        total = np.zeros(xs_arr.shape, dtype=complex)
-        for coeff, beta0 in terms:
-            total = total + coeff * _gaussian_integral(alpha, beta0 - TWO_PI_I * K * xs_arr)
-        return total
-
-    return bracket
+def _typical_terms(params: AlgebraParams, r: Fraction, curves: dict) -> list:
+    """[(coeff, beta0)] = [(S_tt((r,0),(c,0)) C_c, -2 pi B_c)] over the window
+    M, with curves = {c: _curve(..., c, ...)}.  As S_tt((r,x),(c,w)) =
+    S_tt((r,0),(c,0)) e^{-2 pi i K x w}, sum_c int dw S_tt chi_T-curve(c,w) is
+    sum coeff * _gaussian_integral(-pi i tau K, beta0 - 2 pi i K x)."""
+    return [(_s_tt_curve_const(params, r, c) * pref, -2.0 * math.pi * drift) for c, (pref, drift) in curves.items()]
 
 
 def s_transform_typical_check(params: AlgebraParams, row, args, tau) -> dict:
@@ -564,7 +538,11 @@ def s_transform_typical_check(params: AlgebraParams, row, args, tau) -> dict:
     tt = as_tau(tau)
     lhs = chi_w_typical_curve(params, rf, xf, u / tt, v / tt, -1.0 / tt)
     curves = {c: _curve(params, c, u, v, tt) for c in index_sets(params).m_values}
-    bracket = _typical_bracket(params, rf, curves, tt)(np.array([xf]))[0]
+    alpha = -math.pi * 1j * tt * params.K
+    bracket = sum(
+        coeff * _gaussian_integral(alpha, beta0 - TWO_PI_I * params.K * xf)
+        for coeff, beta0 in _typical_terms(params, rf, curves)
+    )
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * bracket
     return identity_report("s_transform_typical", lhs, rhs, row=(rf, xf))
 
@@ -645,7 +623,7 @@ def lemma_trafoatyp_check(
         c_m = Fraction(a - m) + Fraction(sv, ell)
         c_f = float(c_m) / K
         sigma = None
-        if (2 * c_m == -K) or _dist_to_half_integers(c_f) < 1e-12:
+        if (c_m / K - Fraction(1, 2)).denominator == 1:
             singular_terms.append(m)
             sigma = _contour_side(side)
         curve = _curve(pr, r, u, v - tv / ell, tt)
@@ -677,21 +655,10 @@ def _cosh_kernel_integral(
     (C_r, B_r) from _curve.  A half-integer c = k + 1/2 puts the pole at
     x = 0 and takes the half-residue sign side; other c take None."""
     pref, drift = curve
-    K = params.K
-    spec = QuadratureSpec(
-        half_width=_gauss_half_width(K, tau, drift.real),
-        tail_tol=max(DEFAULT_QUAD.tail_tol, 1e-9 * rel_scale),
-    )
-    if side is not None:
-        # cosh(pi(x + i(k + 1/2))) = i (-1)^k sinh(pi x)
-        k = math.floor(c)
-        kernel = _sinh_pole_line(math.pi * 1j * tau * K, -2.0 * math.pi * drift, side, spec).value
-        return pref * kernel / (1j * (-1) ** k)
-
-    def f(xs):
-        return curve_gaussian(K, drift, tau, xs) / np.cosh(math.pi * (xs + 1j * c))
-
-    return pref * integrate_line(f, spec, vectorized=True).value
+    # 1/cosh(pi(x + ic)) = -i/sinh(pi(x - i(1/2 - c)))
+    res = _pole_line(math.pi * 1j * tau * params.K, [(-1j, -2.0 * math.pi * drift)], 0.5 - c, side,
+                     max(DEFAULT_QUAD.tail_tol, 1e-9 * rel_scale))
+    return pref * res.value
 
 
 def lemma_trafotypchar_check(
@@ -797,7 +764,10 @@ def _def_am_quadratic(which: str, mp: int, m: int) -> float:
 
 def s_compose_check(params: AlgebraParams, row, args, tau) -> dict:
     """Applying S twice sends (u, v) to (-u, -v); the automorphy prefactors
-    cancel, so chi_A(-u, -v) must equal the double S-matrix expansion."""
+    cancel, so chi_A(-u, -v) must equal the double S-matrix expansion.
+
+    Rows with integer e_r(0), inner and outer, pass their 1/sin pole on R on
+    SINGULAR_CONTOUR_SIDE, as in s_transform_atypical_check."""
     t, tp = _require_s_pair(params, row)
     u, v = _uv(args)
     tt = as_tau(tau)
@@ -814,10 +784,6 @@ def s_compose_check(params: AlgebraParams, row, args, tau) -> dict:
         for sZ in sets.s_values
         for spZ in sets.s_values
     ]
-    for c in sets.m_values:
-        _, e0 = curve_base_labels(params, c)
-        if _dist_to_integers(e0) < 1e-9:
-            raise PoleOnContour("composition check hit a singular row, which it does not support")
     curves = {c: _curve(params, c, u, v, tt) for c in sets.m_values}
 
     rhs = 0.0 + 0.0j
@@ -828,29 +794,23 @@ def s_compose_check(params: AlgebraParams, row, args, tau) -> dict:
                 inner += _s_aa_raw(params, (sY, spY), col) * chi
             at_inner = 0.0 + 0.0j
             for c, curve in curves.items():
-                at_inner += _at_integral(params, (sY, spY), c, curve, tt, S_AT_PARITY, None, scale)
+                at_inner += _at_integral(params, (sY, spY), c, curve, tt, S_AT_PARITY, SINGULAR_CONTOUR_SIDE, scale)
             rhs += _s_aa_raw(params, (t, tp), (sY, spY)) * (inner + AT_BLOCK_SIGN * at_inner)
 
-    # outer x-decay comes from the Fourier transform of the inner Gaussian;
-    # widen by the worst inner center offset |Im drift|/K
-    extra = max(abs(drift.imag) / K for _, drift in curves.values())
-    im = tt.imag
-    for r, (_, drift) in curves.items():
-        _, e0 = curve_base_labels(params, r)
-        sign = _parity(e0) if S_AT_PARITY else 1.0
-        drift_re = drift.real + t / ell
-        half = _gauss_half_width(K, tt, drift_re)
-        half_out = max(half, extra + math.sqrt(math.log(1e13) * im / (math.pi * K)) + abs(t) * im / (ell * K) + 1.0)
-        spec = QuadratureSpec(half_width=half_out, tail_tol=max(DEFAULT_QUAD.tail_tol, 1e-8 * scale))
-        bracket = _typical_bracket(params, r, curves, tt)
-
-        def f_outer(xs, _r=r, _sign=sign, _e0=e0, _bracket=bracket):
-            xs_re = np.real(xs)
-            e = _e0 - 1j * xs_re
-            s_at = _s_at_raw(params, (t, tp), _r, e, _sign)
-            return s_at * _bracket(xs_re)
-
-        rhs += AT_BLOCK_SIGN * integrate_line(f_outer, spec, vectorized=True).value
+    # Outer row r: S_at(row; r, x) against the w-integrals of _typical_terms,
+    # each e^{beta0^2/(4 alpha)} e^{alpha_x x^2 + (beta0/tau) x} in x, with
+    # S_at's e^{-2 pi x t/ell} in the linear term: one kernel line integral.
+    alpha = -math.pi * 1j * tt * K
+    alpha_x = -math.pi * 1j * K / tt
+    root = cmath.sqrt(math.pi / alpha)
+    tail_tol = max(DEFAULT_QUAD.tail_tol, 1e-8 * scale)
+    for r in curves:
+        const, f = _s_at_curve_const(params, (t, tp), r, S_AT_PARITY)
+        terms = [
+            (1j * const * root * coeff * cmath.exp(beta0 * beta0 / (4.0 * alpha)), beta0 / tt - 2.0 * math.pi * t / ell)
+            for coeff, beta0 in _typical_terms(params, r, curves)
+        ]
+        rhs += AT_BLOCK_SIGN * _pole_line(alpha_x, terms, -f, SINGULAR_CONTOUR_SIDE, tail_tol).value
 
     return identity_report("s_compose", lhs, rhs, row=(t, tp))
 
@@ -881,18 +841,9 @@ def s_periodicity_check(params: AlgebraParams, seed: int = 0) -> dict:
         shifted_aa = _s_aa_raw(params, (t, tp + jr * ell), (s, sp + jc * ell))
         worst = max(worst, abs(base_aa - shifted_aa))
 
-        _, e0 = curve_base_labels(params, r)
-        sign = _parity(e0) if S_AT_PARITY else 1.0
-        base_at = complex(_s_at_raw(params, (t, tp), r, e0 - 1j * x, sign))
-        shifted_at = complex(
-            _s_at_raw(params, (t, tp + jr * ell), r, e0 - 1j * x, sign)
-        )
-        worst = max(worst, abs(base_at - shifted_at))
-        r_sh = r + jc * ell * K
-        _, e0_sh = curve_base_labels(params, r_sh)
-        sign_sh = _parity(e0_sh) if S_AT_PARITY else 1.0
-        shifted_at2 = complex(_s_at_raw(params, (t, tp), r_sh, e0_sh - 1j * x, sign_sh))
-        worst = max(worst, abs(base_at - shifted_at2))
+        base_at = _s_at_curve(params, (t, tp), r, x)
+        worst = max(worst, abs(base_at - _s_at_curve(params, (t, tp + jr * ell), r, x)))
+        worst = max(worst, abs(base_at - _s_at_curve(params, (t, tp), r + jc * ell * K, x)))
 
         base_tt = _s_tt_curve_raw(params, r, x, c, w)
         shifted_tt = _s_tt_curve_raw(params, r + jr * ell * K, x, c + jc * ell * K, w)

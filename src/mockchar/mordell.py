@@ -4,19 +4,21 @@ h(u; tau)   = int_R e^{pi i tau x^2 - 2 pi u x} / cosh(pi x) dx
 h_s(u; tau) = int_R q^{x^2/2} z^{ix} / cosh(pi(x - is)) dx   for 0 <= |s| <= 1
 
 The h_s kernel has its poles at x = i(s + k + 1/2), k in Z, so one of them
-lies within 1/2 of the real axis and, at s near +-1/2, next to it.  Before the
-trapezoid runs, the principal part of that nearest pole, r e^{-(x - x0)^2} /
-(x - x0), is subtracted and its integral, +-i pi r, added in closed form; the
-trapezoid then sees a function analytic out to the next pole, at least 1/2
-away, and needs a few hundred nodes whether that pole is 1/2 or 1e-3 away.
+lies within 1/2 of the real axis and, at s near +-1/2, next to it.  Since
+cosh(pi(x - is)) = i sinh(pi(x - i(s + 1/2))), h_s is one kernel line
+integral (kernel._pole_line), which takes that nearest pole by one rule: on R
+as the principal value plus the half-residue, within a Gaussian width of R by
+subtracting its principal part, and farther out as it is.
 
 At s = +-1/2 that pole sits on the real axis at x = 0, and h_s is taken on R
 passing below it: the principal value on R plus sigma times the half-residue,
-with sigma = -1 (kernel._sinh_pole_line).  An explicit eps instead runs the
-pole-subtracted trapezoid on R - i*eps, eps in (0, 1), which gives the same
-value by Cauchy; it is the independent reference of the default route.
+with sigma = -1.  An explicit eps instead takes the line R - i*eps, eps in
+(0, 1), mapped onto R, where the pole is eps away and is subtracted; by Cauchy
+it gives the same value, and it is the independent reference of the default
+route.
 
-The integrands are numpy expressions; each builder imports numpy when it runs.
+The integrands built here (h and the contour oracle) are numpy expressions;
+each builder imports numpy when it runs.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .domain import (
     identity_report,
 )
 from .errors import InvalidParameter
-from .kernel import QuadratureResult, _sinh_pole_line, integrate_line
+from .kernel import QuadratureResult, _pole_line, integrate_line
 
 _TWO_PI = 2.0 * math.pi
 _PI_I = 1j * math.pi
@@ -44,12 +46,11 @@ def h_window(u: complex, tau: complex) -> float:
     return 8.0 + (abs(u.real) + abs(u.imag)) / tau.imag
 
 
-def _quad_for(u: complex, tau: complex, quad: QuadratureSpec | None, shift: float) -> QuadratureSpec:
+def _quad_for(u: complex, tau: complex, quad: QuadratureSpec | None) -> QuadratureSpec:
     base = DEFAULT_QUAD if quad is None else quad
     return QuadratureSpec(
         half_width=max(base.half_width, h_window(u, tau)),
         nodes=base.nodes,
-        contour_shift=shift,
         tail_tol=base.tail_tol,
         max_nodes=base.max_nodes,
     )
@@ -64,7 +65,7 @@ def mordell_h_quad(u, tau, quad: QuadratureSpec | None = None) -> QuadratureResu
     def integrand(x):
         return np.exp(_PI_I * tt * x * x - _TWO_PI * uu * x) / np.cosh(math.pi * x)
 
-    return integrate_line(integrand, _quad_for(uu, tt, quad, 0.0), vectorized=True)
+    return integrate_line(integrand, _quad_for(uu, tt, quad), vectorized=True)
 
 
 def mordell_h(u, tau) -> complex:
@@ -87,14 +88,12 @@ def mordell_h_s_quad(
     s: float,
     u,
     tau,
-    quad: QuadratureSpec | None = None,
+    tail_tol: float = DEFAULT_QUAD.tail_tol,
     eps: float | None = None,
 ) -> QuadratureResult:
-    """h_s with its quadrature error and node count.  At |s| = 1/2 the
-    contour passes below the pole at 0: on R by default, or along R - i*eps
-    for an eps in (0, 1)."""
-    import numpy as np
-
+    """h_s with its quadrature error and node count; tail_tol is the
+    trapezoid's refinement tolerance.  At |s| = 1/2 the contour passes below
+    the pole at 0: on R by default, or along R - i*eps for an eps in (0, 1)."""
     if isinstance(s, complex):
         if s.imag != 0.0:
             raise InvalidParameter("s must be real, got %r" % (s,))
@@ -104,36 +103,15 @@ def mordell_h_s_quad(
         raise InvalidParameter("|s| must be at most 1, got %g" % s)
     uu = as_complex(u)
     tt = as_tau(tau)
-    shift = 0.0
-    if abs(abs(s) - 0.5) < 1e-12:
-        if eps is None:
-            # cosh(pi(x -+ i/2)) = -+i sinh(pi x), and R passes below the pole
-            res = _sinh_pole_line(_PI_I * tt, -_TWO_PI * uu, -1.0, _quad_for(uu, tt, quad, 0.0))
-            return QuadratureResult((1j if s > 0 else -1j) * res.value, res.error, res.nodes)
-        shift = -contour_depth(eps)
-
-    def gauss(x):
-        return np.exp(_PI_I * tt * x * x - _TWO_PI * uu * x)
-
-    # Subtract the principal part of the pole x0 = i(s + k + 1/2) nearest the
-    # line (the upper one on a tie) and add back its integral, +-i pi r with +
-    # when x0 lies above the line.  Through dx = x - x0, cosh(pi(x - is)) =
-    # i (-1)^k sinh(pi dx), which keeps full relative accuracy near x0, and
-    # i pi r = (-1)^k G(x0).
-    k = math.floor(shift - s)
-    p = s + k + 0.5
-    x0 = complex(0.0, p)
-    sign = (-1.0) ** k
-    g0 = complex(gauss(x0))
-
-    def regular(x):
-        dx = x - x0
-        return (gauss(x) / np.sinh(math.pi * dx) - g0 * np.exp(-dx * dx) / (math.pi * dx)) / (1j * sign)
-
-    # on R + i*shift the Gaussian peak sits where it would for u + shift*tau
-    res = integrate_line(regular, _quad_for(uu + shift * tt, tt, quad, shift), vectorized=True)
-    side = 1.0 if p > shift else -1.0
-    return QuadratureResult(res.value + side * sign * g0, res.error, res.nodes)
+    # cosh(pi(x - is)) = i sinh(pi(x - i(s + 1/2))), so h_s is -i times the
+    # kernel line integral with p = s + 1/2, passing below a pole on R
+    alpha, beta, p, const = _PI_I * tt, -_TWO_PI * uu, s + 0.5, -1j
+    if eps is not None and abs(s) == 0.5:
+        # x -> x - i eps maps R - i eps onto R
+        d = contour_depth(eps)
+        const *= cmath.exp(-alpha * d * d - 1j * beta * d)
+        beta, p = beta - 2j * alpha * d, p + d
+    return _pole_line(alpha, [(const, beta)], p, -1.0, tail_tol)
 
 
 def mordell_h_s(s, u, tau, eps: float | None = None) -> complex:
@@ -153,7 +131,7 @@ def mordell_h_contour(s: float, u, tau) -> complex:
         x = t + s_c
         return np.exp(_PI_I * tt * x * x - _TWO_PI * uu * x) / np.cosh(math.pi * t)
 
-    return integrate_line(integrand, _quad_for(uu, tt, None, 0.0), vectorized=True).value
+    return integrate_line(integrand, _quad_for(uu, tt, None), vectorized=True).value
 
 
 def verify_mordell_shift(s: float, u, tau) -> dict:

@@ -125,6 +125,13 @@ def test_eval_json_reports_quadrature_nodes(capsys):
     assert "nodes" not in json.loads(out)
 
 
+def test_eval_h_s_at_large_im_tau_reports_a_tight_bound(capsys):
+    # the pole at i/2 lies four Gaussian widths from R and is no longer subtracted
+    code, out, _ = run(capsys, "eval", "h_s", "--s", "0", "--u", "0.1+0.05i", "--tau", "0.1+20i", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["bound"] <= 1e-13, out
+
+
 def test_eval_unknown_function_is_usage_error(capsys):
     code, _, err = run(capsys, "eval", "zeta", "--u", "0", "--tau", "i")
     assert code == 2

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mockchar import kernel
 from mockchar.appell import aK
 from mockchar.domain import DEFAULT_QUAD, DEFAULT_TRUNC, QuadratureSpec, TruncationSpec
-from mockchar.errors import PoleProximity, QuadratureNoConvergence, TailBoundExceeded
+from mockchar.errors import PoleOnContour, PoleProximity, QuadratureNoConvergence, TailBoundExceeded
 from mockchar.kernel import (
     eta,
     eta_pentagonal,
@@ -309,3 +309,79 @@ def test_kernels_match_mpmath_oracle(u, tau):
     for got, want in refs:
         assert abs(got - want) <= 1e-13 * abs(want), (got, want)
 
+
+
+def test_theta_reduces_re_u_before_summing():
+    # far from the origin the direct sum's terms cancel to many ulps of them
+    # below the value: theta1(300, i) came out as -4.6e-14 against an exact 0
+    assert abs(theta1(300.0, 1j)) <= 1e-16
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        ref = complex(mp.jtheta(3, mp.pi * mp.mpf(300.3), mp.exp(-mp.pi)))
+    assert abs(theta3(300.3, 1j) - ref) <= 4e-16 * abs(ref)
+    # the reduction u -> u - n is exact, so the shifted arguments agree to the bit
+    u = 300.3 + 0.2j
+    assert theta1(u, 1j) == theta1(u - 300.0, 1j) == -theta1(u + 1.0, 1j)
+    assert theta3(u, 1j) == theta3(u - 300.0, 1j)
+
+
+def _mp_pole_line(alpha, terms, p, depth):
+    """mpmath reference for kernel._pole_line: sum_j c_j int e^{alpha x^2 +
+    beta_j x} / sinh(pi(x - ip)) dx along R + i*depth, at 30 digits, over
+    |Re x| <= 30, beyond which every test integrand is below e^{-60}."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        al, pp, d = mp.mpc(alpha), mp.mpf(p), mp.mpf(depth)
+        cs = [(mp.mpc(c), mp.mpc(b)) for c, b in terms]
+
+        def f(t):
+            x = mp.mpc(t, d)
+            return sum(c * mp.exp(al * x * x + b * x) for c, b in cs) / mp.sinh(mp.pi * (x - 1j * pp))
+
+        return complex(mp.quad(f, mp.linspace(-30, 30, 61), method="gauss-legendre"))
+
+
+ONE_TERM = [(1.0, -2.0 * math.pi * (0.1 + 0.05j))]
+THREE_TERMS = ONE_TERM + [(0.5 - 0.2j, 1.3 - 0.4j), (-0.7j, -2.1 + 0.3j)]
+
+
+# (alpha, terms, p, side, depth of a reference line that passes the pole
+# nearest R on the same side as R, midway to the next pole on the other side)
+POLE_LINE_CASES = {
+    "on-R-above": (PI_I * (0.1 + 1.3j), ONE_TERM, 0.0, 1.0, 0.5),
+    "on-R-below": (PI_I * (0.1 + 1.3j), ONE_TERM, 1.0, -1.0, -0.5),
+    "near-above": (PI_I * (0.1 + 1.3j), ONE_TERM, 0.3, None, -0.2),
+    "near-below": (PI_I * (0.1 + 1.3j), ONE_TERM, -0.35, None, 0.15),
+    "far": (PI_I * (0.2 + 10.0j), ONE_TERM, 0.45, None, -0.05),
+    "three-near": (2.0 * PI_I * (-0.3 + 0.9j), THREE_TERMS, -0.2, None, 0.3),
+    "three-on-R": (2.0 * PI_I * (-0.3 + 0.9j), THREE_TERMS, 0.0, -1.0, -0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POLE_LINE_CASES))
+def test_pole_line_matches_mpmath(case):
+    alpha, terms, p, side, depth = POLE_LINE_CASES[case]
+    res = kernel._pole_line(alpha, terms, p, side, 1e-13)
+    ref = _mp_pole_line(alpha, terms, p, depth)
+    assert abs(res.value - ref) <= 1e-13 * abs(ref), (res, ref)
+    assert res.nodes <= 513, res
+
+
+def test_pole_line_principal_value_is_the_mean_of_both_sides():
+    alpha, terms = PI_I * (0.1 + 1.3j), THREE_TERMS
+    above, below, pv = (kernel._pole_line(alpha, terms, 0.0, side, 1e-13).value for side in (1.0, -1.0, 0.0))
+    assert abs(pv - (above + below) / 2) <= 1e-15 * abs(pv)
+
+
+def test_pole_line_does_not_subtract_a_pole_the_gaussian_grows_toward():
+    # Im beta = -100 makes |G| grow by e^{17} from R to the pole at i/6,
+    # although -Re(alpha) y0^2 = 0.26: subtracting its residue would cancel
+    # e^{17} times the integrand's size on R (~1) and lose 8 digits
+    alpha, terms, p = -3.0 * math.pi, [(1.0, -2.0 * math.pi * (0.01 + 15.95j))], -5.0 / 6.0
+    res = kernel._pole_line(alpha, terms, p, None, 1e-13)
+    assert abs(res.value - _mp_pole_line(alpha, terms, p, -1.0 / 3.0)) <= 1e-13
+
+
+def test_pole_line_on_the_axis_needs_a_side():
+    with pytest.raises(PoleOnContour):
+        kernel._pole_line(PI_I * 1.1j, ONE_TERM, 1e-10, None, 1e-13)

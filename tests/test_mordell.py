@@ -264,3 +264,33 @@ def test_h_off_axis_matches_direct_quadrature_and_mpmath(u, tau):
     direct = mordell_h_quad(u, tau)
     assert abs(mordell_h(u, tau) - direct.value) <= direct.error + 1e-14 * abs(ref)
 
+
+
+def _mp_h_s_midway(s, u, tau):
+    """mpmath reference for h_s off the on-axis pole: the kernel on the line
+    midway between the pole nearest R and the next one on R's other side, so
+    no pole lies between it and R."""
+    mp = pytest.importorskip("mpmath")
+    y0 = s + 0.5 + math.floor(-s)
+    depth = y0 - 0.5 if y0 > 0 else y0 + 0.5
+    with mp.workdps(30):
+        uu, tt = mp.mpc(u), mp.mpc(tau)
+
+        def f(t):
+            x = mp.mpc(t, depth)
+            return mp.exp(mp.pi * 1j * tt * x * x - 2 * mp.pi * uu * x) / mp.cosh(mp.pi * (x - 1j * s))
+
+        return complex(mp.quad(f, mp.linspace(-24, 24, 25), method="gauss-legendre"))
+
+
+@pytest.mark.parametrize("T", [1.0, 4.0, 8.0, 12.5, 20.0])
+@pytest.mark.parametrize("s", [0.0, 0.25, 0.45, -0.3, 0.9])
+def test_h_s_matches_mpmath_up_to_large_im_tau(s, T):
+    # a pole more than a Gaussian width from R (pi Im(tau) y0^2 > 1 here) is
+    # left in the integrand: subtracting it cancelled terms e^{pi Im(tau) y0^2}
+    # times the value (2.9e-9 relative at s = 0, Im tau = 20)
+    u, tau = 0.1 + 0.05j, 0.1 + 1j * T
+    res = mordell_h_s_quad(s, u, tau)
+    ref = _mp_h_s_midway(s, u, tau)
+    assert abs(res.value - ref) <= 1e-13 * abs(ref), (res, ref)
+    assert res.nodes <= 513, res
