@@ -181,7 +181,7 @@ def chi_w_atypical(
     vv = as_complex(v)
     tt = as_tau(tau)
     require_pole_clearance(uu, tt)
-    body = _atypical_body(params, label.n_prime, label.ell_prime, uu, vv, tt, trunc)
+    body = _atypical_body(params, complex(label.n_prime), label.ell_prime, uu, vv, tt, trunc)
     return -1j * theta_eta_prefactor(uu, tt, trunc) * body
 
 
@@ -194,8 +194,9 @@ def chi_regularized(params: AlgebraParams, label: AtypicalWLabel, epsilon: float
     vv = as_complex(v)
     tt = as_tau(tau)
     require_pole_clearance(uu, tt)
-    shift = float(epsilon) * label.n_prime ** 2
-    body = _atypical_body(params, label.n_prime, label.ell_prime, uu, vv, tt, DEFAULT_TRUNC, q_shift=shift)
+    n_prime = complex(label.n_prime)
+    shift = float(epsilon) * n_prime ** 2
+    body = _atypical_body(params, n_prime, label.ell_prime, uu, vv, tt, DEFAULT_TRUNC, q_shift=shift)
     return -1j * theta_eta_prefactor(uu, tt) * body
 
 

@@ -341,7 +341,7 @@ def cmd_expand(args) -> int:
 
         kwargs["params"] = _algebra(args)
         kwargs["label"] = AtypicalWLabel(
-            parse_real(_require(args, "nprime")), parse_int(_require(args, "lprime"), "lprime")
+            parse_fraction(_require(args, "nprime"), "nprime"), parse_int(_require(args, "lprime"), "lprime")
         )
     from .qseries import qexpand
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InvalidParameter
 
@@ -161,13 +162,17 @@ class AlgebraParams:
 
 @dataclass(frozen=True)
 class AtypicalWLabel:
-    """Label (n', l') of an atypical W-module; n' may be complex, l' is an integer."""
+    """Label (n', l') of an atypical W-module; n' may be complex, l' is an integer.
 
-    n_prime: complex
+    A Fraction n' stays exact, so exact q-expansions can take any rational
+    n'; every other n' is stored as a complex number."""
+
+    n_prime: complex | Fraction
     ell_prime: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n_prime", as_complex(self.n_prime))
+        if not isinstance(self.n_prime, Fraction):
+            object.__setattr__(self, "n_prime", as_complex(self.n_prime))
         if not isinstance(self.ell_prime, int):
             raise InvalidParameter("ell_prime must be an integer")
 

@@ -456,7 +456,13 @@ def _pole_line(alpha: complex, terms, p: float, side: float | None, tail_tol: fl
             return gauss / np.sinh(math.pi * dx) - r * np.exp(-width * dx * dx) / dx
 
         add = math.copysign(1.0, y0) * 1j * math.pi * r
-    res = integrate_line(f, QuadratureSpec(half_width=half, tail_tol=tail_tol), vectorized=True)
+    spec = QuadratureSpec(half_width=half, tail_tol=tail_tol)
+    if 2.0 * half / spec.max_nodes > 1.0:
+        # even the finest step would exceed the spacing of the kernel's poles
+        raise QuadratureNoConvergence(
+            "window [-%g, %g] is too wide to resolve with %d nodes" % (half, half, spec.max_nodes)
+        )
+    res = integrate_line(f, spec, vectorized=True)
     sign = -1.0 if k & 1 else 1.0
     return QuadratureResult(sign * (res.value + add), res.error, res.nodes)
 

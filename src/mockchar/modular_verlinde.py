@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .characters import (
     chi_regularized,
     chi_w_atypical,
@@ -251,6 +249,8 @@ def _s_at_raw(params: AlgebraParams, row, r, e, parity_sign: float):
     ``e`` may be a complex scalar or ndarray; ``parity_sign`` is locked by the
     caller to the real-axis value of e so the entry stays analytic in x.
     """
+    import numpy as np
+
     t, tp = row
     ell = params.ell
     phase = np.exp(TWO_PI_I * (tp * float(r) - e * (t / ell)))
@@ -307,6 +307,8 @@ def _s_tt_curve_const(params: AlgebraParams, r, c) -> complex:
 def _s_tt_curve_raw(params: AlgebraParams, r, x, c, w):
     """Curve-normalized typical-typical entry
     S_tt((r, 0), (c, 0)) e^{-2 pi i K x w}; np-aware in w (and x)."""
+    import numpy as np
+
     xw = np.asarray(x, dtype=complex) * np.asarray(w, dtype=complex)
     val = _s_tt_curve_const(params, r, c) * np.exp(-TWO_PI_I * params.K * xw)
     if np.ndim(val) == 0:
@@ -420,6 +422,8 @@ def _gaussian_integral(alpha: complex, beta):
 
     Needs Re alpha > 0 (principal square root); vectorised over beta.  The
     curve Gaussians have alpha = -pi i tau K, with Re alpha = pi K Im tau."""
+    import numpy as np
+
     return cmath.sqrt(math.pi / alpha) * np.exp(np.asarray(beta) ** 2 / (4.0 * alpha))
 
 
@@ -823,6 +827,8 @@ def s_periodicity_check(params: AlgebraParams, seed: int = 0) -> dict:
     t' -> t' + m*ell and r -> r + m'*ell*K, S_tt under r -> r + m*ell*K on
     both slots.  All hold exactly entrywise; the at/tt cases need the parity
     factor to cancel the sign of sin under e -> e - m*ell."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     sets = index_sets(params)
     ell, K = params.ell, params.K
@@ -1006,6 +1012,8 @@ def verlinde_product_aa(
 def unitarity_aa_check(params: AlgebraParams) -> dict:
     """sum over S x S of S_aa conj(S_aa) reproduces the identity exactly:
     max |S S^dagger - I| over the ell^2 x ell^2 atypical block."""
+    import numpy as np
+
     sets = index_sets(params)
     labels = [(t, tp) for t in sets.s_values for tp in sets.s_values]
     s_aa = np.array([[_s_aa_raw(params, row, col) for col in labels] for row in labels])

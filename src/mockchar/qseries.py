@@ -1,20 +1,24 @@
 """Exact q-expansions: sparse trivariate series in q, z, y.
 
-Exponents are Fractions, coefficients are Gaussian rationals, so expansions are
+Exponents are rationals and coefficients Gaussian rationals, so expansions are
 exact and comparable term by term.  Series of meromorphic objects (Appell sums,
 atypical characters) are expanded in the region |q| < |z| < 1.
 
-The series are built on integers.  Each expansion (theta1, theta1/eta^3, the
-Appell sum and the atypical character's body) scales the exponents by the lcm
-of their denominators, accumulates integer keys (q dq, z dz, y dy) with integer
-coefficients, adding a term and dropping a key whose sum is zero in the order
-add_term would, and converts once at the end.  Products do the same:
-`SparseSeries.mul` scales both operands' exponents by common lcms and each
-operand's coefficients by the lcm of its coefficient denominators, and
-multiplies and accumulates the scaled integers pair by pair.  One helper turns
-every integer form into a SparseSeries, building each distinct exponent
-Fraction and coefficient once.  Terms and their dict order are those of the
-term-by-term Fraction expansions and of the Fraction pair loop.
+A SparseSeries holds integers only.  Its exponents are scaled by positive
+integers dq, dz and dy, its coefficients by an integer dc, and its terms are
+the dict {(q dq, z dz, y dy): (re dc, im dc)}.  Each expansion (theta1,
+theta1/eta^3, the Appell sum and the atypical character's body) picks scales
+that make every exponent an integer, accumulates its terms on them, adding a
+term and dropping a key whose sum is zero in the order add_term would, and
+returns that dict as it stands.  `SparseSeries.mul` brings both operands to
+the lcms of their scales by integer factors and multiplies and accumulates the
+integers pair by pair; `eval_at` reads the integers.
+
+`terms` is the exact view, {(q_exp, z_pow, y_pow): GRat} with Fraction
+exponents: built on first read, read-only, and rebuilt after add_term.
+`sorted_items()` builds Fractions only for the items it returns.  Terms and
+their dict order are those of the term-by-term Fraction expansions and of the
+Fraction pair loop.
 """
 
 from __future__ import annotations
@@ -24,11 +28,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .domain import TWO_PI_I, AlgebraParams, AtypicalWLabel, as_complex, as_tau
 from .errors import InvalidParameter, NonRationalExponents, UnsupportedObject
-
-Key = tuple  # (q_exp, z_pow, y_pow), all Fraction
 
 _MAX_DEN = 1 << 20
 
@@ -100,84 +103,105 @@ def _scaled(x: Fraction, d: int) -> int:
     return x.numerator * d // x.denominator
 
 
-def _scaled_rows(terms: dict, dq: int, dz: int, dy: int):
-    """Terms as integer rows (q*dq, z*dz, y*dy, re*c, im*c), and c, the lcm of
-    their coefficient denominators."""
-    c = math.lcm(*(d for coeff in terms.values() for d in (coeff.re.denominator, coeff.im.denominator)))
-    rows = [
-        (_scaled(q, dq), _scaled(z, dz), _scaled(y, dy), _scaled(coeff.re, c), _scaled(coeff.im, c))
-        for (q, z, y), coeff in terms.items()
-    ]
-    return rows, c
-
-
-class _Memo(dict):
-    """make(key) for each distinct key, computed once and then looked up."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
-def _from_scaled(order: Fraction, acc: dict, dq: int, dz: int, dy: int, coeff) -> "SparseSeries":
-    """The series whose terms are those of acc, {(q dq, z dz, y dy): c}, in
-    acc's order, each with coefficient coeff(c).  Every distinct exponent
-    Fraction and coefficient is built once and shared by the terms that have
-    it; both are immutable."""
-    fq = _Memo(lambda n: Fraction(n, dq))
-    fz = _Memo(lambda n: Fraction(n, dz))
-    fy = _Memo(lambda n: Fraction(n, dy))
-    fc = _Memo(coeff)
-    out = SparseSeries(order)
-    out.terms = {(fq[q], fz[z], fy[y]): fc[c] for (q, z, y), c in acc.items()}
-    return out
+def _fractions(ns, d: int) -> dict:
+    """{n: Fraction(n, d)} over the distinct n."""
+    return {n: Fraction(n, d) for n in set(ns)}
 
 
 class SparseSeries:
-    """Finite sum of c * q^a z^b y^c terms, truncated at q-order <= `order`."""
+    """Finite sum of k * q^a z^b y^c terms, truncated at q-order <= `order`.
 
-    __slots__ = ("terms", "order")
+    Held as integers (see the module docstring): `ints` maps (a dq, b dz, c dy)
+    to (Re k dc, Im k dc).  `terms` and `sorted_items()` are the exact view.
+    """
+
+    __slots__ = ("order", "dq", "dz", "dy", "dc", "ints", "_terms")
 
     def __init__(self, order, terms=None):
         self.order = as_fraction(order, "order")
-        self.terms: dict = {}
+        self.dq = self.dz = self.dy = self.dc = 1
+        self.ints: dict = {}
+        self._terms = None
         if terms:
             for key, coeff in terms.items():
                 self.add_term(key[0], key[1], key[2], coeff)
+
+    @classmethod
+    def _of(cls, order: Fraction, ints: dict, dq: int, dz: int, dy: int, dc: int = 1) -> "SparseSeries":
+        out = cls.__new__(cls)
+        out.order, out.ints, out._terms = order, ints, None
+        out.dq, out.dz, out.dy, out.dc = dq, dz, dy, dc
+        return out
+
+    def _scales(self) -> tuple:
+        return self.dq, self.dz, self.dy, self.dc
+
+    def _ints_on(self, dq: int, dz: int, dy: int, dc: int) -> dict:
+        """ints on scales that are multiples of this series' own, in dict order."""
+        fq, fz, fy, fc = dq // self.dq, dz // self.dz, dy // self.dy, dc // self.dc
+        if fq == fz == fy == fc == 1:
+            return self.ints
+        return {(q * fq, z * fz, y * fy): (re * fc, im * fc) for (q, z, y), (re, im) in self.ints.items()}
+
+    def _exact(self, items) -> list:
+        """[(Fraction key, GRat)] for integer items; every distinct exponent and
+        coefficient is built once and shared by the terms that have it."""
+        fq = _fractions((q for (q, _, _), _ in items), self.dq)
+        fz = _fractions((z for (_, z, _), _ in items), self.dz)
+        fy = _fractions((y for (_, _, y), _ in items), self.dy)
+        dc = self.dc
+        coeffs = {c: GRat(Fraction(c[0], dc), Fraction(c[1], dc)) for c in {c for _, c in items}}
+        return [((fq[q], fz[z], fy[y]), coeffs[c]) for (q, z, y), c in items]
+
+    @property
+    def terms(self):
+        """{(q_exp, z_pow, y_pow): GRat} with Fraction exponents, in the order
+        the terms were added: built on first read, read-only."""
+        if self._terms is None:
+            self._terms = MappingProxyType(dict(self._exact(list(self.ints.items()))))
+        return self._terms
 
     def add_term(self, q_exp, z_pow, y_pow, coeff: GRat) -> None:
         q_exp = as_fraction(q_exp, "q_exp")
         if q_exp > self.order or coeff.is_zero:
             return
-        key = (q_exp, as_fraction(z_pow, "z_pow"), as_fraction(y_pow, "y_pow"))
-        acc = self.terms.get(key)
-        new = coeff if acc is None else acc + coeff
-        if new.is_zero:
-            self.terms.pop(key, None)
+        z_pow = as_fraction(z_pow, "z_pow")
+        y_pow = as_fraction(y_pow, "y_pow")
+        scales = (
+            math.lcm(self.dq, q_exp.denominator),
+            math.lcm(self.dz, z_pow.denominator),
+            math.lcm(self.dy, y_pow.denominator),
+            math.lcm(self.dc, coeff.re.denominator, coeff.im.denominator),
+        )
+        if scales != self._scales():
+            self.ints = self._ints_on(*scales)
+            self.dq, self.dz, self.dy, self.dc = scales
+        key = (_scaled(q_exp, self.dq), _scaled(z_pow, self.dz), _scaled(y_pow, self.dy))
+        re, im = _scaled(coeff.re, self.dc), _scaled(coeff.im, self.dc)
+        old = self.ints.get(key)
+        if old is not None:
+            re += old[0]
+            im += old[1]
+        if re or im:
+            self.ints[key] = (re, im)
         else:
-            self.terms[key] = new
+            del self.ints[key]
+        self._terms = None
 
     def mul(self, other: "SparseSeries", z_window: int) -> "SparseSeries":
         """Product truncated at the lower order and to |z_pow| <= z_window.
 
         Pairs outside the order or the window are skipped before their
-        coefficients are multiplied.  The integer pair loop (see the module
-        docstring) adds and pops keys in the same sequence as add_term would,
-        so terms and their dict order are those of the Fraction product.
+        coefficients are multiplied.  The integer pair loop adds and pops keys
+        in the same sequence as add_term would, so terms and their dict order
+        are those of the Fraction product.
         """
         order = min(self.order, other.order)
-        keys = [*self.terms, *other.terms]
-        dq = math.lcm(*(q.denominator for q, _, _ in keys))
-        dz = math.lcm(*(z.denominator for _, z, _ in keys))
-        dy = math.lcm(*(y.denominator for _, _, y in keys))
-        rows_a, ca = _scaled_rows(self.terms, dq, dz, dy)
-        rows_b, cb = _scaled_rows(other.terms, dq, dz, dy)
+        dq = math.lcm(self.dq, other.dq)
+        dz = math.lcm(self.dz, other.dz)
+        dy = math.lcm(self.dy, other.dy)
+        rows_a = [(*k, *c) for k, c in self._ints_on(dq, dz, dy, self.dc).items()]
+        rows_b = [(*k, *c) for k, c in other._ints_on(dq, dz, dy, other.dc).items()]
         q_max = _scaled(order, dq)
         z_max = z_window * dz
         acc: dict = {}
@@ -200,35 +224,39 @@ class SparseSeries:
                     acc[key] = (re, im)
                 elif old is not None:
                     del acc[key]
-        c = ca * cb
-        fc = _Memo(lambda n: Fraction(n, c))
-        return _from_scaled(order, acc, dq, dz, dy, lambda v: GRat(fc[v[0]], fc[v[1]]))
+        return SparseSeries._of(order, acc, dq, dz, dy, self.dc * other.dc)
 
     def scaled(self, coeff: GRat) -> "SparseSeries":
-        out = SparseSeries(self.order)
-        for key, c in self.terms.items():
-            out.add_term(*key, c * coeff)
-        return out
+        """This series times coeff."""
+        dc = math.lcm(coeff.re.denominator, coeff.im.denominator)
+        cr, ci = _scaled(coeff.re, dc), _scaled(coeff.im, dc)
+        ints = {k: (re * cr - im * ci, re * ci + im * cr) for k, (re, im) in self.ints.items()} if cr or ci else {}
+        return SparseSeries._of(self.order, ints, self.dq, self.dz, self.dy, self.dc * dc)
 
     def sorted_items(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
+        """The exact (key, GRat) items sorted by key; the scales are positive,
+        so the integer keys sort as the Fraction ones."""
+        return self._exact(sorted(self.ints.items()))
 
     def eval_at(self, u, v, tau) -> complex:
         uu = as_complex(u)
         vv = as_complex(v)
         tt = as_tau(tau)
+        dq, dz, dy, dc = self._scales()
         acc = 0.0 + 0.0j
-        for (qe, zp, yp), coeff in self.terms.items():
-            acc += coeff.to_complex() * cmath.exp(
-                TWO_PI_I * (float(qe) * tt + float(zp) * uu + float(yp) * vv)
-            )
+        # n / d is float(Fraction(n, d)): both round the same rational once
+        for (q, z, y), (re, im) in self.ints.items():
+            acc += complex(re / dc, im / dc) * cmath.exp(TWO_PI_I * (q / dq * tt + z / dz * uu + y / dy * vv))
         return acc
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SparseSeries) and self.terms == other.terms
+        if not isinstance(other, SparseSeries) or len(self.ints) != len(other.ints):
+            return False
+        scales = [math.lcm(a, b) for a, b in zip(self._scales(), other._scales())]
+        return self._ints_on(*scales) == other._ints_on(*scales)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.ints)
 
 
 def _add(acc: dict, key: tuple, c: int) -> None:
@@ -242,14 +270,6 @@ def _add(acc: dict, key: tuple, c: int) -> None:
         acc[key] = old + c
     else:
         del acc[key]
-
-
-def _real(c: int) -> GRat:
-    return GRat(Fraction(c))
-
-
-def _imag(c: int) -> GRat:
-    return GRat(Fraction(0), Fraction(c))
 
 
 def theta1_series(order) -> SparseSeries:
@@ -266,7 +286,7 @@ def theta1_series(order) -> SparseSeries:
                 _add(acc, (h2 * h2, h2, 0), 1 if m & 1 else -1)
                 placed = True
         if not placed:
-            return _from_scaled(order, acc, 8, 2, 1, _imag)
+            return SparseSeries._of(order, {k: (0, c) for k, c in acc.items()}, 8, 2, 1)
         n += 1
 
 
@@ -302,7 +322,7 @@ def theta1_over_eta3_series(order) -> SparseSeries:
                 for j in range(q_max - base + 1):
                     _add(acc, (base + j, 2 * n + 1, 0), -sign * inv[j])
         if not placed:
-            return _from_scaled(order, acc, 1, 2, 1, _imag)
+            return SparseSeries._of(order, {k: (0, c) for k, c in acc.items()}, 1, 2, 1)
         m += 1
 
 
@@ -351,7 +371,7 @@ def appell_series(level: int, order, z_window: int | None = None) -> SparseSerie
                 sign = -1 if (level * m) & 1 else 1
                 _add_lerch_terms(acc, m, base, level, sign, q_max, 1, 2, cap, 2 * window)
         if not placed:
-            return _from_scaled(order, acc, 1, 2, 1, _real)
+            return SparseSeries._of(order, {k: (c, 0) for k, c in acc.items()}, 1, 2, 1)
         n += 1
 
 
@@ -381,7 +401,7 @@ def chi_w_atypical_series(
     lead = _atypical_lead(out_order)
 
     d = math.lcm(2, n_rat.denominator)
-    half = _scaled(n_rat + Fraction(1, 2), d)  # (n' + 1/2) d
+    half = _scaled(n_rat, d) + d // 2  # (n' + 1/2) d
     q_max = _scaled(out_order, d)
     acc: dict = {}
     # The leading q exponent base + max(-j, 0) is convex in j with its
@@ -402,7 +422,8 @@ def chi_w_atypical_series(
         if not placed and m * ell > past_minimum:
             break
         m += 1
-    return lead.mul(_from_scaled(out_order, acc, d, d, 1, _real), window)
+    body = SparseSeries._of(out_order, {k: (c, 0) for k, c in acc.items()}, d, d, 1)
+    return lead.mul(body, window)
 
 
 def qexpand(

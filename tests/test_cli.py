@@ -132,6 +132,25 @@ def test_eval_h_s_at_large_im_tau_reports_a_tight_bound(capsys):
     assert json.loads(out)["bound"] <= 1e-13, out
 
 
+@pytest.mark.parametrize("s", ["0.5", "0.3"])
+def test_eval_h_s_with_an_unresolvable_window_fails_at_once(capsys, monkeypatch, s):
+    # at tau = 1e-20 i the window is 1e19 wide: no node count resolves the
+    # kernel's poles there, on the axis (s = 1/2) or off it
+    from mockchar import kernel
+
+    passes = []
+    real_eval_line = kernel._eval_line
+
+    def counted(f, xs, shift, vectorized):
+        passes.append(len(xs))
+        return real_eval_line(f, xs, shift, vectorized)
+
+    monkeypatch.setattr(kernel, "_eval_line", counted)
+    code, _, err = run(capsys, "eval", "h_s", "--s", s, "--u", "0.1", "--tau", "1e-20i")
+    assert code == 3, err
+    assert len(passes) <= 1, passes
+
+
 def test_eval_unknown_function_is_usage_error(capsys):
     code, _, err = run(capsys, "eval", "zeta", "--u", "0", "--tau", "i")
     assert code == 2
@@ -183,6 +202,29 @@ def test_expand_json(capsys):
     assert len(doc["terms"]) > 4
     for term in doc["terms"]:
         assert set(term) == {"q", "z", "y", "coefficient"}
+
+
+def test_expand_takes_a_rational_nprime(capsys):
+    # --nprime 2/3 is read as the exact rational; the decimal form of a
+    # dyadic n' gives the same expansion as its fraction
+    from fractions import Fraction
+
+    from mockchar.domain import AlgebraParams, AtypicalWLabel
+    from mockchar.qseries import qexpand
+
+    code, out, err = run(
+        capsys, "expand", "chi-A", "--n", "1", "--l", "1",
+        "--nprime", "2/3", "--lprime", "0", "--order", "2", "--format", "json",
+    )
+    assert code == 0, err
+    want = qexpand("chi_atypical", Fraction(2), params=AlgebraParams(1, 1),
+                   label=AtypicalWLabel(Fraction(2, 3), 0))
+    assert [(t["q"], t["z"], t["y"], t["coefficient"]) for t in json.loads(out)["terms"]] == [
+        (str(q), str(z), str(y), str(c)) for (q, z, y), c in want.sorted_items()
+    ]
+    texts = [run(capsys, "expand", "chi-A", "--n", "1", "--l", "1", "--nprime", nprime,
+                 "--lprime", "1", "--order", "5/2")[1] for nprime in ("-1/2", "-0.5")]
+    assert texts[0] == texts[1] and texts[0]
 
 
 def test_expand_chi_integer_coefficients(capsys):

@@ -73,6 +73,14 @@ def test_series_commands_never_load_numpy():
     assert not {"suites", "report", "modular_verlinde"} & set(got["mockchar"]), got["mockchar"]
 
 
+def test_suites_and_qexpand_verify_load_no_numpy():
+    # the suites import every layer, but numpy only with the first quadrature
+    assert not loaded_after("import mockchar.suites")["numpy"]
+    got = loaded_after(cli_runs(["verify", "--suite", "qexpand"]))
+    assert not got["numpy"]
+    assert "suites" in got["mockchar"]
+
+
 def test_sweep_loads_no_verify_stack():
     got = loaded_after(cli_runs(["sweep", "thetascale", "--K", "1..3"]))
     assert not got["numpy"]
@@ -110,13 +118,35 @@ def test_unknown_attribute_raises():
     assert getattr(mockchar, "backend_name", None) is None
 
 
+def module_trees():
+    """(path relative to the package, parsed module) for every module under it."""
+    for root, dirs, files in os.walk(PKG):
+        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
+        for fname in sorted(files):
+            if fname.endswith(".py"):
+                path = os.path.join(root, fname)
+                with open(path) as f:
+                    yield os.path.relpath(path, PKG), ast.parse(f.read())
+
+
+def test_no_module_level_numpy_import():
+    # numpy is imported inside the functions that use it, never at module level
+    eager = []
+    for fname, tree in module_trees():
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            eager += [(fname, name) for name in names if name.split(".")[0] == "numpy"]
+    assert not eager, eager
+
+
 def test_no_unused_module_level_import():
     unused = []
-    for fname in sorted(os.listdir(PKG)):
-        if not fname.endswith(".py"):
-            continue
-        with open(os.path.join(PKG, fname)) as f:
-            tree = ast.parse(f.read())
+    for fname, tree in module_trees():
         bound = []
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":

@@ -290,7 +290,7 @@ def test_integer_terms_add_and_pop_as_add_term(seed):
         q, z, y, c = rng.randint(0, 9), rng.randint(-3, 3), rng.randint(-1, 1), rng.randint(-2, 2)
         qseries._add(acc, (q, z, y), c)
         want.add_term(F(q, 3), F(z, 2), F(y), GRat(F(c), F(0)))
-    got = qseries._from_scaled(F(3), acc, 3, 2, 1, qseries._real)
+    got = SparseSeries._of(F(3), {k: (c, 0) for k, c in acc.items()}, 3, 2, 1)
     assert_same_series(got, want)
     assert len({id(c) for c in got.terms.values()}) == len(set(got.terms.values()))
 
@@ -339,3 +339,108 @@ def test_atypical_expansion_matches_fraction_reference_off_the_deck(cell):
         label = AtypicalWLabel(n_prime, ell_prime)
         got = qexpand("chi_atypical", order, params=params, label=label, z_window=window)
         assert_same_series(got, ref.chi_w_atypical_series(params, label, order, window))
+
+
+# ---------------------------------------------------------------------------
+# the integer form and its exact view
+
+VIEW_ORDERS = (F(2), F(7, 2), F(8))
+
+
+def every_object(order):
+    """(name, series) for every object qexpand knows, at one order."""
+    yield "theta1", qexpand("theta1", order)
+    yield "theta1_over_eta3", qexpand("theta1_over_eta3", order)
+    for level in range(1, 8):
+        yield "ak%d" % level, qexpand("ak", order, level=level)
+    for cell in DEFAULT_GRID:
+        for label in DECK_LABELS + (AtypicalWLabel(F(2, 3), 1), AtypicalWLabel(F(-3, 8), 0)):
+            yield "chi%s%s" % (cell, label), qexpand("chi_atypical", order, params=AlgebraParams(*cell), label=label)
+
+
+def test_qexpand_builds_no_fraction_until_the_terms_are_read(monkeypatch):
+    from mockchar import qseries
+
+    made = []
+
+    class Meta(type):
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, Fraction)
+
+        def __call__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(qseries, "Fraction", Meta("CountedFraction", (), {}))
+    qseries._atypical_lead.cache_clear()
+    for order in VIEW_ORDERS:
+        built = list(every_object(order))
+        assert not made, made[:5]
+        for name, series in built[:3] + built[-3:]:
+            items = series.sorted_items()
+            # each distinct exponent once, each distinct coefficient's two parts once
+            assert items and 0 < len(made) <= 5 * len(items), name
+            made.clear()
+            view = series.terms
+            assert dict(items) == view and made, name
+            made.clear()
+            assert series.terms is view and not made, name  # built on the first read only
+    qseries._atypical_lead.cache_clear()
+
+
+def fraction_view_sum(series: SparseSeries, u, v, tau) -> complex:
+    """eval_at as it read the Fraction terms: the reference for the integer one."""
+    import cmath
+
+    from mockchar.domain import TWO_PI_I
+
+    acc = 0.0 + 0.0j
+    for (qe, zp, yp), coeff in series.terms.items():
+        acc += coeff.to_complex() * cmath.exp(TWO_PI_I * (float(qe) * tau + float(zp) * u + float(yp) * v))
+    return acc
+
+
+def test_eval_at_is_bit_identical_to_the_fraction_view_sum():
+    points = ((0.11 + 0.2j, 0.05 + 0.01j, 0.1 + 1.5j), (-0.23 + 0.3j, 0.31 - 0.05j, -0.3 + 2.2j))
+    rng = random.Random(5)
+    a = random_series(rng, F(7, 3), 40)
+    b = random_series(rng, F(5, 2), 40)
+    extra = [("random", a), ("product", a.mul(b, F(5, 2))), ("scaled", b.scaled(GRat(F(2, 3), F(-1, 5))))]
+    for order in VIEW_ORDERS:
+        for name, series in list(every_object(order)) + extra:
+            for u, v, tau in points:
+                got, want = series.eval_at(u, v, tau), fraction_view_sum(series, u, v, tau)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), name
+
+
+def test_add_term_widens_the_scales_and_keeps_the_view_current():
+    s = SparseSeries(F(3))
+    s.add_term(F(1), F(1), F(0), GRat(F(1), F(0)))
+    assert s.terms == {(F(1), F(1), F(0)): GRat(F(1), F(0))}
+    s.add_term(F(1, 3), F(-1, 2), F(1, 5), GRat(F(1, 7), F(-2, 9)))
+    s.add_term(F(1), F(1), F(0), GRat(F(-1), F(0)))  # cancels the first term
+    assert (s.dq, s.dz, s.dy, s.dc) == (3, 2, 5, 63)
+    assert list(s.terms.items()) == [((F(1, 3), F(-1, 2), F(1, 5)), GRat(F(1, 7), F(-2, 9)))]
+    with pytest.raises(TypeError):
+        s.terms[(F(0), F(0), F(0))] = GRat(F(1))  # the view is read-only
+    # equal series on different scales compare equal; a different one does not
+    t = SparseSeries(F(3), {(F(1, 3), F(-1, 2), F(1, 5)): GRat(F(1, 7), F(-2, 9))})
+    assert s == t and len(s) == len(t) == 1
+    t.add_term(F(2), F(0), F(0), GRat(F(1, 2)))
+    t.add_term(F(2), F(0), F(0), GRat(F(-1, 2)))
+    assert s == t and (t.dq, t.dc) == (3, 126)
+    t.add_term(F(2), F(0), F(0), GRat(F(1, 2)))
+    assert s != t
+
+
+@pytest.mark.parametrize("cell", DEFAULT_GRID)
+def test_exact_rational_labels_match_the_fraction_reference(cell):
+    # n' = 2/3 and friends stay Fractions on the label, so their exponents stay exact
+    params = AlgebraParams(*cell)
+    for n_prime in (F(2, 3), F(-1, 3), F(5, 6), F(-7, 5)):
+        for ell_prime in (-1, 0, 1):
+            label = AtypicalWLabel(n_prime, ell_prime)
+            assert label.n_prime is n_prime
+            for order in (F(2), F(7, 2)):
+                got = qexpand("chi_atypical", order, params=params, label=label)
+                assert_same_series(got, ref.chi_w_atypical_series(params, label, order))
