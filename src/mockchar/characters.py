@@ -5,7 +5,10 @@ Appell-sum form, root-of-unity decompositions), elliptic shift laws, the
 regularized characters, and the free-boson lattice oracle.
 
 Labels may be complex (the continued "curve" labels); floors of complex
-numbers are floors of the real part throughout.
+numbers are floors of the real part throughout.  The curve labels
+(a_r(x), e_r(x)) = (a e0 + i(a+1)x, e0 - ix) come from one exact helper,
+curve_e0, and every curve's Gaussian in x has the same drift
+B = (a+1)u - v.  Every function here takes and returns scalars.
 """
 
 from __future__ import annotations
@@ -284,63 +287,47 @@ def chi_w_typical(
     raise InvalidParameter("unknown route %r" % (route,))
 
 
-def curve_base_labels(params: AlgebraParams, r):
-    """x-independent parts of the curve labels: (n0, e0) with
-    a_r(x) = n0 + ix(a+1) and e_r(x) = e0 - ix."""
-    a, K = params.a, params.K
-    rr = float(r)
-    e0 = (a - rr) / K + 0.5
-    n0 = a * (a - rr) / K + a / 2.0
-    return n0, e0
+def curve_e0(params: AlgebraParams, r) -> tuple:
+    """e_r(0) = (a - r)/K + 1/2 as (num, den) in integers, for rational r.
+
+    The curve labels are a_r(x) = a e0 + i(a+1)x and e_r(x) = e0 - ix."""
+    rf = Fraction(r)
+    d = rf.denominator
+    return 2 * (params.a * d - rf.numerator) + params.K * d, 2 * params.K * d
 
 
 def curve_prefactor(params: AlgebraParams, r, u: complex, v: complex, tau: complex) -> complex:
-    """x-independent factor of the typical character along the curve
+    """x-free factor of the typical character along the curve
     (a_r(x), e_r(x)); the whole label sum lives here because the sum's
-    exponent is x-free once n = a*ell is used."""
-    n, ell = params.n, params.ell
-    n0, e0 = curve_base_labels(params, r)
-    sign = -1.0 if math.floor(e0) & 1 else 1.0
-    c = n * e0 + ell * n0 + ell * e0
-    body = _typical_body_sum(params, c, u, v, tau, DEFAULT_TRUNC)
+    exponent is x-free once n = a*ell is used: its c is ell K e0."""
+    num, den = curve_e0(params, r)
+    e0 = num / den
+    n0 = params.a * e0
+    sign = -1.0 if (num // den) & 1 else 1.0
+    body = _typical_body_sum(params, params.ell * params.K * e0, u, v, tau, DEFAULT_TRUNC)
     lead = _lead_exp(TWO_PI_I * (v * e0 + u * n0 + tau * (n0 * e0 + e0 * e0 / 2.0)))
     return 1j * sign * lead * body * theta_eta_prefactor(u, tau)
 
 
-def curve_drift(params: AlgebraParams, r, u: complex, v: complex, tau: complex) -> complex:
-    """B_r in the curve Gaussian e^{-2 pi x B_r + pi i tau K x^2}."""
-    a = params.a
-    n0, e0 = curve_base_labels(params, r)
-    return (a + 1) * u - v + tau * (a * e0 - n0)
+def curve_drift(params: AlgebraParams, u: complex, v: complex) -> complex:
+    """B in the curve Gaussian e^{-2 pi x B + pi i tau K x^2}, the same for
+    every curve: as n0 = a e0, the tau part tau (a e0 - n0) vanishes."""
+    return (params.a + 1) * u - v
 
 
-def chi_w_typical_curve(params: AlgebraParams, r, x, u, v, tau):
+def chi_w_typical_curve(params: AlgebraParams, r, x, u, v, tau) -> complex:
     """Typical character along the continued-label curve (a_r(x), e_r(x)).
 
-    x may be a numpy array; the only per-x work is one exponential, since
-    the label sum collapses into the x-free curve_prefactor.  The result is
-    entire in x: the parity sign is locked to the real-axis value.
+    The only per-x work is one exponential, since the label sum collapses
+    into the x-free curve_prefactor.  The result is entire in x: the parity
+    sign is locked to the real-axis value.
     """
-    import numpy as np
-
     uu = as_complex(u)
     vv = as_complex(v)
     tt = as_tau(tau)
-    xs = np.asarray(x, dtype=complex)
-    drift = curve_drift(params, r, uu, vv, tt)
-    gauss = np.exp(-2.0 * math.pi * xs * drift + PI_I * tt * params.K * xs * xs)
-    value = curve_prefactor(params, r, uu, vv, tt) * gauss
-    if np.ndim(x) == 0:
-        return complex(value)
-    return value
-
-
-def curve_label_e(params: AlgebraParams, m, x):
-    """e_m(x) = (a-m)/(2a+1) + 1/2 - ix."""
-    import numpy as np
-
-    a, K = params.a, params.K
-    return (a - m) / K + 0.5 - 1j * np.asarray(x, dtype=complex)
+    xx = as_complex(x)
+    gauss = cmath.exp(-2.0 * math.pi * xx * curve_drift(params, uu, vv) + PI_I * tt * params.K * xx * xx)
+    return curve_prefactor(params, r, uu, vv, tt) * gauss
 
 
 def chi_via_appell(params: AlgebraParams, n_prime, u, v, tau) -> complex:

@@ -92,11 +92,10 @@ def check_tolerance(tol: float) -> None:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Trapezoid window [-L, L] + i*contour_shift with 2^k node refinement."""
+    """Trapezoid window [-L, L] with 2^k node refinement."""
 
     half_width: float = 8.0
     nodes: int = 64
-    contour_shift: float = 0.0
     tail_tol: float = 1e-11
     max_nodes: int = 1 << 19
 

@@ -10,8 +10,9 @@ with node doubling until two successive refinements agree to the tolerance or
 to the sum's rounding floor.  Its nodes sit on the nested grid x_k = k*h, so x
 and -x are exact negatives and every level reuses the nodes of the levels below
 it; the first integrand pass covers three levels and each later doubling
-evaluates only the new nodes.  numpy is imported by the quadrature functions on
-first use, so the series kernels load without it.
+evaluates only the new nodes.  _pole_line integrates one Gaussian over a
+sinh kernel line (h_s and every S-check integral).  numpy is imported by the
+quadrature functions on first use, so the series kernels load without it.
 """
 
 from __future__ import annotations
@@ -272,29 +273,27 @@ class QuadratureResult:
         return self.value
 
 
-# Points per vectorized integrand call.  Node doubling can reach 2^19 points,
-# and an integrand builds several complex temporaries of its input's length;
+# Points per integrand call.  Node doubling can reach 2^19 points, and an
+# integrand builds several complex temporaries of its input's length;
 # evaluating in slices keeps those small while the sum still runs over the
 # whole array.
 _EVAL_CHUNK = 1 << 14
 
 
-def _eval_line(f, xs, shift: complex, vectorized: bool):
-    """f on xs + shift; raises once any value is not finite, since no
-    refinement of a sum that holds a nan or an inf can converge."""
+def _eval_line(f, xs):
+    """f on the nodes xs, in slices, each handed over as a complex array on
+    R; raises once any value is not finite, since no refinement of a sum that
+    holds a nan or an inf can converge."""
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if not vectorized:
-            out = np.array([f(complex(x) + shift) for x in xs], dtype=complex)
-        else:
-            out = np.empty(xs.shape, dtype=complex)
-            for start in range(0, xs.size, _EVAL_CHUNK):
-                pts = xs[start:start + _EVAL_CHUNK] + shift
-                vals = np.asarray(f(pts), dtype=complex)
-                if vals.shape != pts.shape:
-                    raise ValueError("vectorized integrand returned shape %s" % (vals.shape,))
-                out[start:start + _EVAL_CHUNK] = vals
+        out = np.empty(xs.shape, dtype=complex)
+        for start in range(0, xs.size, _EVAL_CHUNK):
+            pts = xs[start:start + _EVAL_CHUNK] + 0j
+            vals = np.asarray(f(pts), dtype=complex)
+            if vals.shape != pts.shape:
+                raise ValueError("integrand returned shape %s" % (vals.shape,))
+            out[start:start + _EVAL_CHUNK] = vals
     finite = np.isfinite(out)
     if not finite.all():
         raise QuadratureNoConvergence(
@@ -312,8 +311,9 @@ def _eval_line(f, xs, shift: complex, vectorized: bool):
 _ROUNDING_ULPS = 64.0 * sys.float_info.epsilon
 
 
-def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = False) -> QuadratureResult:
-    """Trapezoid quadrature of f over [-L, L] + i*contour_shift with node doubling.
+def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD) -> QuadratureResult:
+    """Trapezoid quadrature of f over [-L, L] with node doubling; f maps a
+    complex array of nodes on R to their values.
 
     The nodes are x_k = k*h.  The first integrand pass evaluates the 4n + 1
     nodes of the third level (n = spec.nodes, h = 2L/4n); the levels with n and
@@ -332,10 +332,9 @@ def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = Fa
     import numpy as np
 
     half = spec.half_width
-    shift = 1j * spec.contour_shift
     n = spec.nodes
     h = 2.0 * half / n
-    vals = _eval_line(f, np.arange(-2 * n, 2 * n + 1) * (h / 4.0), shift, vectorized)
+    vals = _eval_line(f, np.arange(-2 * n, 2 * n + 1) * (h / 4.0))
     edge = max(abs(vals[0]), abs(vals[-1]))
     current = h * (vals[::4].sum() - 0.5 * (vals[0] + vals[-1]))
     mass = h * (np.abs(vals[::4]).sum() - 0.5 * (abs(vals[0]) + abs(vals[-1])))
@@ -347,7 +346,7 @@ def integrate_line(f, spec: QuadratureSpec = DEFAULT_QUAD, vectorized: bool = Fa
             mid_vals = first_mids[refinements]
         else:
             mids = np.arange(1 - n, n, 2) * (h / 2.0)
-            mid_vals = _eval_line(f, mids, shift, vectorized)
+            mid_vals = _eval_line(f, mids)
         refined = current / 2.0 + (h / 2.0) * mid_vals.sum()
         mass = mass / 2.0 + (h / 2.0) * np.abs(mid_vals).sum()
         err = abs(refined - current)
@@ -375,55 +374,49 @@ _ON_AXIS = 1e-9  # a kernel pole closer to R than this is taken as on it
 _WINDOW_LOG = 16.0 * math.log(10.0)  # the window ends 1e-16 below the largest term
 
 
-def _pole_line_window(decay: float, logs) -> float:
-    """Half width for _pole_line, with decay = -Re alpha and logs = [(ln|c_j|,
-    beta_j)] over the nonzero c_j.  Away from the pole a term is about
-    |c| e^{-decay x^2 + Re(beta) x - pi|x|}, which peaks at
-    |c| e^{max(|Re beta| - pi, 0)^2 / (4 decay)}; the window ends where every
-    term is 1e-16 below the largest peak.  It also spans each Gaussian's own
-    peak |Re beta| / (2 decay), so where Re alpha is too small to confine the
-    Gaussians the trapezoid cannot converge and raises."""
-    top = max(lc + max(abs(b.real) - math.pi, 0.0) ** 2 / (4.0 * decay) for lc, b in logs)
-    half = max(abs(b.real) for _, b in logs) / (2.0 * decay)
-    for lc, b in logs:
-        # the larger root of -decay x^2 + slope x + room = 0
-        slope, room = abs(b.real) - math.pi, lc - top + _WINDOW_LOG
-        disc = slope * slope + 4.0 * decay * room
-        if slope >= 0.0 and disc >= 0.0:
-            half = max(half, (slope + math.sqrt(disc)) / (2.0 * decay))
-        elif room > 0.0:
-            half = max(half, 2.0 * room / (math.sqrt(disc) - slope))
-    return half
+def _pole_line_window(decay: float, beta: complex) -> float:
+    """Half width for _pole_line, with decay = -Re alpha.  Away from the pole
+    the integrand is about |c| e^{-decay x^2 + slope x}, slope = |Re beta| - pi
+    (the kernel's e^{-pi|x|}), which peaks at |c| e^{max(slope, 0)^2 / (4 decay)}.
+    The window ends 1e-16 below that peak, at the larger root of
+    -decay x^2 + slope x = max(slope, 0)^2 / (4 decay) - _WINDOW_LOG, so |c|
+    drops out.  It also spans the Gaussian's own peak |Re beta| / (2 decay),
+    so where Re alpha is too small to confine the Gaussian the trapezoid
+    cannot converge and raises."""
+    slope = abs(beta.real) - math.pi
+    if slope >= 0.0:
+        edge = slope / (2.0 * decay) + math.sqrt(_WINDOW_LOG / decay)
+    else:
+        edge = 2.0 * _WINDOW_LOG / (math.sqrt(slope * slope + 4.0 * decay * _WINDOW_LOG) - slope)
+    return max(edge, abs(beta.real) / (2.0 * decay))
 
 
-def _pole_line(alpha: complex, terms, p: float, side: float | None, tail_tol: float) -> QuadratureResult:
-    """sum_j c_j int_R e^{alpha x^2 + beta_j x} / sinh(pi(x - ip)) dx for
-    terms = [(c_j, beta_j)] and Re alpha < 0, in one integrate_line call.
+def _pole_line(alpha: complex, c: complex, beta: complex, p: float, side: float | None,
+               tail_tol: float) -> QuadratureResult:
+    """c int_R e^{alpha x^2 + beta x} / sinh(pi(x - ip)) dx for Re alpha < 0,
+    in one integrate_line call.
 
     With x0 = i y0 the nearest kernel pole, y0 = p + k in (-1/2, 1/2] and
     k = floor(1/2 - p), the kernel is (-1)^k / sinh(pi(x - x0)), which keeps
-    full relative accuracy near x0; r = G(x0) / pi, G the sum of the
-    Gaussians, is the residue of G / sinh(pi(x - x0)) there.
+    full relative accuracy near x0; r = G(x0) / pi, G = c e^{alpha x^2 +
+    beta x}, is the residue of G / sinh(pi(x - x0)) there.
     - On R (|y0| < _ON_AXIS): the principal value, x paired with -x into
       (G(x) - G(-x)) / (2 sinh(pi x)), plus side times the half-residue
       -i pi r (side +1 passes above the pole, -1 below, 0 is the principal
       value; None raises PoleOnContour).
-    - Near, where no Gaussian grows by more than e from its peak on R to x0
-      (one term, beta = 0: -Re(alpha) y0^2 <= 1): r e^{-w (x - x0)^2} / (x - x0)
-      is subtracted and its integral, +-i pi r with + for a pole above R,
-      added back, so the trapezoid sees the next pole, at least 1/2 away.
-      w = max(-Re alpha, 1): as wide as the Gaussians, but no wider than the
+    - Near, where the Gaussian grows by at most e from its peak on R to x0
+      (beta = 0: -Re(alpha) y0^2 <= 1): r e^{-w (x - x0)^2} / (x - x0) is
+      subtracted and its integral, +-i pi r with + for a pole above R, added
+      back, so the trapezoid sees the next pole, at least 1/2 away.
+      w = max(-Re alpha, 1): as wide as the Gaussian, but no wider than the
       kernel's e^{-pi|x|} keeps the integrand; a complex w = -alpha would tilt
       the subtracted Gaussian by e^{2 Im(alpha) y0 x}.
     - Far: G / sinh as it is; subtracting would cancel terms of size |G(x0)|.
     """
     import numpy as np
 
-    coeffs = np.array([c for c, _ in terms], dtype=complex)
-    betas = np.array([b for _, b in terms], dtype=complex)
     decay = -alpha.real
-    logs = [(math.log(abs(c)), b) for c, b in terms if c]
-    half = _pole_line_window(decay, logs)
+    half = _pole_line_window(decay, beta)
     k = math.floor(0.5 - p)
     y0 = p + k
     if abs(y0) < _ON_AXIS:
@@ -432,28 +425,26 @@ def _pole_line(alpha: complex, terms, p: float, side: float | None, tail_tol: fl
 
         def f(xs):
             x = xs.real
-            ax = np.abs(x)[:, None]
+            ax = np.abs(x)
             gauss = alpha * ax * ax - math.pi * ax
-            bx = np.multiply.outer(x, betas)
+            bx = beta * x
             # 0/0 at x = 0, replaced below (integrate_line ignores invalid values)
-            odd = (np.exp(gauss + bx) - np.exp(gauss - bx)) @ coeffs
-            out = np.sign(x) * odd / -np.expm1(-2.0 * math.pi * ax[:, 0])
-            return np.where(x == 0.0, (coeffs @ betas) / math.pi, out)
+            odd = c * (np.exp(gauss + bx) - np.exp(gauss - bx))
+            out = np.sign(x) * odd / -np.expm1(-2.0 * math.pi * ax)
+            return np.where(x == 0.0, c * beta / math.pi, out)
 
-        add = -side * 1j * coeffs.sum()
+        add = -side * 1j * c
     else:
         x0 = 1j * y0
         r, width = 0.0, max(decay, 1.0)
-        at_pole = max(lc + decay * y0 * y0 - b.imag * y0 for lc, b in logs)
-        if at_pole <= max(lc + b.real * b.real / (4.0 * decay) for lc, b in logs) + 1.0:
-            r = sum(c * cmath.exp(alpha * x0 * x0 + b * x0) for c, b in terms) / math.pi
+        if decay * y0 * y0 - beta.imag * y0 <= beta.real * beta.real / (4.0 * decay) + 1.0:
+            r = c * cmath.exp(alpha * x0 * x0 + beta * x0) / math.pi
             # the subtracted Gaussian lacks the kernel's decay: span it to 1e-16 of its peak
             half = max(half, math.sqrt(_WINDOW_LOG / width + y0 * y0))
 
-        def f(xs):
-            dx = xs - x0
-            gauss = np.exp(alpha * (xs * xs)[:, None] + np.multiply.outer(xs, betas)) @ coeffs
-            return gauss / np.sinh(math.pi * dx) - r * np.exp(-width * dx * dx) / dx
+        def f(x):
+            dx = x - x0
+            return c * np.exp(alpha * (x * x) + beta * x) / np.sinh(math.pi * dx) - r * np.exp(-width * dx * dx) / dx
 
         add = math.copysign(1.0, y0) * 1j * math.pi * r
     spec = QuadratureSpec(half_width=half, tail_tol=tail_tol)
@@ -462,7 +453,7 @@ def _pole_line(alpha: complex, terms, p: float, side: float | None, tail_tol: fl
         raise QuadratureNoConvergence(
             "window [-%g, %g] is too wide to resolve with %d nodes" % (half, half, spec.max_nodes)
         )
-    res = integrate_line(f, spec, vectorized=True)
+    res = integrate_line(f, spec)
     sign = -1.0 if k & 1 else 1.0
     return QuadratureResult(sign * (res.value + add), res.error, res.nodes)
 
@@ -494,7 +485,7 @@ def gauss_identity_check(alpha, beta) -> dict:
     # window: |integrand| <= e^{-Re(al) x^2 + |be| |x|} < tol outside
     half = (abs(be) + math.sqrt(abs(be) ** 2 + 4.0 * al.real * math.log(1e16))) / (2.0 * al.real)
     spec = QuadratureSpec(half_width=max(half, 4.0 / math.sqrt(al.real)))
-    res = integrate_line(lambda xs: np.exp(-al * xs * xs + be * xs), spec, vectorized=True)
+    res = integrate_line(lambda xs: np.exp(-al * xs * xs + be * xs), spec)
     lhs = res.value
     rhs = sqrt_principal(math.pi / al) * cmath.exp(be * be / (4.0 * al))
     return identity_report("gauss_identity", lhs, rhs, nodes=res.nodes)

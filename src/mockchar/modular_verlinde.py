@@ -8,6 +8,11 @@ real labels (m, e) and one for curve points (r, x), together with numerical
 checks of the S- and T-transformation laws, unitarity, and the product
 structure the S-matrix induces.
 
+Every curve label e_r(0) is read from characters.curve_e0 in integers, and
+every typical curve carries the same Gaussian drift B in x, so the typical
+expansions take one closed-form Gaussian integral, and each S_at row one
+kernel line integral of one Gaussian (kernel._pole_line).
+
 Every check returns a plain dict with ``lhs``/``rhs``/``abs_err``/``rel_err``
 style keys so callers can apply their own tolerances.
 """
@@ -25,7 +30,7 @@ from .characters import (
     chi_w_typical,
     chi_w_typical_curve,
     curve_drift,
-    curve_label_e,
+    curve_e0,
     curve_prefactor,
 )
 from .domain import (
@@ -243,18 +248,16 @@ def _s_aa_raw(params: AlgebraParams, row, col) -> complex:
     return cmath.exp(-TWO_PI_I * (tp * s + sp * t) / ell) / ell
 
 
-def _s_at_raw(params: AlgebraParams, row, r, e, parity_sign: float):
+def _s_at_raw(params: AlgebraParams, row, r, e: complex, parity_sign: float) -> complex:
     """(1/2ell) * parity * e^{2 pi i (t' r - e t/ell)} / sin(pi e).
 
-    ``e`` may be a complex scalar or ndarray; ``parity_sign`` is locked by the
-    caller to the real-axis value of e so the entry stays analytic in x.
+    ``parity_sign`` is locked by the caller to the real-axis value of e so
+    the entry stays analytic in x.
     """
-    import numpy as np
-
     t, tp = row
     ell = params.ell
-    phase = np.exp(TWO_PI_I * (tp * float(r) - e * (t / ell)))
-    return parity_sign * phase / (2.0 * ell * np.sin(math.pi * e))
+    phase = cmath.exp(TWO_PI_I * (tp * float(r) - e * (t / ell)))
+    return parity_sign * phase / (2.0 * ell * cmath.sin(math.pi * e))
 
 
 def _s_at_curve_const(params: AlgebraParams, row, r, parity: bool) -> tuple:
@@ -266,12 +269,10 @@ def _s_at_curve_const(params: AlgebraParams, row, r, parity: bool) -> tuple:
     so r -> r + j*ell*K and t' -> t' + j*ell change no bit of the entry.
     Without parity (the rejected convention) C carries (-1)^floor(e0)."""
     t, tp = int(row[0]), int(row[1])
-    rf = Fraction(r)
-    d = rf.denominator
-    # e0 = num/den and t' r - e0 t/ell = (2 K ell t' r_num - num t) / (den ell), in integers
-    num, den = 2 * (params.a * d - rf.numerator) + params.K * d, 2 * params.K * d
+    num, den = curve_e0(params, r)
+    # r = a + K/2 - K e0, so t' r - e0 t/ell = t'/2 - e0 (K ell t' + t)/ell mod 1, in integers
     turns_den = den * params.ell
-    turns = (2 * params.K * params.ell * tp * rf.numerator - num * t) % turns_den / turns_den
+    turns = (tp * (turns_den // 2) - num * (params.K * params.ell * tp + t)) % turns_den / turns_den
     const = cmath.exp(TWO_PI_I * turns) / (2.0 * params.ell)
     if not parity and (num // den) & 1:
         const = -const
@@ -295,25 +296,18 @@ def _s_tt_curve_const(params: AlgebraParams, r, c) -> complex:
     removes every term of the exponent linear in x or w and leaves the
     rational constant R = -K e_r(0) e_c(0).  The parity sign
     (-1)^{floor e_r(0) + floor e_c(0)} is half a turn per unit.  Both are
-    taken mod 1 in Fractions, so r -> r + j*ell*K on either slot changes no
+    taken mod 1 in integers, so r -> r + j*ell*K on either slot changes no
     bit of the entry."""
-    a, K = params.a, params.K
-    e_r0 = (a - Fraction(r)) / K + Fraction(1, 2)
-    e_c0 = (a - Fraction(c)) / K + Fraction(1, 2)
-    turns = -K * e_r0 * e_c0 + Fraction(math.floor(e_r0) + math.floor(e_c0), 2)
-    return cmath.exp(TWO_PI_I * (float(turns % 1) + S_TT_QUARTER_TERM)) / params.ell
+    nr, dr = curve_e0(params, r)
+    nc, dc = curve_e0(params, c)
+    den = dr * dc  # even, as dr is
+    turns = (-params.K * nr * nc + (nr // dr + nc // dc) * (den // 2)) % den / den
+    return cmath.exp(TWO_PI_I * (turns + S_TT_QUARTER_TERM)) / params.ell
 
 
-def _s_tt_curve_raw(params: AlgebraParams, r, x, c, w):
-    """Curve-normalized typical-typical entry
-    S_tt((r, 0), (c, 0)) e^{-2 pi i K x w}; np-aware in w (and x)."""
-    import numpy as np
-
-    xw = np.asarray(x, dtype=complex) * np.asarray(w, dtype=complex)
-    val = _s_tt_curve_const(params, r, c) * np.exp(-TWO_PI_I * params.K * xw)
-    if np.ndim(val) == 0:
-        return complex(val)
-    return val
+def _s_tt_curve_raw(params: AlgebraParams, r, x: complex, c, w: complex) -> complex:
+    """Curve-normalized typical-typical entry S_tt((r, 0), (c, 0)) e^{-2 pi i K x w}."""
+    return _s_tt_curve_const(params, r, c) * cmath.exp(-TWO_PI_I * params.K * (x * w))
 
 
 def _s_tt_real_raw(params: AlgebraParams, col, col2) -> complex:
@@ -383,12 +377,14 @@ def s_entry_consistency_check(params: AlgebraParams, r, x, c, w) -> dict:
     a = params.a
     rf = Fraction(r)
     cf = Fraction(c)
-    e_r = curve_label_e(params, rf, x)
-    e_c = curve_label_e(params, cf, w)
-    curve = _s_tt_curve_raw(params, rf, as_complex(x), cf, as_complex(w))
+    xx, ww = as_complex(x), as_complex(w)
+    (nr, dr), (nc, dc) = curve_e0(params, rf), curve_e0(params, cf)
+    e_r = nr / dr - 1j * xx
+    e_c = nc / dc - 1j * ww
+    curve = _s_tt_curve_raw(params, rf, xx, cf, ww)
     real = _s_tt_real_raw(params, (2 * a - rf, e_r), (2 * a - cf, e_c))
     bridged = real * cmath.exp(-TWO_PI_I * (e_r + e_c))
-    tt_err = abs(complex(curve) - bridged)
+    tt_err = abs(curve - bridged)
 
     row = (0, 0)
     at_curve = s_entry_at(params, row, (rf, x), label_kind="r")
@@ -411,20 +407,12 @@ def _uv(args) -> tuple:
     return as_complex(u), as_complex(v)
 
 
-def _curve(params: AlgebraParams, c, u: complex, v: complex, tau: complex) -> tuple:
-    """(C_c, B_c): the x-free prefactor and the drift of the typical curve c.
-    Checks compute them once per curve and hand them to every integrand."""
-    return curve_prefactor(params, c, u, v, tau), curve_drift(params, c, u, v, tau)
-
-
-def _gaussian_integral(alpha: complex, beta):
+def _gaussian_integral(alpha: complex, beta: complex) -> complex:
     """int_R e^{-alpha w^2 + beta w} dw = sqrt(pi/alpha) e^{beta^2/(4 alpha)}.
 
-    Needs Re alpha > 0 (principal square root); vectorised over beta.  The
-    curve Gaussians have alpha = -pi i tau K, with Re alpha = pi K Im tau."""
-    import numpy as np
-
-    return cmath.sqrt(math.pi / alpha) * np.exp(np.asarray(beta) ** 2 / (4.0 * alpha))
+    Needs Re alpha > 0 (principal square root).  The curve Gaussians have
+    alpha = -pi i tau K, with Re alpha = pi K Im tau."""
+    return cmath.sqrt(math.pi / alpha) * cmath.exp(beta * beta / (4.0 * alpha))
 
 
 def _contour_side(side) -> float:
@@ -448,23 +436,24 @@ def _at_integral(
     params: AlgebraParams,
     row,
     r: Fraction,
-    curve: tuple,
+    pref: complex,
+    drift: complex,
     tau: complex,
     parity_on: bool,
     side: float | None,
     rel_scale: float,
 ):
-    """C_r * integral over R of S_at(row; r, x) G_r(x) dx, with curve =
-    (C_r, B_r) from _curve.  A row with integer e_r(0) has its 1/sin pole
-    at x = 0 and takes the half-residue sign side; other rows take None.
+    """C_r * integral over R of S_at(row; r, x) G(x) dx, with pref = C_r
+    and drift = B the curve prefactor and drift.  A row with integer e_r(0)
+    has its 1/sin pole at x = 0 and takes the half-residue sign side; other
+    rows take None.
 
     The x-free prefactor C_r of the curve character is pulled out so the
     quadrature sees an O(1) integrand."""
     const, f = _s_at_curve_const(params, row, r, parity_on)
-    pref, drift = curve
     # 1/sin(pi(f - ix)) = i/sinh(pi(x + if)); the phase's x-part joins the Gaussian
     beta = -2.0 * math.pi * (drift + row[0] / params.ell)
-    res = _pole_line(math.pi * 1j * tau * params.K, [(1j * const, beta)], -f, side,
+    res = _pole_line(math.pi * 1j * tau * params.K, 1j * const, beta, -f, side,
                      max(DEFAULT_QUAD.tail_tol, 1e-9 * rel_scale))
     return pref * res.value
 
@@ -503,6 +492,7 @@ def s_transform_atypical_check(
             )
 
     scale = abs(lhs)
+    drift = curve_drift(params, u, v)
     at_total = 0.0 + 0.0j
     singular_rows = []
     for r in sets.m_values:
@@ -510,8 +500,8 @@ def s_transform_atypical_check(
         if _s_at_curve_const(params, (t, tp), r, parity_on)[1] == 0.0:
             singular_rows.append(r)
             sigma = _contour_side(side)
-        curve = _curve(params, r, u, v, tt)
-        at_total += _at_integral(params, (t, tp), r, curve, tt, parity_on, sigma, scale)
+        pref = curve_prefactor(params, r, u, v, tt)
+        at_total += _at_integral(params, (t, tp), r, pref, drift, tt, parity_on, sigma, scale)
 
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * (aa + sign * at_total)
     return identity_report(
@@ -523,30 +513,27 @@ def s_transform_atypical_check(
     )
 
 
-def _typical_terms(params: AlgebraParams, r: Fraction, curves: dict) -> list:
-    """[(coeff, beta0)] = [(S_tt((r,0),(c,0)) C_c, -2 pi B_c)] over the window
-    M, with curves = {c: _curve(..., c, ...)}.  As S_tt((r,x),(c,w)) =
-    S_tt((r,0),(c,0)) e^{-2 pi i K x w}, sum_c int dw S_tt chi_T-curve(c,w) is
-    sum coeff * _gaussian_integral(-pi i tau K, beta0 - 2 pi i K x)."""
-    return [(_s_tt_curve_const(params, r, c) * pref, -2.0 * math.pi * drift) for c, (pref, drift) in curves.items()]
+def _typical_coeff(params: AlgebraParams, r: Fraction, prefs: dict) -> complex:
+    """sum_c S_tt((r,0),(c,0)) C_c over the window M, with prefs = {c: C_c}.
+    As S_tt((r,x),(c,w)) = S_tt((r,0),(c,0)) e^{-2 pi i K x w} and every
+    curve has the drift B, sum_c int dw S_tt chi_T-curve(c,w) is this sum
+    times _gaussian_integral(-pi i tau K, -2 pi B - 2 pi i K x)."""
+    return sum(_s_tt_curve_const(params, r, c) * pref for c, pref in prefs.items())
 
 
 def s_transform_typical_check(params: AlgebraParams, row, args, tau) -> dict:
     """chi_T-curve(r, x)(u/tau, v/tau; -1/tau) against the S_tt expansion.
 
-    The Gaussian integrals of the expansion are taken in closed form."""
+    The expansion's one Gaussian integral is taken in closed form."""
     r, x = row
     rf = _coerce_m(params, r, "r", window=True)
     xf = float(x)
     u, v = _uv(args)
     tt = as_tau(tau)
     lhs = chi_w_typical_curve(params, rf, xf, u / tt, v / tt, -1.0 / tt)
-    curves = {c: _curve(params, c, u, v, tt) for c in index_sets(params).m_values}
-    alpha = -math.pi * 1j * tt * params.K
-    bracket = sum(
-        coeff * _gaussian_integral(alpha, beta0 - TWO_PI_I * params.K * xf)
-        for coeff, beta0 in _typical_terms(params, rf, curves)
-    )
+    prefs = {c: curve_prefactor(params, c, u, v, tt) for c in index_sets(params).m_values}
+    beta = -2.0 * math.pi * curve_drift(params, u, v) - TWO_PI_I * params.K * xf
+    bracket = _typical_coeff(params, rf, prefs) * _gaussian_integral(-math.pi * 1j * tt * params.K, beta)
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * bracket
     return identity_report("s_transform_typical", lhs, rhs, row=(rf, xf))
 
@@ -620,6 +607,7 @@ def lemma_trafoatyp_check(
     base = chi_w_atypical(pr, AtypicalWLabel(sv / ell, 0), u, v - tv / ell, tt)
     scale = abs(lhs)
 
+    drift = curve_drift(pr, u, v - tv / ell)
     total = 0.0 + 0.0j
     singular_terms = []
     for m in range(0, 2 * a + 1):
@@ -630,8 +618,8 @@ def lemma_trafoatyp_check(
         if (c_m / K - Fraction(1, 2)).denominator == 1:
             singular_terms.append(m)
             sigma = _contour_side(side)
-        curve = _curve(pr, r, u, v - tv / ell, tt)
-        total += _cosh_kernel_integral(pr, r, c_f, curve, tt, sigma, scale)
+        pref = curve_prefactor(pr, r, u, v - tv / ell, tt)
+        total += _cosh_kernel_integral(pr, c_f, pref, drift, tt, sigma, scale)
 
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * (base + hs * 0.5 * total)
     return identity_report(
@@ -648,19 +636,19 @@ def lemma_trafoatyp_check(
 
 def _cosh_kernel_integral(
     params: AlgebraParams,
-    r: Fraction,
     c: float,
-    curve: tuple,
+    pref: complex,
+    drift: complex,
     tau: complex,
     side: float | None,
     rel_scale: float,
 ):
-    """C_r * integral over R of G_r(x) / cosh(pi (x + i c)) dx, with curve =
-    (C_r, B_r) from _curve.  A half-integer c = k + 1/2 puts the pole at
-    x = 0 and takes the half-residue sign side; other c take None."""
-    pref, drift = curve
+    """C_r * integral over R of G(x) / cosh(pi (x + i c)) dx, with pref =
+    C_r and drift = B the curve prefactor and drift.  A half-integer
+    c = k + 1/2 puts the pole at x = 0 and takes the half-residue sign side;
+    other c take None."""
     # 1/cosh(pi(x + ic)) = -i/sinh(pi(x - i(1/2 - c)))
-    res = _pole_line(math.pi * 1j * tau * params.K, [(-1j, -2.0 * math.pi * drift)], 0.5 - c, side,
+    res = _pole_line(math.pi * 1j * tau * params.K, -1j, -2.0 * math.pi * drift, 0.5 - c, side,
                      max(DEFAULT_QUAD.tail_tol, 1e-9 * rel_scale))
     return pref * res.value
 
@@ -714,8 +702,7 @@ def lemma_trafotypchar_check(
     r_left = Fraction(m) - Fraction(sv, ell)
     lhs = chi_w_typical_curve(pr, r_left, xf, u / tt, v / tt + tv / ell, -1.0 / tt)
 
-    alpha = -math.pi * 1j * tt * K
-    total = 0.0 + 0.0j
+    coeff = 0.0 + 0.0j
     for mp in range(mp_start, mp_start + K):
         quad_term = _def_am_quadratic(which, mp, m)
         # w-independent part of A_{m'}; the w-linear part -i w s/ell - w K x
@@ -724,11 +711,10 @@ def lemma_trafotypchar_check(
             TWO_PI_I
             * (-1j * xf * tv / ell + sv * tv / (ell * ell * K) - quad_term / K + quarter)
         )
-        r_right = Fraction(mp) - Fraction(tv, ell)
-        pref = curve_prefactor(pr, r_right, u, v - sv / ell, tt)
-        drift = curve_drift(pr, r_right, u, v - sv / ell, tt)
-        beta = -2.0 * math.pi * drift + 2.0 * math.pi * sv / ell - TWO_PI_I * K * xf
-        total += const_phase * pref * complex(_gaussian_integral(alpha, beta))
+        coeff += const_phase * curve_prefactor(pr, Fraction(mp) - Fraction(tv, ell), u, v - sv / ell, tt)
+    # every curve has the same drift, so the K Gaussian integrals are one
+    beta = -2.0 * math.pi * curve_drift(pr, u, v - sv / ell) + 2.0 * math.pi * sv / ell - TWO_PI_I * K * xf
+    total = coeff * _gaussian_integral(-math.pi * 1j * tt * K, beta)
 
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * boundary_sign * total
     return identity_report(
@@ -782,13 +768,14 @@ def s_compose_check(params: AlgebraParams, row, args, tau) -> dict:
     scale = abs(lhs)
 
     # everything that does not depend on the outer row (sY, s'Y) or on x:
-    # the atypical characters and each curve's prefactor and drift
+    # the atypical characters, each curve's prefactor and the shared drift
     atypicals = [
         ((sZ, spZ), chi_w_atypical(params, AtypicalWLabel(sZ / ell, spZ), u, v, tt))
         for sZ in sets.s_values
         for spZ in sets.s_values
     ]
-    curves = {c: _curve(params, c, u, v, tt) for c in sets.m_values}
+    prefs = {c: curve_prefactor(params, c, u, v, tt) for c in sets.m_values}
+    drift = curve_drift(params, u, v)
 
     rhs = 0.0 + 0.0j
     for sY in sets.s_values:
@@ -797,24 +784,24 @@ def s_compose_check(params: AlgebraParams, row, args, tau) -> dict:
             for col, chi in atypicals:
                 inner += _s_aa_raw(params, (sY, spY), col) * chi
             at_inner = 0.0 + 0.0j
-            for c, curve in curves.items():
-                at_inner += _at_integral(params, (sY, spY), c, curve, tt, S_AT_PARITY, SINGULAR_CONTOUR_SIDE, scale)
+            for c, pref in prefs.items():
+                at_inner += _at_integral(params, (sY, spY), c, pref, drift, tt, S_AT_PARITY, SINGULAR_CONTOUR_SIDE,
+                                         scale)
             rhs += _s_aa_raw(params, (t, tp), (sY, spY)) * (inner + AT_BLOCK_SIGN * at_inner)
 
-    # Outer row r: S_at(row; r, x) against the w-integrals of _typical_terms,
-    # each e^{beta0^2/(4 alpha)} e^{alpha_x x^2 + (beta0/tau) x} in x, with
-    # S_at's e^{-2 pi x t/ell} in the linear term: one kernel line integral.
-    alpha = -math.pi * 1j * tt * K
+    # Outer row r: S_at(row; r, x) against _typical_coeff times the one
+    # w-integral, sqrt(pi/alpha) e^{beta0^2/(4 alpha)} e^{alpha_x x^2 + (beta0/tau) x}
+    # in x with alpha = -pi i tau K, and S_at's e^{-2 pi x t/ell} in the
+    # linear term: one kernel line integral with one Gaussian.
     alpha_x = -math.pi * 1j * K / tt
-    root = cmath.sqrt(math.pi / alpha)
+    beta0 = -2.0 * math.pi * drift
+    gauss = _gaussian_integral(-math.pi * 1j * tt * K, beta0)
+    beta = beta0 / tt - 2.0 * math.pi * t / ell
     tail_tol = max(DEFAULT_QUAD.tail_tol, 1e-8 * scale)
-    for r in curves:
+    for r in prefs:
         const, f = _s_at_curve_const(params, (t, tp), r, S_AT_PARITY)
-        terms = [
-            (1j * const * root * coeff * cmath.exp(beta0 * beta0 / (4.0 * alpha)), beta0 / tt - 2.0 * math.pi * t / ell)
-            for coeff, beta0 in _typical_terms(params, r, curves)
-        ]
-        rhs += AT_BLOCK_SIGN * _pole_line(alpha_x, terms, -f, SINGULAR_CONTOUR_SIDE, tail_tol).value
+        coeff = 1j * const * gauss * _typical_coeff(params, r, prefs)
+        rhs += AT_BLOCK_SIGN * _pole_line(alpha_x, coeff, beta, -f, SINGULAR_CONTOUR_SIDE, tail_tol).value
 
     return identity_report("s_compose", lhs, rhs, row=(t, tp))
 
@@ -853,7 +840,7 @@ def s_periodicity_check(params: AlgebraParams, seed: int = 0) -> dict:
 
         base_tt = _s_tt_curve_raw(params, r, x, c, w)
         shifted_tt = _s_tt_curve_raw(params, r + jr * ell * K, x, c + jc * ell * K, w)
-        worst = max(worst, abs(complex(base_tt) - complex(shifted_tt)))
+        worst = max(worst, abs(base_tt - shifted_tt))
     return {"check": "s_periodicity", "max_abs_err": worst, "trials": _PERIODICITY_TRIALS}
 
 

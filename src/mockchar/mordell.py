@@ -65,7 +65,7 @@ def mordell_h_quad(u, tau, quad: QuadratureSpec | None = None) -> QuadratureResu
     def integrand(x):
         return np.exp(_PI_I * tt * x * x - _TWO_PI * uu * x) / np.cosh(math.pi * x)
 
-    return integrate_line(integrand, _quad_for(uu, tt, quad), vectorized=True)
+    return integrate_line(integrand, _quad_for(uu, tt, quad))
 
 
 def mordell_h(u, tau) -> complex:
@@ -111,7 +111,7 @@ def mordell_h_s_quad(
         d = contour_depth(eps)
         const *= cmath.exp(-alpha * d * d - 1j * beta * d)
         beta, p = beta - 2j * alpha * d, p + d
-    return _pole_line(alpha, [(const, beta)], p, -1.0, tail_tol)
+    return _pole_line(alpha, const, beta, p, -1.0, tail_tol)
 
 
 def mordell_h_s(s, u, tau, eps: float | None = None) -> complex:
@@ -131,7 +131,7 @@ def mordell_h_contour(s: float, u, tau) -> complex:
         x = t + s_c
         return np.exp(_PI_I * tt * x * x - _TWO_PI * uu * x) / np.cosh(math.pi * t)
 
-    return integrate_line(integrand, _quad_for(uu, tt, None), vectorized=True).value
+    return integrate_line(integrand, _quad_for(uu, tt, None)).value
 
 
 def verify_mordell_shift(s: float, u, tau) -> dict:

@@ -62,12 +62,6 @@ class GRat:
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
 
-    def __add__(self, other: "GRat") -> "GRat":
-        return GRat(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GRat") -> "GRat":
-        return GRat(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other: "GRat") -> "GRat":
         return GRat(
             self.re * other.re - self.im * other.im,

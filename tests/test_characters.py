@@ -20,6 +20,7 @@ from mockchar.characters import (
     chi_via_appell,
     chi_w_atypical,
     chi_w_typical,
+    chi_w_typical_curve,
     chiunity_decompose,
     conformal_dim,
     elliptic_shift_atypical,
@@ -35,6 +36,8 @@ from mockchar.characters import (
 from mockchar.domain import AlgebraParams, AtypicalWLabel, TypicalWLabel
 from mockchar.errors import InvalidParameter
 from mockchar.kernel import eta, theta1, theta3
+from mockchar.modular_verlinde import index_sets
+from mockchar.suites import DEFAULT_GRID
 
 U, V, TAU = 0.13 + 0.21j, 0.29 + 0.11j, 0.1 + 1.1j
 
@@ -83,6 +86,20 @@ def test_w_typical_routes_agree(n, ell):
     a = chi_w_typical(params, label, U, V, TAU, route="sum")
     b = chi_w_typical(params, label, U, V, TAU, route="theta")
     assert abs(a - b) < 1e-12 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("n,ell", DEFAULT_GRID)
+def test_curve_character_is_the_typical_character_at_the_curve_label(n, ell):
+    # chi_w_typical_curve takes the drift B = (a+1)u - v for every curve r;
+    # chi_w_typical builds its lead from the complex label itself
+    params = AlgebraParams(n, ell)
+    a, K = params.a, params.K
+    for r in index_sets(params).m_values:
+        e0 = float((a - r) / K + Fraction(1, 2))
+        for x in (-0.8, 0.0, 0.35, 1.1):
+            got = chi_w_typical_curve(params, r, x, U, V, TAU)
+            want = chi_w_typical(params, TypicalWLabel(a * e0 + 1j * (a + 1) * x, e0 - 1j * x), U, V, TAU)
+            assert abs(got - want) <= 1e-13 * abs(want), (r, x, got, want)
 
 
 @pytest.mark.parametrize("n,ell", [(1, 1), (2, 2)])

@@ -141,9 +141,9 @@ def test_eval_h_s_with_an_unresolvable_window_fails_at_once(capsys, monkeypatch,
     passes = []
     real_eval_line = kernel._eval_line
 
-    def counted(f, xs, shift, vectorized):
+    def counted(f, xs):
         passes.append(len(xs))
-        return real_eval_line(f, xs, shift, vectorized)
+        return real_eval_line(f, xs)
 
     monkeypatch.setattr(kernel, "_eval_line", counted)
     code, _, err = run(capsys, "eval", "h_s", "--s", s, "--u", "0.1", "--tau", "1e-20i")

@@ -81,6 +81,19 @@ def test_suites_and_qexpand_verify_load_no_numpy():
     assert "suites" in got["mockchar"]
 
 
+def test_s_entries_without_quadrature_load_no_numpy():
+    got = loaded_after("""
+from fractions import Fraction
+from mockchar.domain import AlgebraParams
+from mockchar.modular_verlinde import s_entry_at, s_entry_consistency_check
+pr = AlgebraParams(2, 2)
+s_entry_at(pr, (0, 0), (Fraction(1, 2), 0.3 + 0.1j), label_kind="m")
+s_entry_consistency_check(pr, Fraction(1, 2), 0.21, Fraction(-1, 2), 0.33)
+""")
+    assert not got["numpy"]
+    assert "modular_verlinde" in got["mockchar"]
+
+
 def test_sweep_loads_no_verify_stack():
     got = loaded_after(cli_runs(["sweep", "thetascale", "--K", "1..3"]))
     assert not got["numpy"]
@@ -142,6 +155,18 @@ def test_no_module_level_numpy_import():
                 continue
             eager += [(fname, name) for name in names if name.split(".")[0] == "numpy"]
     assert not eager, eager
+
+
+def test_characters_never_import_numpy():
+    # not even inside a function: every character is a scalar series
+    tree = dict(module_trees())["characters.py"]
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+    assert not [name for name in names if name.split(".")[0] == "numpy"], names
 
 
 def test_no_unused_module_level_import():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import mockchar.modular_verlinde as mv
-from mockchar.characters import curve_base_labels
+from mockchar.characters import curve_drift, curve_e0, curve_prefactor
 from mockchar.domain import AlgebraParams, QuadratureSpec, RegulatorSpec
 from mockchar.errors import (
     IndexOutOfRange,
@@ -249,11 +249,17 @@ def _mp_shifted_line(alpha, beta, kernel, depth=0.25):
         return complex(mp.quad(f, points, method="gauss-legendre"))
 
 
+def _curve_parts(params, r, u, v, tau):
+    """(C_r, B): the curve prefactor and the drift every curve shares."""
+    return curve_prefactor(params, r, u, v, tau), curve_drift(params, u, v)
+
+
 def _mp_at_row(params, row, r, curve, tau):
     """The singular S_at row integral of _at_integral, on a line above the pole."""
     t, tp = row
     ell, K = params.ell, params.K
-    _, e0 = curve_base_labels(params, r)
+    num, den = curve_e0(params, r)
+    e0 = num / den
     sign = mv._parity(e0)
 
     def kernel(mp, x):
@@ -273,12 +279,11 @@ def _mp_lemma_term(pr, c, curve, tau):
 
 
 def _singular_lemma_term(tau, args=ARGS):
-    """(pr, r, c, curve) of the one singular term of lemma cell (1, 2, -1, 0):
-    m = 2a, r = m - s/ell, c = (a - m + s/ell) / K = -1/2."""
+    """(pr, c, curve) of the one singular term of lemma cell (1, 2, -1, 0):
+    m = 2a, r = m - s/ell = 5/2, c = (a - m + s/ell) / K = -1/2."""
     pr = AlgebraParams(1, 1)
     u, v = args
-    r = Fraction(5, 2)
-    return pr, r, -0.5, mv._curve(pr, r, u, v, tau)
+    return pr, -0.5, _curve_parts(pr, Fraction(5, 2), u, v, tau)
 
 
 @pytest.mark.parametrize("tau", [1.2 + 0.5j, 2.0 + 0.3j, -1.5 + 0.4j])
@@ -287,18 +292,18 @@ def test_singular_rows_at_large_re_tau(tau):
     # depth rule; each singular integral matches mpmath on a line above the pole
     rep = mv.lemma_trafoatyp_check(1, 2, -1, 0, ARGS, tau)
     assert rep["rel_err"] < 1e-10, rep
-    pr, r, c, curve = _singular_lemma_term(tau)
+    pr, c, curve = _singular_lemma_term(tau)
     ref = _mp_lemma_term(pr, c, curve, tau)
-    got = mv._cosh_kernel_integral(pr, r, c, curve, tau, 1.0, abs(rep["lhs"]))
+    got = mv._cosh_kernel_integral(pr, c, *curve, tau, 1.0, abs(rep["lhs"]))
     assert abs(got - ref) < 1e-10 * abs(ref), (got, ref)
 
     params, row = AlgebraParams(2, 2), (0, 0)
     rep = mv.s_transform_atypical_check(params, row, ARGS, tau)
     assert rep["rel_err"] < 1e-10, rep
     for r in rep["singular_rows"]:
-        curve = mv._curve(params, r, *ARGS, tau)
+        curve = _curve_parts(params, r, *ARGS, tau)
         ref = _mp_at_row(params, row, r, curve, tau)
-        got = mv._at_integral(params, row, r, curve, tau, True, 1.0, abs(rep["lhs"]))
+        got = mv._at_integral(params, row, r, *curve, tau, True, 1.0, abs(rep["lhs"]))
         assert abs(got - ref) < 1e-10 * abs(ref), (r, got, ref)
 
 
@@ -324,9 +329,9 @@ def test_singular_rows_match_mpmath_at_large_im_tau(cell, T):
     rep = mv.s_transform_atypical_check(params, row, args, tau)
     assert bool(rep["singular_rows"]) == (cell == (2, 2))
     for r in rep["singular_rows"]:
-        curve = mv._curve(params, r, *args, tau)
+        curve = _curve_parts(params, r, *args, tau)
         ref = _mp_at_row(params, row, r, curve, tau)
-        got = mv._at_integral(params, row, r, curve, tau, True, 1.0, abs(rep["lhs"]))
+        got = mv._at_integral(params, row, r, *curve, tau, True, 1.0, abs(rep["lhs"]))
         assert abs(got - ref) <= 1e-12 * abs(ref), (r, got, ref)
 
 
@@ -336,9 +341,9 @@ def test_singular_lemma_term_matches_mpmath_at_large_im_tau(T):
     rep = mv.lemma_trafoatyp_check(1, 2, -1, 0, args, tau)
     assert rep["singular_terms"] == (2,)
     assert rep["rel_err"] <= 1e-12, rep
-    pr, r, c, curve = _singular_lemma_term(tau, args)
+    pr, c, curve = _singular_lemma_term(tau, args)
     ref = _mp_lemma_term(pr, c, curve, tau)
-    got = mv._cosh_kernel_integral(pr, r, c, curve, tau, 1.0, abs(rep["lhs"]))
+    got = mv._cosh_kernel_integral(pr, c, *curve, tau, 1.0, abs(rep["lhs"]))
     assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
 
 
@@ -362,8 +367,8 @@ def test_gaussian_integral_matches_quadrature(tau):
             b = abs(beta)
             half = (b + math.sqrt(b * b + 4.0 * alpha.real * 40.0)) / (2.0 * alpha.real)
             spec = QuadratureSpec(half_width=half, tail_tol=1e-15, max_nodes=1 << 16)
-            quad = integrate_line(lambda w: np.exp(-alpha * w * w + beta * w), spec, vectorized=True)
-            closed = complex(mv._gaussian_integral(alpha, beta))
+            quad = integrate_line(lambda w: np.exp(-alpha * w * w + beta * w), spec)
+            closed = mv._gaussian_integral(alpha, beta)
             assert abs(quad.value - closed) <= 1e-12 * max(abs(closed), 1.0), (K, beta, quad, closed)
 
 
@@ -454,7 +459,7 @@ def test_s_compose_computes_each_curve_and_character_once(monkeypatch):
     # computing them once changes no bit of the result (the value of the
     # quadrature on the nested k*h grid, with the series summed by term ratios
     # and the S_tt phases reduced exactly)
-    assert rep["rel_err"] == 6.219340515451856e-16, rep
+    assert rep["rel_err"] == 6.268115489686946e-16, rep
 
 
 def test_structure_constant_kronecker():
@@ -567,7 +572,7 @@ def _unitarity_tt_by_quadrature(pr, e, m, m2, width):
         osc = np.exp(2j * math.pi * (e * nu - ep[None, :] * dm))
         return (osc * ghat).sum(axis=0) / (ell * ell)
 
-    return integrate_line(integrand, _probe_spec(pr, width), vectorized=True).value
+    return integrate_line(integrand, _probe_spec(pr, width)).value
 
 
 def _n_weak_by_quadrature(pr, row, col, m2, width):
@@ -590,7 +595,7 @@ def _n_weak_by_quadrature(pr, row, col, m2, width):
         kphase = np.exp(-2j * math.pi * (k_arr[:, None] * (e + tp)))
         return (xphase * kphase * ghat).sum(axis=0) * (par * cmath.exp(math.pi * 1j * e) / (ell * ell))
 
-    return integrate_line(integrand, _probe_spec(pr, width), vectorized=True).value
+    return integrate_line(integrand, _probe_spec(pr, width)).value
 
 
 @pytest.mark.parametrize(

@@ -122,8 +122,7 @@ def test_subtracted_pole_matches_raw_trapezoid(s):
     def raw(x):
         return np.exp(1j * math.pi * tau * x * x - 2.0 * math.pi * u * x) / np.cosh(math.pi * (x - 1j * s))
 
-    ref = integrate_line(raw, QuadratureSpec(half_width=h_window(u - eps * tau, tau), contour_shift=-eps),
-                         vectorized=True)
+    ref = integrate_line(lambda x: raw(x - 1j * eps), QuadratureSpec(half_width=h_window(u - eps * tau, tau)))
     assert ref.nodes > 1 << 16
     res = mordell_h_s_quad(s, u, tau, eps=eps)
     assert abs(res.value - ref.value) < 1e-10
