@@ -2,7 +2,9 @@
 transformation laws, truncation errors, and an mpmath oracle for the series."""
 
 import cmath
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -311,6 +313,26 @@ def test_theta_reduces_re_u_before_summing():
     u = 300.3 + 0.2j
     assert theta1(u, 1j) == theta1(u - 300.0, 1j) == -theta1(u + 1.0, 1j)
     assert theta3(u, 1j) == theta3(u - 300.0, 1j)
+
+
+def test_theta_sums_retain_no_memory():
+    # a theta sum is not memoised: 20k calls each at distinct u leave nothing
+    # behind (a 65,536-entry cache of them held ~8 MB)
+    tau = 0.1 + 1.1j
+    theta1(0.3, tau), theta3(0.3, tau)  # first calls set up module state
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for j in range(20_000):
+            u = complex(-0.45 + j * 4.5e-5, 0.01)
+            theta1(u, tau)
+            theta3(u, tau)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.5e6
 
 
 def _mp_pole_line(alpha, c, beta, p, depth):
