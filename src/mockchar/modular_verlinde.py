@@ -10,8 +10,11 @@ structure the S-matrix induces.
 
 Every curve label e_r(0) is read from characters.curve_e0 in integers, and
 every typical curve carries the same Gaussian drift B in x, so the typical
-expansions take one closed-form Gaussian integral, and each S_at row one
-kernel line integral of one Gaussian (kernel._pole_line).
+expansions take one closed-form Gaussian integral.  The atypical S-transform
+and the double S read one character vector (the atypical characters, the
+curve prefactors C_r and B) and apply one atypical S-row to it; each curve
+term of that row, and of the rank-one atypical lemma, is one curve line
+integral: a kernel line integral of one Gaussian (kernel._pole_line).
 
 Every check returns a plain dict with ``lhs``/``rhs``/``abs_err``/``rel_err``
 style keys so callers can apply their own tolerances.
@@ -432,30 +435,48 @@ def _dist_to_integers(y: float) -> float:
 # S-transformation checks
 
 
-def _at_integral(
-    params: AlgebraParams,
-    row,
-    r: Fraction,
-    pref: complex,
-    drift: complex,
-    tau: complex,
-    parity_on: bool,
-    side: float | None,
-    rel_scale: float,
-):
-    """C_r * integral over R of S_at(row; r, x) G(x) dx, with pref = C_r
-    and drift = B the curve prefactor and drift.  A row with integer e_r(0)
-    has its 1/sin pole at x = 0 and takes the half-residue sign side; other
-    rows take None.
+def _character_vector(params: AlgebraParams, u: complex, v: complex, tau: complex) -> tuple:
+    """(atypicals, prefs, drift), the vector every atypical S-row acts on: the
+    pairs ((s, s'), chi_A(s/ell, s')) over S x S, {r: C_r} over M and the
+    drift B, so chi_T-curve(r, x) = C_r e^{pi i tau K x^2 - 2 pi B x}."""
+    sets = index_sets(params)
+    atypicals = [((s, sp), chi_w_atypical(params, AtypicalWLabel(s / params.ell, sp), u, v, tau))
+                 for s in sets.s_values for sp in sets.s_values]
+    prefs = {r: curve_prefactor(params, r, u, v, tau) for r in sets.m_values}
+    return atypicals, prefs, curve_drift(params, u, v)
 
-    The x-free prefactor C_r of the curve character is pulled out so the
-    quadrature sees an O(1) integrand."""
-    const, f = _s_at_curve_const(params, row, r, parity_on)
+
+def _curve_line(params: AlgebraParams, tau: complex, pref: complex, const: complex, beta: complex,
+                p: float, side: float | None, scale: float) -> complex:
+    """pref * const * int_R e^{pi i tau K x^2 + beta x} / sinh(pi(x - ip)) dx.
+
+    The curve prefactor pref = C_r is pulled out so the quadrature sees an
+    O(1) integrand, whose tail tolerance follows scale.  A pole on R (integer
+    p) takes the half-residue sign side; other p take None."""
+    res = _pole_line(math.pi * 1j * tau * params.K, const, beta, p, side,
+                     max(DEFAULT_QUAD.tail_tol, 1e-9 * scale))
+    return pref * res.value
+
+
+def _s_row(params: AlgebraParams, row, vec: tuple, tau: complex, scale: float, sign: float,
+           parity: bool, side: float) -> tuple:
+    """(sum_A S_aa(row, A) chi_A + sign sum_r int_R S_at(row; r, x) chi_T-curve(r, x) dx,
+    the rows r with integer e_r(0)) on the character vector vec.  Those rows
+    have their 1/sin pole at x = 0 and take the half-residue sign side."""
+    atypicals, prefs, drift = vec
+    aa = 0.0 + 0.0j
+    for col, chi in atypicals:
+        aa += _s_aa_raw(params, row, col) * chi
     # 1/sin(pi(f - ix)) = i/sinh(pi(x + if)); the phase's x-part joins the Gaussian
     beta = -2.0 * math.pi * (drift + row[0] / params.ell)
-    res = _pole_line(math.pi * 1j * tau * params.K, 1j * const, beta, -f, side,
-                     max(DEFAULT_QUAD.tail_tol, 1e-9 * rel_scale))
-    return pref * res.value
+    at_total = 0.0 + 0.0j
+    singular_rows = []
+    for r, pref in prefs.items():
+        const, f = _s_at_curve_const(params, row, r, parity)
+        if f == 0.0:
+            singular_rows.append(r)
+        at_total += _curve_line(params, tau, pref, 1j * const, beta, -f, side if f == 0.0 else None, scale)
+    return aa + sign * at_total, tuple(singular_rows)
 
 
 def s_transform_atypical_check(
@@ -467,50 +488,24 @@ def s_transform_atypical_check(
     parity: bool | None = None,
     singular_side=None,
 ) -> dict:
-    """chi_A(u/tau, v/tau; -1/tau) against the S-matrix expansion.
+    """chi_A(u/tau, v/tau; -1/tau) against the S-row applied to the character vector.
 
     Rows with integer e_r(0) put the 1/sin pole at x = 0 on the contour R.
     Their integral is the principal value on R plus side times the
     half-residue: side +1 passes above the pole, -1 below, "pv" neither.
-    Side 0 raises PoleOnContour, any other value InvalidParameter."""
+    On every cell, side 0 raises PoleOnContour and any other InvalidParameter."""
     t, tp = _require_s_pair(params, row)
     u, v = _uv(args)
     tt = as_tau(tau)
-    ell = params.ell
     sign = AT_BLOCK_SIGN if at_sign is None else float(at_sign)
     parity_on = S_AT_PARITY if parity is None else bool(parity)
-    side = SINGULAR_CONTOUR_SIDE if singular_side is None else singular_side
+    side = _contour_side(SINGULAR_CONTOUR_SIDE if singular_side is None else singular_side)
 
-    lhs = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), u / tt, v / tt, -1.0 / tt)
-    sets = index_sets(params)
-
-    aa = 0.0 + 0.0j
-    for s in sets.s_values:
-        for sp in sets.s_values:
-            aa += _s_aa_raw(params, (t, tp), (s, sp)) * chi_w_atypical(
-                params, AtypicalWLabel(s / ell, sp), u, v, tt
-            )
-
-    scale = abs(lhs)
-    drift = curve_drift(params, u, v)
-    at_total = 0.0 + 0.0j
-    singular_rows = []
-    for r in sets.m_values:
-        sigma = None
-        if _s_at_curve_const(params, (t, tp), r, parity_on)[1] == 0.0:
-            singular_rows.append(r)
-            sigma = _contour_side(side)
-        pref = curve_prefactor(params, r, u, v, tt)
-        at_total += _at_integral(params, (t, tp), r, pref, drift, tt, parity_on, sigma, scale)
-
-    rhs = cmath.exp(TWO_PI_I * u * v / tt) * (aa + sign * at_total)
-    return identity_report(
-        "s_transform_atypical",
-        lhs,
-        rhs,
-        row=(t, tp),
-        singular_rows=tuple(singular_rows),
-    )
+    lhs = chi_w_atypical(params, AtypicalWLabel(t / params.ell, tp), u / tt, v / tt, -1.0 / tt)
+    vec = _character_vector(params, u, v, tt)
+    value, singular_rows = _s_row(params, (t, tp), vec, tt, abs(lhs), sign, parity_on, side)
+    rhs = cmath.exp(TWO_PI_I * u * v / tt) * value
+    return identity_report("s_transform_atypical", lhs, rhs, row=(t, tp), singular_rows=singular_rows)
 
 
 def _typical_coeff(params: AlgebraParams, r: Fraction, prefs: dict) -> complex:
@@ -591,7 +586,8 @@ def lemma_trafoatyp_check(
     chi_A(u/tau, v/tau + s/ell; -1/tau) against the flowed atypical plus the
     cosh-kernel integral over the 2a+1 typical curves.  The kernel pole hits
     R exactly when m = 2a and s = -ell/2; that term is the principal value on
-    R plus side times the half-residue, as in s_transform_atypical_check."""
+    R plus side times the half-residue, as in s_transform_atypical_check, and
+    side is checked on every cell."""
     if a < 0 or ell <= 0:
         raise InvalidParameter("need a >= 0 and ell >= 1")
     pr = AlgebraParams(a, 1)
@@ -601,7 +597,7 @@ def lemma_trafoatyp_check(
     u, v = _uv(args)
     tt = as_tau(tau)
     hs = LEMMA_HALF_SIGN if half_sign is None else float(half_sign)
-    side = SINGULAR_CONTOUR_SIDE if singular_side is None else singular_side
+    side = _contour_side(SINGULAR_CONTOUR_SIDE if singular_side is None else singular_side)
 
     lhs = chi_w_atypical(pr, AtypicalWLabel(tv / ell, 0), u / tt, v / tt + sv / ell, -1.0 / tt)
     base = chi_w_atypical(pr, AtypicalWLabel(sv / ell, 0), u, v - tv / ell, tt)
@@ -613,13 +609,13 @@ def lemma_trafoatyp_check(
     for m in range(0, 2 * a + 1):
         r = Fraction(m) - Fraction(sv, ell)
         c_m = Fraction(a - m) + Fraction(sv, ell)
-        c_f = float(c_m) / K
-        sigma = None
-        if (c_m / K - Fraction(1, 2)).denominator == 1:
+        singular = (c_m / K - Fraction(1, 2)).denominator == 1
+        if singular:
             singular_terms.append(m)
-            sigma = _contour_side(side)
         pref = curve_prefactor(pr, r, u, v - tv / ell, tt)
-        total += _cosh_kernel_integral(pr, c_f, pref, drift, tt, sigma, scale)
+        # 1/cosh(pi(x + ic)) = -i/sinh(pi(x - i(1/2 - c)))
+        total += _curve_line(pr, tt, pref, -1j, -2.0 * math.pi * drift, 0.5 - float(c_m) / K,
+                             side if singular else None, scale)
 
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * (base + hs * 0.5 * total)
     return identity_report(
@@ -632,25 +628,6 @@ def lemma_trafoatyp_check(
         t=tv,
         singular_terms=tuple(singular_terms),
     )
-
-
-def _cosh_kernel_integral(
-    params: AlgebraParams,
-    c: float,
-    pref: complex,
-    drift: complex,
-    tau: complex,
-    side: float | None,
-    rel_scale: float,
-):
-    """C_r * integral over R of G(x) / cosh(pi (x + i c)) dx, with pref =
-    C_r and drift = B the curve prefactor and drift.  A half-integer
-    c = k + 1/2 puts the pole at x = 0 and takes the half-residue sign side;
-    other c take None."""
-    # 1/cosh(pi(x + ic)) = -i/sinh(pi(x - i(1/2 - c)))
-    res = _pole_line(math.pi * 1j * tau * params.K, -1j, -2.0 * math.pi * drift, 0.5 - c, side,
-                     max(DEFAULT_QUAD.tail_tol, 1e-9 * rel_scale))
-    return pref * res.value
 
 
 def lemma_trafotypchar_check(
@@ -757,37 +734,23 @@ def s_compose_check(params: AlgebraParams, row, args, tau) -> dict:
     cancel, so chi_A(-u, -v) must equal the double S-matrix expansion.
 
     Rows with integer e_r(0), inner and outer, pass their 1/sin pole on R on
-    SINGULAR_CONTOUR_SIDE, as in s_transform_atypical_check."""
+    SINGULAR_CONTOUR_SIDE, as in s_transform_atypical_check.  The inner S is
+    the S-row of each atypical Y on one character vector."""
     t, tp = _require_s_pair(params, row)
     u, v = _uv(args)
     tt = as_tau(tau)
     ell, K = params.ell, params.K
-    sets = index_sets(params)
+    side = _contour_side(SINGULAR_CONTOUR_SIDE)
 
     lhs = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), -u, -v, tt)
     scale = abs(lhs)
-
-    # everything that does not depend on the outer row (sY, s'Y) or on x:
-    # the atypical characters, each curve's prefactor and the shared drift
-    atypicals = [
-        ((sZ, spZ), chi_w_atypical(params, AtypicalWLabel(sZ / ell, spZ), u, v, tt))
-        for sZ in sets.s_values
-        for spZ in sets.s_values
-    ]
-    prefs = {c: curve_prefactor(params, c, u, v, tt) for c in sets.m_values}
-    drift = curve_drift(params, u, v)
+    vec = _character_vector(params, u, v, tt)
+    atypicals, prefs, drift = vec
 
     rhs = 0.0 + 0.0j
-    for sY in sets.s_values:
-        for spY in sets.s_values:
-            inner = 0.0 + 0.0j
-            for col, chi in atypicals:
-                inner += _s_aa_raw(params, (sY, spY), col) * chi
-            at_inner = 0.0 + 0.0j
-            for c, pref in prefs.items():
-                at_inner += _at_integral(params, (sY, spY), c, pref, drift, tt, S_AT_PARITY, SINGULAR_CONTOUR_SIDE,
-                                         scale)
-            rhs += _s_aa_raw(params, (t, tp), (sY, spY)) * (inner + AT_BLOCK_SIGN * at_inner)
+    for col, _ in atypicals:
+        inner, _ = _s_row(params, col, vec, tt, scale, AT_BLOCK_SIGN, S_AT_PARITY, side)
+        rhs += _s_aa_raw(params, (t, tp), col) * inner
 
     # Outer row r: S_at(row; r, x) against _typical_coeff times the one
     # w-integral, sqrt(pi/alpha) e^{beta0^2/(4 alpha)} e^{alpha_x x^2 + (beta0/tau) x}
@@ -801,7 +764,7 @@ def s_compose_check(params: AlgebraParams, row, args, tau) -> dict:
     for r in prefs:
         const, f = _s_at_curve_const(params, (t, tp), r, S_AT_PARITY)
         coeff = 1j * const * gauss * _typical_coeff(params, r, prefs)
-        rhs += AT_BLOCK_SIGN * _pole_line(alpha_x, coeff, beta, -f, SINGULAR_CONTOUR_SIDE, tail_tol).value
+        rhs += AT_BLOCK_SIGN * _pole_line(alpha_x, coeff, beta, -f, side, tail_tol).value
 
     return identity_report("s_compose", lhs, rhs, row=(t, tp))
 

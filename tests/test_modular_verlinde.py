@@ -131,6 +131,20 @@ def test_unitarity_aa_matches_entrywise_sum(n, l):
     assert abs(got - _unitarity_aa_six_loops(pr)) <= 1e-15
 
 
+@pytest.mark.parametrize("n,l", [(0, 1), (1, 1), (2, 1), (2, 2), (3, 3), (0, 4)])
+def test_st_cubed_is_s_squared_on_the_atypical_block(n, l):
+    # the exact half of the SL(2,Z) relation (ST)^3 = S^2: S maps atypicals
+    # to atypicals plus typicals and T is diagonal, so the atypical block
+    # obeys it alone, with T_a = e^{2 pi i t t'/ell}
+    pr = AlgebraParams(n, l)
+    sets = mv.index_sets(pr)
+    labels = [(t, tp) for t in sets.s_values for tp in sets.s_values]
+    s_aa = np.array([[mv._s_aa_raw(pr, row, col) for col in labels] for row in labels])
+    t_a = np.diag([cmath.exp(2j * math.pi * t * tp / pr.ell) for t, tp in labels])
+    st = s_aa @ t_a
+    assert np.abs(st @ st @ st - s_aa @ s_aa).max() <= 1e-14
+
+
 def _s_tt_curve_float(params, r, x, c, w):
     """The typical-typical curve entry as one float exponent, every term kept:
     the formula that the exact phase reduction replaced; kept as its reference."""
@@ -217,6 +231,11 @@ def test_lemma_trafoatyp_singular_cell():
 def test_lemma_trafoatyp_pole_on_contour():
     with pytest.raises(PoleOnContour):
         mv.lemma_trafoatyp_check(1, 2, -1, 0, ARGS, TAU, singular_side=0.0)
+    # side is checked on every cell, not only where a pole meets R
+    with pytest.raises(PoleOnContour):
+        mv.lemma_trafoatyp_check(1, 1, 0, 0, ARGS, TAU, singular_side=0)
+    with pytest.raises(PoleOnContour):
+        mv.s_transform_atypical_check(AlgebraParams(1, 1), (0, 0), ARGS, TAU, singular_side=0)
 
 
 def test_singular_contour_depth_must_stay_below_next_pole():
@@ -225,6 +244,12 @@ def test_singular_contour_depth_must_stay_below_next_pole():
         mv.lemma_trafoatyp_check(1, 2, -1, 0, ARGS, TAU, singular_side=2.0)
     with pytest.raises(InvalidParameter):
         mv.s_transform_atypical_check(AlgebraParams(2, 2), (0, 0), ARGS, TAU, singular_side=-3.0)
+    # also on cells without a singular row
+    for side in (7, "x"):
+        with pytest.raises(InvalidParameter):
+            mv.lemma_trafoatyp_check(1, 1, 0, 0, ARGS, TAU, singular_side=side)
+        with pytest.raises(InvalidParameter):
+            mv.s_transform_atypical_check(AlgebraParams(1, 1), (0, 0), ARGS, TAU, singular_side=side)
 
 
 def _mp_shifted_line(alpha, beta, kernel, depth=0.25):
@@ -254,8 +279,22 @@ def _curve_parts(params, r, u, v, tau):
     return curve_prefactor(params, r, u, v, tau), curve_drift(params, u, v)
 
 
+def _at_row(params, row, r, curve, tau, scale):
+    """One S_at row integral of _s_row, side +1: one _curve_line call."""
+    pref, drift = curve
+    const, f = mv._s_at_curve_const(params, row, r, True)
+    beta = -2.0 * math.pi * (drift + row[0] / params.ell)
+    return mv._curve_line(params, tau, pref, 1j * const, beta, -f, 1.0, scale)
+
+
+def _lemma_term(pr, c, curve, tau, scale):
+    """One cosh-kernel term of lemma_trafoatyp_check, side +1: one _curve_line call."""
+    pref, drift = curve
+    return mv._curve_line(pr, tau, pref, -1j, -2.0 * math.pi * drift, 0.5 - c, 1.0, scale)
+
+
 def _mp_at_row(params, row, r, curve, tau):
-    """The singular S_at row integral of _at_integral, on a line above the pole."""
+    """The singular S_at row integral of _s_row, on a line above the pole."""
     t, tp = row
     ell, K = params.ell, params.K
     num, den = curve_e0(params, r)
@@ -271,7 +310,7 @@ def _mp_at_row(params, row, r, curve, tau):
 
 
 def _mp_lemma_term(pr, c, curve, tau):
-    """The singular cosh-kernel term of _cosh_kernel_integral, on a line above the pole."""
+    """The singular cosh-kernel term of lemma_trafoatyp_check, on a line above the pole."""
     pref, drift = curve
     return pref * _mp_shifted_line(
         math.pi * 1j * tau * pr.K, -2.0 * math.pi * drift, lambda mp, x: 1 / mp.cosh(mp.pi * (x + 1j * c))
@@ -294,7 +333,7 @@ def test_singular_rows_at_large_re_tau(tau):
     assert rep["rel_err"] < 1e-10, rep
     pr, c, curve = _singular_lemma_term(tau)
     ref = _mp_lemma_term(pr, c, curve, tau)
-    got = mv._cosh_kernel_integral(pr, c, *curve, tau, 1.0, abs(rep["lhs"]))
+    got = _lemma_term(pr, c, curve, tau, abs(rep["lhs"]))
     assert abs(got - ref) < 1e-10 * abs(ref), (got, ref)
 
     params, row = AlgebraParams(2, 2), (0, 0)
@@ -303,7 +342,7 @@ def test_singular_rows_at_large_re_tau(tau):
     for r in rep["singular_rows"]:
         curve = _curve_parts(params, r, *ARGS, tau)
         ref = _mp_at_row(params, row, r, curve, tau)
-        got = mv._at_integral(params, row, r, *curve, tau, True, 1.0, abs(rep["lhs"]))
+        got = _at_row(params, row, r, curve, tau, abs(rep["lhs"]))
         assert abs(got - ref) < 1e-10 * abs(ref), (r, got, ref)
 
 
@@ -331,7 +370,7 @@ def test_singular_rows_match_mpmath_at_large_im_tau(cell, T):
     for r in rep["singular_rows"]:
         curve = _curve_parts(params, r, *args, tau)
         ref = _mp_at_row(params, row, r, curve, tau)
-        got = mv._at_integral(params, row, r, *curve, tau, True, 1.0, abs(rep["lhs"]))
+        got = _at_row(params, row, r, curve, tau, abs(rep["lhs"]))
         assert abs(got - ref) <= 1e-12 * abs(ref), (r, got, ref)
 
 
@@ -343,7 +382,7 @@ def test_singular_lemma_term_matches_mpmath_at_large_im_tau(T):
     assert rep["rel_err"] <= 1e-12, rep
     pr, c, curve = _singular_lemma_term(tau, args)
     ref = _mp_lemma_term(pr, c, curve, tau)
-    got = mv._cosh_kernel_integral(pr, c, *curve, tau, 1.0, abs(rep["lhs"]))
+    got = _lemma_term(pr, c, curve, tau, abs(rep["lhs"]))
     assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
 
 
@@ -460,6 +499,14 @@ def test_s_compose_computes_each_curve_and_character_once(monkeypatch):
     # quadrature on the nested k*h grid, with the series summed by term ratios
     # and the S_tt phases reduced exactly)
     assert rep["rel_err"] == 6.268115489686946e-16, rep
+    # the other two readers of the S-row and the curve line integral, pinned
+    # the same way: a cell with singular rows and the singular lemma cell
+    rep = mv.s_transform_atypical_check(AlgebraParams(2, 2), (0, 0), ARGS, TAU)
+    assert rep["singular_rows"] == (Fraction(-1, 2), Fraction(5, 2))
+    assert rep["rel_err"] == 7.573860621528344e-16, rep
+    rep = mv.lemma_trafoatyp_check(1, 2, -1, 0, ARGS, TAU)
+    assert rep["singular_terms"] == (2,)
+    assert rep["rel_err"] == 1.1549043601717677e-15, rep
 
 
 def test_structure_constant_kronecker():
