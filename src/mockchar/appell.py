@@ -22,7 +22,7 @@ from .domain import (
     as_tau,
 )
 from .errors import InvalidParameter
-from .kernel import _lead_exp, _lerch_walk, _peak_index, gaussian_cutoff, require_pole_clearance, theta1
+from .kernel import _lead_exp, _lerch_walk, _peak_index, _theta1, gaussian_cutoff, require_pole_clearance
 from .mordell import mordell_h
 
 
@@ -53,9 +53,11 @@ def aK(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     sum beyond the double range raises RangeExceeded.
     """
     _check_level(level)
-    uu = as_complex(u)
-    vv = as_complex(v)
-    tt = as_tau(tau)
+    return _aK(level, as_complex(u), as_complex(v), as_tau(tau), trunc)
+
+
+def _aK(level: int, uu: complex, vv: complex, tt: complex, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
+    """aK on validated arguments; it checks only the pole clearance of uu."""
     require_pole_clearance(uu, tt)
     n_max = appell_cutoff(level, uu, vv, tt, trunc)
     sign = -1.0 if level & 1 else 1.0
@@ -102,8 +104,8 @@ def aK_via_rel1(level: int, u, v, tau) -> complex:
     tt = as_tau(tau)
     acc = 0.0 + 0.0j
     for m in range(level):
-        acc += cmath.exp(TWO_PI_I * uu * m) * a1(
-            level * uu, vv + m * tt + (level - 1) / 2.0, level * tt
+        acc += cmath.exp(TWO_PI_I * uu * m) * _aK(
+            1, level * uu, vv + m * tt + (level - 1) / 2.0, level * tt
         )
     return acc
 
@@ -117,7 +119,8 @@ def aK_via_rel2(level: int, u, v, tau) -> complex:
     scaled = DEFAULT_TRUNC.scaled(math.sqrt(level))  # nome |q|^{1/K} decays slower
     acc = 0.0 + 0.0j
     for m in range(level):
-        acc += a1(
+        acc += _aK(
+            1,
             uu,
             vv / level + m / level + tt * (level - 1) / (2.0 * level),
             tt / level,
@@ -128,7 +131,9 @@ def aK_via_rel2(level: int, u, v, tau) -> complex:
 
 def aK_tau_plus_one(level: int, u, v, tau) -> complex:
     """LHS of the T-law: A_K at tau + 1 (the law states it equals A_K at tau)."""
-    return aK(level, u, v, as_tau(tau) + 1.0)
+    tt = as_tau(tau) + 1.0
+    _check_level(level)
+    return _aK(level, as_complex(u), as_complex(v), tt)
 
 
 def aK_elliptic_rhs(
@@ -152,7 +157,7 @@ def aK_elliptic_rhs(
     uu = as_complex(u)
     vv = as_complex(v)
     tt = as_tau(tau)
-    base = aK(level, uu, vv, tau)
+    base = _aK(level, uu, vv, tt)
     sign_K = -1.0 if level & 1 else 1.0
     if which == "u+1":
         return sign_K * base
@@ -170,7 +175,7 @@ def aK_elliptic_rhs(
             coeff = -(1j**level)
         theta_sum = 0.0 + 0.0j
         for m in range(level):
-            theta_sum += cmath.exp(TWO_PI_I * m * uu + PI_I * m * tt) * theta1(
+            theta_sum += cmath.exp(TWO_PI_I * m * uu + PI_I * m * tt) * _theta1(
                 vv + m * tt + (level + 1) / 2.0, level * tt
             )
         extra = (
@@ -188,7 +193,7 @@ def aK_elliptic_rhs(
         extra = (
             coeff
             * cmath.exp(PI_I * (uu * (level - 2) - vv) - PI_I * tt * level / 4.0)
-            * theta1(vv + (level + 1) / 2.0, level * tt)
+            * _theta1(vv + (level + 1) / 2.0, level * tt)
         )
         return main + extra
     raise InvalidParameter("unknown shift %r" % (which,))
@@ -218,7 +223,7 @@ def aK_s_transform_rhs(
     vv = as_complex(v)
     tt = as_tau(tau)
     sign = -1.0 if sign_variant == "corrected" else 1.0
-    base = aK(level, uu, vv, tau)
+    base = _aK(level, uu, vv, tt)
     prefactor = tt * cmath.exp(-PI_I * (level * uu * uu - 2.0 * vv * uu) / tt)
     if variant == "AKS":
         scaled = DEFAULT_TRUNC.scaled(math.sqrt(level))
@@ -226,14 +231,14 @@ def aK_s_transform_rhs(
         off = (level - 1) * tt / (2.0 * level)
         for m in range(level):
             theta_arg = off + vv / level - m / level
-            acc += theta1(theta_arg, tt / level, scaled) * mordell_h(
+            acc += _theta1(theta_arg, tt / level, scaled) * mordell_h(
                 uu - off - vv / level + m / level, tt / level
             )
         extra = sign * (1j / (2.0 * level)) * cmath.exp(PI_I * uu * (level - 1)) * acc
     else:
         acc = 0.0 + 0.0j
         for m in range(level):
-            acc += cmath.exp(TWO_PI_I * m * uu) * theta1(
+            acc += cmath.exp(TWO_PI_I * m * uu) * _theta1(
                 vv + m * tt - (level - 1) / 2.0, level * tt
             ) * mordell_h(level * uu - vv - m * tt + (level - 1) / 2.0, level * tt)
         extra = sign * 0.5j * acc

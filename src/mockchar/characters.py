@@ -9,6 +9,11 @@ numbers are floors of the real part throughout.  The curve labels
 (a_r(x), e_r(x)) = (a e0 + i(a+1)x, e0 - ix) come from one exact helper,
 curve_e0, and every curve's Gaussian in x has the same drift
 B = (a+1)u - v.  Every function here takes and returns scalars.
+
+The public characters validate u, v and tau once and call private cores
+(_chi_w_atypical, _chi_w_typical, _chi_lattice, _theta_eta) that take plain
+complex numbers and call the kernel's cores; the identity checks below call
+the cores too.
 """
 
 from __future__ import annotations
@@ -32,15 +37,15 @@ from .domain import (
 )
 from .errors import InvalidParameter, PoleProximity
 from .kernel import (
+    _eta,
     _lead_exp,
     _lerch_walk,
     _peak_index,
     _ratio_walk,
-    eta,
+    _theta1,
+    _theta3,
     gaussian_cutoff,
     require_pole_clearance,
-    theta1,
-    theta3,
 )
 
 
@@ -60,7 +65,12 @@ def conformal_dim(n, e) -> complex:
 
 
 def theta_eta_prefactor(u, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
-    return theta1(u, tau, trunc) / eta(tau, trunc) ** 3
+    return _theta_eta(as_complex(u), as_tau(tau), trunc)
+
+
+def _theta_eta(u: complex, tau: complex, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
+    """theta1(u; tau) / eta(tau)^3 on validated arguments."""
+    return _theta1(u, tau, trunc) / _eta(tau, trunc) ** 3
 
 
 def chi_gl11_typical(n, e, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
@@ -74,7 +84,7 @@ def chi_gl11_typical(n, e, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> 
         1j
         * sign
         * _lead_exp(TWO_PI_I * (vv * e + uu * n + tt * conformal_dim(n, e)))
-        * theta_eta_prefactor(uu, tt, trunc)
+        * _theta_eta(uu, tt, trunc)
     )
 
 
@@ -96,7 +106,7 @@ def chi_gl11_atypical(n, ell: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TR
     denom = 1.0 - cmath.exp(w)
     if abs(denom) < 1e-8:
         raise PoleProximity("1 - z q^ell vanishes at this point")
-    return sign * 1j * _lead_exp(expo) / denom * theta_eta_prefactor(uu, tt, trunc)
+    return sign * 1j * _lead_exp(expo) / denom * _theta_eta(uu, tt, trunc)
 
 
 def _atypical_cutoff(
@@ -180,12 +190,21 @@ def chi_w_atypical(
     tau,
     trunc: TruncationSpec = DEFAULT_TRUNC,
 ) -> complex:
-    uu = as_complex(u)
-    vv = as_complex(v)
-    tt = as_tau(tau)
-    require_pole_clearance(uu, tt)
-    body = _atypical_body(params, complex(label.n_prime), label.ell_prime, uu, vv, tt, trunc)
-    return -1j * theta_eta_prefactor(uu, tt, trunc) * body
+    return _chi_w_atypical(params, label, as_complex(u), as_complex(v), as_tau(tau), trunc)
+
+
+def _chi_w_atypical(
+    params: AlgebraParams,
+    label: AtypicalWLabel,
+    u: complex,
+    v: complex,
+    tau: complex,
+    trunc: TruncationSpec = DEFAULT_TRUNC,
+) -> complex:
+    """chi_w_atypical on validated arguments."""
+    require_pole_clearance(u, tau)
+    body = _atypical_body(params, complex(label.n_prime), label.ell_prime, u, v, tau, trunc)
+    return -1j * _theta_eta(u, tau, trunc) * body
 
 
 def chi_regularized(params: AlgebraParams, label: AtypicalWLabel, epsilon: float, u, v, tau) -> complex:
@@ -200,7 +219,7 @@ def chi_regularized(params: AlgebraParams, label: AtypicalWLabel, epsilon: float
     n_prime = complex(label.n_prime)
     shift = float(epsilon) * n_prime ** 2
     body = _atypical_body(params, n_prime, label.ell_prime, uu, vv, tt, DEFAULT_TRUNC, q_shift=shift)
-    return -1j * theta_eta_prefactor(uu, tt) * body
+    return -1j * _theta_eta(uu, tt) * body
 
 
 def _typical_cutoff(
@@ -245,9 +264,19 @@ def chi_w_typical(
     trunc: TruncationSpec = DEFAULT_TRUNC,
     route: str = "sum",
 ) -> complex:
-    uu = as_complex(u)
-    vv = as_complex(v)
-    tt = as_tau(tau)
+    return _chi_w_typical(params, label, as_complex(u), as_complex(v), as_tau(tau), trunc, route)
+
+
+def _chi_w_typical(
+    params: AlgebraParams,
+    label: TypicalWLabel,
+    uu: complex,
+    vv: complex,
+    tt: complex,
+    trunc: TruncationSpec = DEFAULT_TRUNC,
+    route: str = "sum",
+) -> complex:
+    """chi_w_typical on validated arguments."""
     n_prime = label.n_prime
     e_prime = label.e_prime
     n, ell, K = params.n, params.ell, params.K
@@ -258,7 +287,7 @@ def chi_w_typical(
     c = n * e_prime + n_prime * ell + ell * e_prime
     if route == "sum":
         body = _typical_body_sum(params, c, uu, vv, tt, trunc)
-        return 1j * sign * lead * body * theta_eta_prefactor(uu, tt, trunc)
+        return 1j * sign * lead * body * _theta_eta(uu, tt, trunc)
     if route == "theta":
         # resummation: body = theta3(ell*v + n*u + c*tau + ell/2; ell^2 K tau),
         # then the half-period identity turns theta3 into theta1.
@@ -266,7 +295,7 @@ def chi_w_typical(
         prefactor = -sign * cmath.exp(-PI_I * (ell - 1) / 2.0)
         return (
             prefactor
-            * theta_eta_prefactor(uu, tt, trunc)
+            * _theta_eta(uu, tt, trunc)
             * cmath.exp(
                 TWO_PI_I
                 * (
@@ -282,7 +311,7 @@ def chi_w_typical(
                     )
                 )
             )
-            * theta1(w, ell * ell * K * tt, trunc)
+            * _theta1(w, ell * ell * K * tt, trunc)
         )
     raise InvalidParameter("unknown route %r" % (route,))
 
@@ -306,7 +335,7 @@ def curve_prefactor(params: AlgebraParams, r, u: complex, v: complex, tau: compl
     sign = -1.0 if (num // den) & 1 else 1.0
     body = _typical_body_sum(params, params.ell * params.K * e0, u, v, tau, DEFAULT_TRUNC)
     lead = _lead_exp(TWO_PI_I * (v * e0 + u * n0 + tau * (n0 * e0 + e0 * e0 / 2.0)))
-    return 1j * sign * lead * body * theta_eta_prefactor(u, tau)
+    return 1j * sign * lead * body * _theta_eta(u, tau)
 
 
 def curve_drift(params: AlgebraParams, u: complex, v: complex) -> complex:
@@ -335,7 +364,7 @@ def chi_via_appell(params: AlgebraParams, n_prime, u, v, tau) -> complex:
     Appell sum: -i (theta1/eta^3) z^{n'-a} A_{2a+1}(u, v+au+tau(n'-a))."""
     if params.ell != 1:
         raise InvalidParameter("Appell form needs the ell = 1 family")
-    from .appell import aK
+    from .appell import _aK
 
     a = params.a
     uu = as_complex(u)
@@ -344,9 +373,9 @@ def chi_via_appell(params: AlgebraParams, n_prime, u, v, tau) -> complex:
     npr = as_complex(n_prime)
     return (
         -1j
-        * theta_eta_prefactor(uu, tt)
+        * _theta_eta(uu, tt)
         * cmath.exp(TWO_PI_I * uu * (npr - a))
-        * aK(2 * a + 1, uu, vv + a * uu + tt * (npr - a), tt)
+        * _aK(2 * a + 1, uu, vv + a * uu + tt * (npr - a), tt)
     )
 
 
@@ -365,24 +394,24 @@ def elliptic_shift_atypical(
     a = params.a
     npr, lpr = label.n_prime, label.ell_prime
     if shift == "u+1":
-        lhs = chi_w_atypical(params, label, uu + 1.0, vv, tt)
-        rhs = cmath.exp(TWO_PI_I * (a * lpr + npr)) * chi_w_atypical(params, label, uu, vv, tt)
+        lhs = _chi_w_atypical(params, label, uu + 1.0, vv, tt)
+        rhs = cmath.exp(TWO_PI_I * (a * lpr + npr)) * _chi_w_atypical(params, label, uu, vv, tt)
     elif shift == "v+1":
-        lhs = chi_w_atypical(params, label, uu, vv + 1.0, tt)
-        rhs = chi_w_atypical(params, label, uu, vv, tt)
+        lhs = _chi_w_atypical(params, label, uu, vv + 1.0, tt)
+        rhs = _chi_w_atypical(params, label, uu, vv, tt)
     elif shift == "u+tau":
-        lhs = chi_w_atypical(params, label, uu + tt, vv, tt)
-        rhs = cmath.exp(-TWO_PI_I * vv) * chi_w_atypical(
+        lhs = _chi_w_atypical(params, label, uu + tt, vv, tt)
+        rhs = cmath.exp(-TWO_PI_I * vv) * _chi_w_atypical(
             params, AtypicalWLabel(npr - a - 1.0, lpr + 1), uu, vv, tt
         )
     elif shift == "v+tau":
-        lhs = chi_w_atypical(params, label, uu, vv + tt, tt)
-        rhs = cmath.exp(-TWO_PI_I * uu) * chi_w_atypical(
+        lhs = _chi_w_atypical(params, label, uu, vv + tt, tt)
+        rhs = cmath.exp(-TWO_PI_I * uu) * _chi_w_atypical(
             params, AtypicalWLabel(npr + 1.0, lpr), uu, vv, tt
         )
     elif shift == "v+alpha*tau":
-        lhs = chi_w_atypical(params, label, uu, vv + alpha * tt, tt)
-        rhs = cmath.exp(-TWO_PI_I * uu * alpha) * chi_w_atypical(
+        lhs = _chi_w_atypical(params, label, uu, vv + alpha * tt, tt)
+        rhs = cmath.exp(-TWO_PI_I * uu * alpha) * _chi_w_atypical(
             params, AtypicalWLabel(npr + alpha, lpr), uu, vv, tt
         )
     else:
@@ -404,24 +433,24 @@ def elliptic_shift_typical(
     tt = as_tau(tau)
     npr, epr = label.n_prime, label.e_prime
     if shift == "u+1":
-        lhs = chi_w_typical(params, label, uu + 1.0, vv, tt)
-        rhs = cmath.exp(TWO_PI_I * (npr - 0.5)) * chi_w_typical(params, label, uu, vv, tt)
+        lhs = _chi_w_typical(params, label, uu + 1.0, vv, tt)
+        rhs = cmath.exp(TWO_PI_I * (npr - 0.5)) * _chi_w_typical(params, label, uu, vv, tt)
     elif shift == "v+1":
-        lhs = chi_w_typical(params, label, uu, vv + 1.0, tt)
-        rhs = cmath.exp(TWO_PI_I * epr) * chi_w_typical(params, label, uu, vv, tt)
+        lhs = _chi_w_typical(params, label, uu, vv + 1.0, tt)
+        rhs = cmath.exp(TWO_PI_I * epr) * _chi_w_typical(params, label, uu, vv, tt)
     elif shift == "u+tau":
-        lhs = chi_w_typical(params, label, uu + tt, vv, tt)
-        rhs = cmath.exp(-TWO_PI_I * vv) * chi_w_typical(
+        lhs = _chi_w_typical(params, label, uu + tt, vv, tt)
+        rhs = cmath.exp(-TWO_PI_I * vv) * _chi_w_typical(
             params, TypicalWLabel(npr - 1.0, epr + 1.0), uu, vv, tt
         )
     elif shift == "v+tau":
-        lhs = chi_w_typical(params, label, uu, vv + tt, tt)
-        rhs = cmath.exp(-TWO_PI_I * uu) * chi_w_typical(
+        lhs = _chi_w_typical(params, label, uu, vv + tt, tt)
+        rhs = cmath.exp(-TWO_PI_I * uu) * _chi_w_typical(
             params, TypicalWLabel(npr + 1.0, epr), uu, vv, tt
         )
     elif shift == "v+alpha*tau":
-        lhs = chi_w_typical(params, label, uu, vv + alpha * tt, tt)
-        rhs = cmath.exp(-TWO_PI_I * uu * alpha) * chi_w_typical(
+        lhs = _chi_w_typical(params, label, uu, vv + alpha * tt, tt)
+        rhs = cmath.exp(-TWO_PI_I * uu * alpha) * _chi_w_typical(
             params, TypicalWLabel(npr + alpha, epr), uu, vv, tt
         )
     else:
@@ -431,25 +460,34 @@ def elliptic_shift_typical(
 
 def verify_atyp_typ_difference(params: AlgebraParams, label: AtypicalWLabel, u, v, tau) -> dict:
     """chi_A(n'+1, l') - chi_A(n', l') = chi_T(n' + l'a + 1/2, l')."""
+    uu = as_complex(u)
+    vv = as_complex(v)
+    tt = as_tau(tau)
     npr, lpr = label.n_prime, label.ell_prime
-    lhs = chi_w_atypical(params, AtypicalWLabel(npr + 1.0, lpr), u, v, tau) - chi_w_atypical(
-        params, label, u, v, tau
+    lhs = _chi_w_atypical(params, AtypicalWLabel(npr + 1.0, lpr), uu, vv, tt) - _chi_w_atypical(
+        params, label, uu, vv, tt
     )
-    rhs = chi_w_typical(params, TypicalWLabel(npr + lpr * params.a + 0.5, complex(lpr)), u, v, tau)
+    rhs = _chi_w_typical(params, TypicalWLabel(npr + lpr * params.a + 0.5, complex(lpr)), uu, vv, tt)
     return identity_report("atyp_typ_difference", lhs, rhs)
 
 
 def verify_typical_periodicity(params: AlgebraParams, label: TypicalWLabel, u, v, tau) -> dict:
+    uu = as_complex(u)
+    vv = as_complex(v)
+    tt = as_tau(tau)
     shifted = TypicalWLabel(label.n_prime + params.n, label.e_prime + params.ell)
-    lhs = chi_w_typical(params, label, u, v, tau)
-    rhs = chi_w_typical(params, shifted, u, v, tau)
+    lhs = _chi_w_typical(params, label, uu, vv, tt)
+    rhs = _chi_w_typical(params, shifted, uu, vv, tt)
     return identity_report("typical_periodicity", lhs, rhs)
 
 
 def verify_atypical_periodicity(params: AlgebraParams, label: AtypicalWLabel, u, v, tau) -> dict:
+    uu = as_complex(u)
+    vv = as_complex(v)
+    tt = as_tau(tau)
     shifted = AtypicalWLabel(label.n_prime, label.ell_prime + params.ell)
-    lhs = chi_w_atypical(params, label, u, v, tau)
-    rhs = chi_w_atypical(params, shifted, u, v, tau)
+    lhs = _chi_w_atypical(params, label, uu, vv, tt)
+    rhs = _chi_w_atypical(params, shifted, uu, vv, tt)
     return identity_report("atypical_periodicity", lhs, rhs)
 
 
@@ -478,34 +516,34 @@ def chiunity_decompose(
     window = _unity_window(params)
     t = index
     if direction == "atyp-fwd":
-        lhs = chi_w_atypical(params, AtypicalWLabel(as_complex(n_prime), t), uu, vv, tt)
+        lhs = _chi_w_atypical(params, AtypicalWLabel(as_complex(n_prime), t), uu, vv, tt)
         rhs = sum(
-            xi ** (-t * s) * chi_w_atypical(params1, AtypicalWLabel(as_complex(n_prime), 0), uu, vv + s / ell, tt)
+            xi ** (-t * s) * _chi_w_atypical(params1, AtypicalWLabel(as_complex(n_prime), 0), uu, vv + s / ell, tt)
             for s in window
         ) / ell
     elif direction == "atyp-bwd":
-        lhs = chi_w_atypical(params1, AtypicalWLabel(as_complex(n_prime), 0), uu, vv + t / ell, tt)
+        lhs = _chi_w_atypical(params1, AtypicalWLabel(as_complex(n_prime), 0), uu, vv + t / ell, tt)
         rhs = sum(
-            xi ** (t * s) * chi_w_atypical(params, AtypicalWLabel(as_complex(n_prime), s), uu, vv, tt)
+            xi ** (t * s) * _chi_w_atypical(params, AtypicalWLabel(as_complex(n_prime), s), uu, vv, tt)
             for s in window
         )
     elif direction == "typ-fwd":
         npr = as_complex(n_prime)
         epr = as_complex(e_prime)
-        lhs = chi_w_typical(params, TypicalWLabel(npr + t * a, epr + t), uu, vv, tt)
+        lhs = _chi_w_typical(params, TypicalWLabel(npr + t * a, epr + t), uu, vv, tt)
         rhs = sum(
             xi ** (-s * t)
             * cmath.exp(-TWO_PI_I * epr * s / ell)
-            * chi_w_typical(params1, TypicalWLabel(npr, epr), uu, vv + s / ell, tt)
+            * _chi_w_typical(params1, TypicalWLabel(npr, epr), uu, vv + s / ell, tt)
             for s in window
         ) / ell
     elif direction == "typ-bwd":
         npr = as_complex(n_prime)
         epr = as_complex(e_prime)
         s = index
-        lhs = chi_w_typical(params1, TypicalWLabel(npr, epr), uu, vv + s / ell, tt)
+        lhs = _chi_w_typical(params1, TypicalWLabel(npr, epr), uu, vv + s / ell, tt)
         rhs = cmath.exp(TWO_PI_I * epr * s / ell) * sum(
-            xi ** (s * t2) * chi_w_typical(params, TypicalWLabel(npr + t2 * a, epr + t2), uu, vv, tt)
+            xi ** (s * t2) * _chi_w_typical(params, TypicalWLabel(npr + t2 * a, epr + t2), uu, vv, tt)
             for t2 in window
         )
     else:
@@ -513,32 +551,42 @@ def chiunity_decompose(
     return identity_report("chiunity_" + direction, lhs, rhs, index=index)
 
 
+def _check_alpha_sq(alpha_sq: int) -> None:
+    if not isinstance(alpha_sq, int) or alpha_sq < 1:
+        raise InvalidParameter("alpha_sq must be a positive integer, got %r" % (alpha_sq,))
+
+
 def chi_lattice(alpha_sq: int, n: int, u, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     """Free-boson lattice character z^{n/alpha} q^{n^2/(2 alpha^2)}
     theta3(alpha u + n tau; alpha^2 tau)/eta."""
-    if alpha_sq < 1:
-        raise InvalidParameter("alpha_sq must be a positive integer")
+    _check_alpha_sq(alpha_sq)
+    if not isinstance(n, int):
+        raise InvalidParameter("n must be an integer, got %r" % (n,))
+    return _chi_lattice(alpha_sq, n, as_complex(u), as_tau(tau), trunc)
+
+
+def _chi_lattice(alpha_sq: int, n: int, u: complex, tau: complex, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
+    """chi_lattice on validated arguments."""
     alpha = math.sqrt(alpha_sq)
-    uu = as_complex(u)
-    tt = as_tau(tau)
     return (
-        _lead_exp(TWO_PI_I * (uu * n / alpha + tt * n * n / (2.0 * alpha_sq)))
-        * theta3(alpha * uu + n * tt, alpha_sq * tt, trunc)
-        / eta(tt, trunc)
+        _lead_exp(TWO_PI_I * (u * n / alpha + tau * n * n / (2.0 * alpha_sq)))
+        * _theta3(alpha * u + n * tau, alpha_sq * tau, trunc)
+        / _eta(tau, trunc)
     )
 
 
 def lattice_s_check(alpha_sq: int, u, tau) -> dict:
     """S-law of the lattice characters for every residue n."""
+    _check_alpha_sq(alpha_sq)
     uu = as_complex(u)
     tt = as_tau(tau)
     worst = -1.0
     alpha = math.sqrt(alpha_sq)
     for n in range(alpha_sq):
-        lhs = chi_lattice(alpha_sq, n, uu / tt, -1.0 / tt)
+        lhs = _chi_lattice(alpha_sq, n, uu / tt, -1.0 / tt)
         acc = 0.0 + 0.0j
         for l in range(alpha_sq):
-            acc += cmath.exp(-TWO_PI_I * n * l / alpha_sq) * chi_lattice(alpha_sq, l, uu, tt)
+            acc += cmath.exp(-TWO_PI_I * n * l / alpha_sq) * _chi_lattice(alpha_sq, l, uu, tt)
         rhs = cmath.exp(PI_I * uu * uu / tt) / alpha * acc
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     return {"check": "lattice_s_law", "alpha_sq": alpha_sq, "rel_err": worst, "abs_err": worst}

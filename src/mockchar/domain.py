@@ -5,12 +5,15 @@ Specs, parameters and labels are immutable and validated at construction.
 Elliptic and modular arguments are validated at the boundary: a public entry
 point (a package export, or a function the CLI or the suites call) passes u
 and v through as_complex and tau through as_tau, which also rejects tau off
-the upper half-plane, and hands plain complex numbers to the helpers below
-it, which check nothing again.
+the upper half-plane, and hands plain complex numbers to private cores
+(kernel._theta1, _theta3, _eta, appell._aK, the characters' cores), which
+check nothing again.  A public call therefore validates each of its complex
+arguments once, however many series it sums.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,8 +25,15 @@ PI_I = 1j * math.pi
 
 
 def as_complex(x) -> complex:
-    c = x if type(x) is complex else complex(x)
-    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+    """x as a finite complex number.  A str or bytes is rejected, not parsed:
+    the CLI parses its own literals (cli.parse_complex)."""
+    if type(x) is complex:
+        c = x
+    elif isinstance(x, (str, bytes)):
+        raise InvalidParameter("expected a number, got %r" % (x,))
+    else:
+        c = complex(x)
+    if not cmath.isfinite(c):
         raise InvalidParameter("non-finite complex value %r" % (x,))
     return c
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mockchar import kernel
 from mockchar.appell import aK
-from mockchar.domain import DEFAULT_QUAD, DEFAULT_TRUNC, QuadratureSpec, TruncationSpec
+from mockchar.domain import DEFAULT_QUAD, DEFAULT_TRUNC, POLE_CLEARANCE, QuadratureSpec, TruncationSpec, lattice_distance
 from mockchar.errors import PoleOnContour, PoleProximity, QuadratureNoConvergence, TailBoundExceeded
 from mockchar.kernel import (
     eta,
@@ -66,6 +66,51 @@ def test_eta_cutoff_and_its_errors_on_every_call():
             eta(1e-20j)
         with pytest.raises(TailBoundExceeded, match="eta product needs"):
             eta(1e-4j)
+
+
+def test_eta_memo_is_keyed_on_the_truncation_values():
+    tau = 0.23 + 0.97j
+    eta(tau)
+    hits = kernel._eta_cached.cache_info().hits
+    # an equal spec built anew finds the same entry
+    assert eta(tau, TruncationSpec(DEFAULT_TRUNC.max_terms, DEFAULT_TRUNC.tail_tol)) == eta(tau)
+    assert kernel._eta_cached.cache_info().hits == hits + 2
+
+
+def test_cutoff_memo_has_a_fixed_size():
+    assert kernel.gaussian_cutoff.cache_info().maxsize == 256
+    for k in range(600):
+        kernel.gaussian_cutoff(1.0 + k * 1e-3, 2.0, 1e-13, 128)
+    assert kernel.gaussian_cutoff.cache_info().currsize <= 256
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    decay=st.floats(-0.5, 10.0),
+    growth=st.floats(0.0, 60.0),
+    tol=st.sampled_from((1e-13, 1e-8, 1e-3)),
+    max_terms=st.sampled_from((4, 16, 128)),
+)
+def test_cutoff_memo_matches_the_unmemoised_loop(decay, growth, tol, max_terms):
+    def outcome(fn):
+        try:
+            return fn(decay, growth, tol, max_terms)
+        except TailBoundExceeded as exc:
+            return str(exc)
+
+    want = outcome(kernel.gaussian_cutoff.__wrapped__)
+    assert outcome(kernel.gaussian_cutoff) == want  # a miss or a hit
+    assert outcome(kernel.gaussian_cutoff) == want  # a hit, or raised again
+
+
+def test_cutoff_memo_raises_again_on_every_call():
+    size = kernel.gaussian_cutoff.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(TailBoundExceeded, match="needed more than 8 terms"):
+            kernel.gaussian_cutoff(0.01, 1.0, 1e-13, 8)
+        with pytest.raises(TailBoundExceeded, match="no Gaussian decay"):
+            kernel.gaussian_cutoff(0.0, 1.0, 1e-13, 8)
+    assert kernel.gaussian_cutoff.cache_info().currsize == size
 
 
 def test_theta1_odd():
@@ -262,6 +307,33 @@ def test_pole_clearance_guard():
     with pytest.raises(PoleProximity):
         require_pole_clearance(1.0 + 1.2j, 1.2j)
     require_pole_clearance(0.2 + 0.1j, 1.2j)
+    # where the rounded lattice coordinates of u do not name the nearest of
+    # the four points lattice_distance tries, that point still decides
+    for u, tau in ((7e-7j, 1000.0 + 1e-3j), (complex(-1e-7, 5e-7), 100.0 + 1e-4j), (7e-8j, 0.3 + 1e-7j)):
+        with pytest.raises(PoleProximity, match="u is %.3g from" % lattice_distance(u, tau)):
+            require_pole_clearance(u, tau)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    tr=st.floats(-3.0, 3.0),
+    log_ti=st.floats(-8.0, 3.0),
+    a=st.integers(-50, 50),
+    b=st.integers(-50, 50),
+    log_r=st.floats(-9.0, 7.0),
+    phi=st.floats(0.0, 6.3),
+)
+def test_pole_clearance_raises_where_the_four_point_distance_is_below_it(tr, log_ti, a, b, log_r, phi):
+    # require_pole_clearance measures one lattice point; lattice_distance, the
+    # minimum over the four around u, is the rule it must agree with
+    tau = complex(tr, 10.0 ** log_ti)
+    u = a + b * tau + 10.0 ** log_r * cmath.exp(1j * phi)
+    d = lattice_distance(u, tau)
+    if d < POLE_CLEARANCE:
+        with pytest.raises(PoleProximity, match="u is %.3g from" % d):
+            require_pole_clearance(u, tau)
+    else:
+        require_pole_clearance(u, tau)
 
 
 ORACLE_V = 0.17 + 0.03j
