@@ -20,15 +20,11 @@ from .domain import (
     TruncationSpec,
     as_complex,
     as_tau,
+    check_level,
 )
 from .errors import InvalidParameter
 from .kernel import _lead_exp, _lerch_walk, _peak_index, _theta1, gaussian_cutoff, require_pole_clearance
 from .mordell import mordell_h
-
-
-def _check_level(level: int) -> None:
-    if not isinstance(level, int) or level < 1:
-        raise InvalidParameter("level must be a positive integer, got %r" % (level,))
 
 
 def appell_cutoff(level: int, u: complex, v: complex, tau: complex, trunc: TruncationSpec) -> int:
@@ -52,7 +48,7 @@ def aK(level: int, u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
     step and the pole factors z q^n and q^m/z by q.  A largest numerator or a
     sum beyond the double range raises RangeExceeded.
     """
-    _check_level(level)
+    check_level(level)
     return _aK(level, as_complex(u), as_complex(v), as_tau(tau), trunc)
 
 
@@ -98,7 +94,7 @@ def a1(u, v, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
 
 def aK_via_rel1(level: int, u, v, tau) -> complex:
     """A_K as sum_{m<K} z^m A_1(Ku, v + m*tau + (K-1)/2; K*tau)."""
-    _check_level(level)
+    check_level(level)
     uu = as_complex(u)
     vv = as_complex(v)
     tt = as_tau(tau)
@@ -112,7 +108,7 @@ def aK_via_rel1(level: int, u, v, tau) -> complex:
 
 def aK_via_rel2(level: int, u, v, tau) -> complex:
     """A_K as K^{-1} z^{(K-1)/2} sum_{m<K} A_1(u, v/K + m/K + tau(K-1)/(2K); tau/K)."""
-    _check_level(level)
+    check_level(level)
     uu = as_complex(u)
     vv = as_complex(v)
     tt = as_tau(tau)
@@ -132,7 +128,7 @@ def aK_via_rel2(level: int, u, v, tau) -> complex:
 def aK_tau_plus_one(level: int, u, v, tau) -> complex:
     """LHS of the T-law: A_K at tau + 1 (the law states it equals A_K at tau)."""
     tt = as_tau(tau) + 1.0
-    _check_level(level)
+    check_level(level)
     return _aK(level, as_complex(u), as_complex(v), tt)
 
 
@@ -151,7 +147,7 @@ def aK_elliptic_rhs(
     variant; these differ for even level and the arbitration test pins the
     corrected one.
     """
-    _check_level(level)
+    check_level(level)
     if coefficient_variant not in ("corrected", "printed"):
         raise InvalidParameter("unknown coefficient_variant %r" % (coefficient_variant,))
     uu = as_complex(u)
@@ -214,7 +210,7 @@ def aK_s_transform_rhs(
     which is what the defining series satisfy (checked by the arbitration
     test; the printed sign contradicts the series already at level one).
     """
-    _check_level(level)
+    check_level(level)
     if variant not in ("AKS", "AKS2"):
         raise InvalidParameter("unknown variant %r" % (variant,))
     if sign_variant not in ("corrected", "printed"):

@@ -238,7 +238,7 @@ def _eval_registry():
         pr = _algebra(args)
         row = parse_int_pair(_require(args, "t"), "t")
         col = parse_int_pair(_require(args, "s"), "s")
-        return complex(s_entry_aa(pr, row, col)), 0.0
+        return s_entry_aa(pr, row, col), 0.0
 
     def do_s_entry_at(args, tol):
         from .modular_verlinde import s_entry_at
@@ -248,7 +248,7 @@ def _eval_registry():
         bag = parse_kv_bag(_require(args, "params"))
         if "r" not in bag or "x" not in bag:
             raise InvalidParameter("s_entry_at needs --params \"r=...,x=...\"")
-        return complex(s_entry_at(pr, row, (bag["r"], bag["x"]), label_kind="r")), 0.0
+        return s_entry_at(pr, row, (bag["r"], bag["x"]), label_kind="r"), 0.0
 
     def do_s_entry_tt(args, tol):
         from .modular_verlinde import s_entry_tt
@@ -258,8 +258,7 @@ def _eval_registry():
         for key in ("m", "e", "m2", "e2"):
             if key not in bag:
                 raise InvalidParameter("s_entry_tt needs --params \"m=,e=,m2=,e2=\"")
-        entry = s_entry_tt(pr, (bag["m"], bag["e"]), (bag["m2"], bag["e2"]))
-        return complex(entry), 0.0
+        return s_entry_tt(pr, (bag["m"], bag["e"]), (bag["m2"], bag["e2"])), 0.0
 
     return {
         "eta": do_eta,

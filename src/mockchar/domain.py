@@ -94,6 +94,12 @@ class TruncationSpec:
 DEFAULT_TRUNC = TruncationSpec()
 
 
+def check_level(level: int) -> None:
+    """A level K (of aK, or of theta1's rescaling) must be a positive integer."""
+    if not isinstance(level, int) or level < 1:
+        raise InvalidParameter("level must be a positive integer, got %r" % (level,))
+
+
 def check_tolerance(tol: float) -> None:
     """A tolerance given by the user must be finite and positive."""
     if not (math.isfinite(tol) and tol > 0.0):

@@ -42,10 +42,18 @@ from .domain import (
     TruncationSpec,
     as_complex,
     as_tau,
+    check_level,
     identity_report,
     lattice_distance,
 )
-from .errors import PoleOnContour, PoleProximity, QuadratureNoConvergence, RangeExceeded, TailBoundExceeded
+from .errors import (
+    InvalidParameter,
+    PoleOnContour,
+    PoleProximity,
+    QuadratureNoConvergence,
+    RangeExceeded,
+    TailBoundExceeded,
+)
 
 
 def tail_bound_gaussian(decay: float, growth: float, start: int) -> float:
@@ -134,44 +142,28 @@ def _ratio_walk(lead: complex, up: complex, step: complex, n_up: int, n_down: in
 
 def _lerch_walk(
     lead: complex, up: complex, step: complex, pole: complex, pole_step: complex,
-    n_up: int, n_down: int, sign: float = 1.0, index: int = 0, index_step: int = 1,
-    pole_check: bool = False,
+    n_up: int, n_down: int, sign: float = 1.0,
 ) -> complex:
     """Sum of t_n / (1 - w_n) over the lead t_k, the n_up terms above it and
     the n_down terms below it.
 
     The numerators t_n walk as in _ratio_walk.  The pole factors start at
     w_k = e^{pole} and change by e^{pole_step} per step up and e^{-pole_step}
-    per step down.  With pole_check, a term whose |1 - w_n| is below 1e-8
-    raises PoleProximity, naming its index (index at the lead, index_step per
-    step).  A sum that is not finite raises RangeExceeded.
+    per step down.  No term checks its pole factor: every caller has passed
+    require_pole_clearance, which keeps each |1 - w_n| near 2 pi x
+    POLE_CLEARANCE or more.  A sum that is not finite raises RangeExceeded.
     """
     w_lead = cmath.exp(pole)
-    denom = 1.0 - w_lead
-    if pole_check and abs(denom) < 1e-8:
-        raise PoleProximity("pole factor 1 - w vanishes at index %d" % index)
-    acc = lead / denom
+    acc = lead / (1.0 - w_lead)
     factor = cmath.exp(step)
-    if n_up:
-        term, ratio, w, w_step = lead, sign * cmath.exp(up), w_lead, cmath.exp(pole_step)
-        for i in range(1, n_up + 1):
-            term *= ratio
-            ratio *= factor
-            w *= w_step
-            denom = 1.0 - w
-            if pole_check and abs(denom) < 1e-8:
-                raise PoleProximity("pole factor 1 - w vanishes at index %d" % (index + i * index_step))
-            acc += term / denom
-    if n_down:
-        term, ratio, w, w_step = lead, sign * cmath.exp(step - up), w_lead, cmath.exp(-pole_step)
-        for i in range(1, n_down + 1):
-            term *= ratio
-            ratio *= factor
-            w *= w_step
-            denom = 1.0 - w
-            if pole_check and abs(denom) < 1e-8:
-                raise PoleProximity("pole factor 1 - w vanishes at index %d" % (index - i * index_step))
-            acc += term / denom
+    for n, ratio_exp, w_exp in ((n_up, up, pole_step), (n_down, step - up, -pole_step)):
+        if n:
+            term, ratio, w, w_step = lead, sign * cmath.exp(ratio_exp), w_lead, cmath.exp(w_exp)
+            for _ in range(n):
+                term *= ratio
+                ratio *= factor
+                w *= w_step
+                acc += term / (1.0 - w)
     if not cmath.isfinite(acc):
         # a pole factor grown past the double range turns its term into inf/inf
         raise RangeExceeded("a pole factor of the series leaves the double range")
@@ -509,8 +501,7 @@ def _pole_line(alpha: complex, c: complex, beta: complex, p: float, side: float 
 
 def theta1_rescaling_check(level: int, u, tau) -> dict:
     """theta1 at tau/K as a K-term combination of theta1 at K*tau."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
+    check_level(level)
     uu = as_complex(u)
     tt = as_tau(tau)
     kk = float(level)
@@ -530,7 +521,7 @@ def gauss_identity_check(alpha, beta) -> dict:
     al = as_complex(alpha)
     be = as_complex(beta)
     if not al.real > 0.0:
-        raise ValueError("need Re alpha > 0 for a convergent Gaussian")
+        raise InvalidParameter("need Re alpha > 0 for a convergent Gaussian")
     # window: |integrand| <= e^{-Re(al) x^2 + |be| |x|} < tol outside
     half = (abs(be) + math.sqrt(abs(be) ** 2 + 4.0 * al.real * math.log(1e16))) / (2.0 * al.real)
     spec = QuadratureSpec(half_width=max(half, 4.0 / math.sqrt(al.real)))

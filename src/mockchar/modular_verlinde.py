@@ -53,7 +53,6 @@ from .domain import (
 from .errors import (
     IndexOutOfRange,
     InvalidParameter,
-    PoleOnContour,
     SingularEntry,
 )
 from .kernel import _pole_line
@@ -67,7 +66,6 @@ __all__ = [
     "SINGULAR_CONTOUR_SIDE",
     "T_PHASE_VARIANT",
     "IndexSets",
-    "SMatrixEntry",
     "StructureConstant",
     "fusion_target",
     "index_sets",
@@ -91,8 +89,11 @@ __all__ = [
 ]
 
 # Numerical conventions, frozen after arbitrating each one against the
-# transformation laws themselves (the convention tests exercise the losing
-# variants and demand that they fail):
+# transformation laws themselves.  Each constant is its convention's only
+# switch: the checks read it at call time and take no keyword for it, and the
+# convention tests set each one to its losing value and demand that the
+# matching check fail.  The one exception is DEF_AM_VARIANT: it is the
+# default of lemma_trafotypchar_check's phase_variant, which verify varies.
 #
 #   S_AT_PARITY       the atypical-to-typical entries carry (-1)^floor(Re e);
 #                     without it the entry flips sign under r -> r + ell*K
@@ -103,31 +104,29 @@ __all__ = [
 #   LEMMA_HALF_SIGN   sign of the 1/2 in front of the cosh-kernel integral in
 #                     the rank-one transformation lemma.
 #   SINGULAR_CONTOUR_SIDE  which side of a kernel pole on the real axis the
-#                     x-contour passes: +1 above, -1 below, "pv" neither.
-#                     Such a row is integrated on R as the principal value
-#                     plus side times the half-residue (kernel._pole_line),
-#                     which holds at every Im tau.
+#                     x-contour passes: +1.0 above, -1.0 below, 0.0 neither
+#                     (the principal value).  Such a row is integrated on R
+#                     as the principal value plus side times the half-residue
+#                     (kernel._pole_line), which holds at every Im tau.
 #   T_PHASE_VARIANT   "K" uses (a-r)^2/K in the typical T-phase; "K2" keeps
 #                     (a-r)^2/K^2.  Only "K" is consistent with tau -> tau + 1
 #                     applied directly to the character.
 #   DEF_AM_VARIANT    resolved reading of the quadratic term in the phase
 #                     A_{m'}(w) of the typical transformation lemma.
+#   S_TT_QUARTER_TERM constant term of the typical-typical phase, shared by
+#                     both entry normalizations and by A_{m'} of the typical
+#                     lemma.  With +1/4 every typical S-identity fails by a
+#                     uniform overall sign at all tested ranks; -1/4 restores
+#                     them.
 S_AT_PARITY = True
 AT_BLOCK_SIGN = 1.0
 LEMMA_HALF_SIGN = 1.0
 SINGULAR_CONTOUR_SIDE = 1.0
 T_PHASE_VARIANT = "K"
 DEF_AM_VARIANT = "mp+1/2,m+1/2"
-
-# Constant term of the typical-typical phase, shared by both entry
-# normalizations and by A_{m'} of the typical lemma.  With +1/4 every
-# typical S-identity fails by a uniform overall sign at all tested ranks;
-# -1/4 restores them (see the convention tests).
 S_TT_QUARTER_TERM = -0.25
 
 DEF_AM_VARIANTS = ("mp+1/2,m+1/2", "mp+1/2,m-1/2", "mp+1/2,m/2", "mp-1/2,m+1/2")
-
-_T_PHASE_VARIANTS = ("K", "K2")
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +208,6 @@ def _m_window(params: AlgebraParams, m: Fraction) -> tuple:
 
 
 @dataclass(frozen=True)
-class SMatrixEntry:
-    kind: str
-    row: tuple
-    col: tuple
-    value: complex
-
-    def __complex__(self) -> complex:
-        return complex(self.value)
-
-
-@dataclass(frozen=True)
 class StructureConstant:
     """Symbolic Verlinde coefficient: a Kronecker condition on the lattice
     window plus the argument of a Dirac delta in the continuous label.
@@ -263,28 +251,28 @@ def _s_at_raw(params: AlgebraParams, row, r, e: complex, parity_sign: float) -> 
     return parity_sign * phase / (2.0 * ell * cmath.sin(math.pi * e))
 
 
-def _s_at_curve_const(params: AlgebraParams, row, r, parity: bool) -> tuple:
+def _s_at_curve_const(params: AlgebraParams, row, r) -> tuple:
     """(C, f) with S_at(row; r, x) = C e^{-2 pi x t/ell} / sin(pi(f - ix)) on
     the curve e = e0 - ix, e0 = e_r(0), f = e0 mod 1 (0 on a singular row).
 
     The parity sign (-1)^floor(e0) cancels that of sin(pi(e0 - ix)), and the
     phase of C = e^{2 pi i (t' r - e0 t/ell)} / 2ell is reduced mod 1 exactly,
     so r -> r + j*ell*K and t' -> t' + j*ell change no bit of the entry.
-    Without parity (the rejected convention) C carries (-1)^floor(e0)."""
+    With S_AT_PARITY off (the rejected convention) C carries (-1)^floor(e0)."""
     t, tp = int(row[0]), int(row[1])
     num, den = curve_e0(params, r)
     # r = a + K/2 - K e0, so t' r - e0 t/ell = t'/2 - e0 (K ell t' + t)/ell mod 1, in integers
     turns_den = den * params.ell
     turns = (tp * (turns_den // 2) - num * (params.K * params.ell * tp + t)) % turns_den / turns_den
     const = cmath.exp(TWO_PI_I * turns) / (2.0 * params.ell)
-    if not parity and (num // den) & 1:
+    if not S_AT_PARITY and (num // den) & 1:
         const = -const
     return const, num % den / den
 
 
 def _s_at_curve(params: AlgebraParams, row, r, x: complex) -> complex:
     """S_at(row; r, x) at the curve point (r, x), with the parity sign."""
-    const, f = _s_at_curve_const(params, row, r, S_AT_PARITY)
+    const, f = _s_at_curve_const(params, row, r)
     sin = cmath.sin(math.pi * (f - 1j * x))
     if abs(sin) < POLE_CLEARANCE:
         raise SingularEntry("curve point (r=%s, x=%r) sits on a pole of 1/sin" % (r, x))
@@ -328,13 +316,11 @@ def _s_tt_real_raw(params: AlgebraParams, col, col2) -> complex:
 # public entries
 
 
-def s_entry_aa(params: AlgebraParams, row, col) -> SMatrixEntry:
-    row = _require_s_pair(params, row)
-    col = _require_s_pair(params, col)
-    return SMatrixEntry("aa", row, col, _s_aa_raw(params, row, col))
+def s_entry_aa(params: AlgebraParams, row, col) -> complex:
+    return _s_aa_raw(params, _require_s_pair(params, row), _require_s_pair(params, col))
 
 
-def s_entry_at(params: AlgebraParams, row, label, label_kind: str = "m") -> SMatrixEntry:
+def s_entry_at(params: AlgebraParams, row, label, label_kind: str = "m") -> complex:
     """Atypical-to-typical entry.
 
     ``label_kind="m"``: label = (m, e) with m in M and e the real (or complex)
@@ -351,16 +337,14 @@ def s_entry_at(params: AlgebraParams, row, label, label_kind: str = "m") -> SMat
         if ee.imag == 0.0 and abs(ee.real - round(ee.real)) < POLE_CLEARANCE:
             raise SingularEntry("sin(pi e) vanishes at integer e=%r" % e)
         sign = _parity(ee.real) if S_AT_PARITY else 1.0
-        value = complex(_s_at_raw(params, row, r, ee, sign))
-        return SMatrixEntry("at", row, (mf, ee), value)
+        return _s_at_raw(params, row, r, ee, sign)
     if label_kind == "r":
         r, x = label
-        rf, xx = Fraction(r), as_complex(x)
-        return SMatrixEntry("at", row, (rf, xx), _s_at_curve(params, row, rf, xx))
+        return _s_at_curve(params, row, Fraction(r), as_complex(x))
     raise InvalidParameter("label_kind must be 'm' or 'r'")
 
 
-def s_entry_tt(params: AlgebraParams, col, col2) -> SMatrixEntry:
+def s_entry_tt(params: AlgebraParams, col, col2) -> complex:
     """Typical-typical entry in the real-label normalization.
 
     Labels are (m, e) pairs; e may be complex, parities use floor of the real
@@ -369,8 +353,7 @@ def s_entry_tt(params: AlgebraParams, col, col2) -> SMatrixEntry:
     m2, e2 = col2
     mf = _coerce_m(params, m)
     mf2 = _coerce_m(params, m2, "m'")
-    value = _s_tt_real_raw(params, (mf, e), (mf2, e2))
-    return SMatrixEntry("tt", (mf, as_complex(e)), (mf2, as_complex(e2)), value)
+    return _s_tt_real_raw(params, (mf, e), (mf2, e2))
 
 
 def s_entry_consistency_check(params: AlgebraParams, r, x, c, w) -> dict:
@@ -392,7 +375,7 @@ def s_entry_consistency_check(params: AlgebraParams, r, x, c, w) -> dict:
     row = (0, 0)
     at_curve = s_entry_at(params, row, (rf, x), label_kind="r")
     at_real = s_entry_at(params, row, (2 * a - rf, e_r), label_kind="m")
-    at_err = abs(complex(at_curve) - complex(at_real))
+    at_err = abs(at_curve - at_real)
     return {
         "check": "s_entry_consistency",
         "tt_abs_err": tt_err,
@@ -416,15 +399,6 @@ def _gaussian_integral(alpha: complex, beta: complex) -> complex:
     Needs Re alpha > 0 (principal square root).  The curve Gaussians have
     alpha = -pi i tau K, with Re alpha = pi K Im tau."""
     return cmath.sqrt(math.pi / alpha) * cmath.exp(beta * beta / (4.0 * alpha))
-
-
-def _contour_side(side) -> float:
-    """The half-residue sign of a singular_side: +1 or -1 as given, 0 for "pv"."""
-    if side == 0:
-        raise PoleOnContour("singular_side 0 runs the contour through the kernel pole")
-    if side != "pv" and side not in (1, -1):
-        raise InvalidParameter("singular_side must be +1, -1 or 'pv', got %r" % (side,))
-    return 0.0 if side == "pv" else float(side)
 
 
 def _dist_to_integers(y: float) -> float:
@@ -458,11 +432,10 @@ def _curve_line(params: AlgebraParams, tau: complex, pref: complex, const: compl
     return pref * res.value
 
 
-def _s_row(params: AlgebraParams, row, vec: tuple, tau: complex, scale: float, sign: float,
-           parity: bool, side: float) -> tuple:
-    """(sum_A S_aa(row, A) chi_A + sign sum_r int_R S_at(row; r, x) chi_T-curve(r, x) dx,
+def _s_row(params: AlgebraParams, row, vec: tuple, tau: complex, scale: float) -> tuple:
+    """(sum_A S_aa(row, A) chi_A + AT_BLOCK_SIGN sum_r int_R S_at(row; r, x) chi_T-curve(r, x) dx,
     the rows r with integer e_r(0)) on the character vector vec.  Those rows
-    have their 1/sin pole at x = 0 and take the half-residue sign side."""
+    have their 1/sin pole at x = 0 and pass it on SINGULAR_CONTOUR_SIDE."""
     atypicals, prefs, drift = vec
     aa = 0.0 + 0.0j
     for col, chi in atypicals:
@@ -472,38 +445,27 @@ def _s_row(params: AlgebraParams, row, vec: tuple, tau: complex, scale: float, s
     at_total = 0.0 + 0.0j
     singular_rows = []
     for r, pref in prefs.items():
-        const, f = _s_at_curve_const(params, row, r, parity)
+        const, f = _s_at_curve_const(params, row, r)
         if f == 0.0:
             singular_rows.append(r)
-        at_total += _curve_line(params, tau, pref, 1j * const, beta, -f, side if f == 0.0 else None, scale)
-    return aa + sign * at_total, tuple(singular_rows)
+        side = SINGULAR_CONTOUR_SIDE if f == 0.0 else None
+        at_total += _curve_line(params, tau, pref, 1j * const, beta, -f, side, scale)
+    return aa + AT_BLOCK_SIGN * at_total, tuple(singular_rows)
 
 
-def s_transform_atypical_check(
-    params: AlgebraParams,
-    row,
-    args,
-    tau,
-    at_sign: float | None = None,
-    parity: bool | None = None,
-    singular_side=None,
-) -> dict:
+def s_transform_atypical_check(params: AlgebraParams, row, args, tau) -> dict:
     """chi_A(u/tau, v/tau; -1/tau) against the S-row applied to the character vector.
 
     Rows with integer e_r(0) put the 1/sin pole at x = 0 on the contour R.
-    Their integral is the principal value on R plus side times the
-    half-residue: side +1 passes above the pole, -1 below, "pv" neither.
-    On every cell, side 0 raises PoleOnContour and any other InvalidParameter."""
+    Their integral is the principal value on R plus SINGULAR_CONTOUR_SIDE
+    times the half-residue."""
     t, tp = _require_s_pair(params, row)
     u, v = _uv(args)
     tt = as_tau(tau)
-    sign = AT_BLOCK_SIGN if at_sign is None else float(at_sign)
-    parity_on = S_AT_PARITY if parity is None else bool(parity)
-    side = _contour_side(SINGULAR_CONTOUR_SIDE if singular_side is None else singular_side)
 
     lhs = chi_w_atypical(params, AtypicalWLabel(t / params.ell, tp), u / tt, v / tt, -1.0 / tt)
     vec = _character_vector(params, u, v, tt)
-    value, singular_rows = _s_row(params, (t, tp), vec, tt, abs(lhs), sign, parity_on, side)
+    value, singular_rows = _s_row(params, (t, tp), vec, tt, abs(lhs))
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * value
     return identity_report("s_transform_atypical", lhs, rhs, row=(t, tp), singular_rows=singular_rows)
 
@@ -533,14 +495,7 @@ def s_transform_typical_check(params: AlgebraParams, row, args, tau) -> dict:
     return identity_report("s_transform_typical", lhs, rhs, row=(rf, xf))
 
 
-def t_transform_check(
-    params: AlgebraParams,
-    label,
-    family: str,
-    args,
-    tau,
-    variant: str | None = None,
-) -> dict:
+def t_transform_check(params: AlgebraParams, label, family: str, args, tau) -> dict:
     """tau -> tau + 1 on an atypical label (t, t') or a typical curve point (r, x)."""
     u, v = _uv(args)
     tt = as_tau(tau)
@@ -555,15 +510,12 @@ def t_transform_check(
         r, x = label
         rf = Fraction(r)
         xf = float(x)
-        which = T_PHASE_VARIANT if variant is None else variant
-        if which not in _T_PHASE_VARIANTS:
-            raise InvalidParameter("variant must be one of %r" % (_T_PHASE_VARIANTS,))
         beta = a - float(rf)
-        quad_term = beta * beta / K if which == "K" else beta * beta / (K * K)
+        quad_term = beta * beta / K if T_PHASE_VARIANT == "K" else beta * beta / (K * K)
         expo = math.pi * 1j * (quad_term + beta + a / 2.0 + 0.25 + K * xf * xf)
         lhs = chi_w_typical_curve(params, rf, xf, u, v, tt + 1.0)
         rhs = cmath.exp(expo) * chi_w_typical_curve(params, rf, xf, u, v, tt)
-        return identity_report("t_transform_typ", lhs, rhs, label=(rf, xf), variant=which)
+        return identity_report("t_transform_typ", lhs, rhs, label=(rf, xf), variant=T_PHASE_VARIANT)
     raise InvalidParameter("family must be 'atyp' or 'typ'")
 
 
@@ -571,23 +523,14 @@ def t_transform_check(
 # rank-one transformation lemmas
 
 
-def lemma_trafoatyp_check(
-    a: int,
-    ell: int,
-    s: int,
-    t: int,
-    args,
-    tau,
-    half_sign: float | None = None,
-    singular_side=None,
-) -> dict:
+def lemma_trafoatyp_check(a: int, ell: int, s: int, t: int, args, tau) -> dict:
     """Rank-one atypical transformation with spectral-flow offsets s, t.
 
-    chi_A(u/tau, v/tau + s/ell; -1/tau) against the flowed atypical plus the
-    cosh-kernel integral over the 2a+1 typical curves.  The kernel pole hits
-    R exactly when m = 2a and s = -ell/2; that term is the principal value on
-    R plus side times the half-residue, as in s_transform_atypical_check, and
-    side is checked on every cell."""
+    chi_A(u/tau, v/tau + s/ell; -1/tau) against the flowed atypical plus
+    LEMMA_HALF_SIGN times half the cosh-kernel integral over the 2a+1 typical
+    curves.  The kernel pole hits R exactly when m = 2a and s = -ell/2; that
+    term is the principal value on R plus SINGULAR_CONTOUR_SIDE times the
+    half-residue, as in s_transform_atypical_check."""
     if a < 0 or ell <= 0:
         raise InvalidParameter("need a >= 0 and ell >= 1")
     pr = AlgebraParams(a, 1)
@@ -596,8 +539,6 @@ def lemma_trafoatyp_check(
     tv = _require_in_s(ell, t, "t")
     u, v = _uv(args)
     tt = as_tau(tau)
-    hs = LEMMA_HALF_SIGN if half_sign is None else float(half_sign)
-    side = _contour_side(SINGULAR_CONTOUR_SIDE if singular_side is None else singular_side)
 
     lhs = chi_w_atypical(pr, AtypicalWLabel(tv / ell, 0), u / tt, v / tt + sv / ell, -1.0 / tt)
     base = chi_w_atypical(pr, AtypicalWLabel(sv / ell, 0), u, v - tv / ell, tt)
@@ -615,9 +556,9 @@ def lemma_trafoatyp_check(
         pref = curve_prefactor(pr, r, u, v - tv / ell, tt)
         # 1/cosh(pi(x + ic)) = -i/sinh(pi(x - i(1/2 - c)))
         total += _curve_line(pr, tt, pref, -1j, -2.0 * math.pi * drift, 0.5 - float(c_m) / K,
-                             side if singular else None, scale)
+                             SINGULAR_CONTOUR_SIDE if singular else None, scale)
 
-    rhs = cmath.exp(TWO_PI_I * u * v / tt) * (base + hs * 0.5 * total)
+    rhs = cmath.exp(TWO_PI_I * u * v / tt) * (base + LEMMA_HALF_SIGN * 0.5 * total)
     return identity_report(
         "lemma_trafoatyp",
         lhs,
@@ -640,7 +581,6 @@ def lemma_trafotypchar_check(
     args,
     tau,
     phase_variant: str | None = None,
-    quarter_term: float | None = None,
 ) -> dict:
     """Rank-one typical transformation with flow offsets.
 
@@ -657,7 +597,6 @@ def lemma_trafotypchar_check(
     which = DEF_AM_VARIANT if phase_variant is None else phase_variant
     if which not in DEF_AM_VARIANTS:
         raise InvalidParameter("phase_variant must be one of %r" % (DEF_AM_VARIANTS,))
-    quarter = S_TT_QUARTER_TERM if quarter_term is None else float(quarter_term)
 
     # The flow windows are closed on the right, and at the +ell/2 edge both
     # integer label windows shift by one so the half-integer curve labels
@@ -686,7 +625,7 @@ def lemma_trafotypchar_check(
         # is folded into the Gaussian's linear coefficient beta below
         const_phase = cmath.exp(
             TWO_PI_I
-            * (-1j * xf * tv / ell + sv * tv / (ell * ell * K) - quad_term / K + quarter)
+            * (-1j * xf * tv / ell + sv * tv / (ell * ell * K) - quad_term / K + S_TT_QUARTER_TERM)
         )
         coeff += const_phase * curve_prefactor(pr, Fraction(mp) - Fraction(tv, ell), u, v - sv / ell, tt)
     # every curve has the same drift, so the K Gaussian integrals are one
@@ -740,7 +679,6 @@ def s_compose_check(params: AlgebraParams, row, args, tau) -> dict:
     u, v = _uv(args)
     tt = as_tau(tau)
     ell, K = params.ell, params.K
-    side = _contour_side(SINGULAR_CONTOUR_SIDE)
 
     lhs = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), -u, -v, tt)
     scale = abs(lhs)
@@ -749,7 +687,7 @@ def s_compose_check(params: AlgebraParams, row, args, tau) -> dict:
 
     rhs = 0.0 + 0.0j
     for col, _ in atypicals:
-        inner, _ = _s_row(params, col, vec, tt, scale, AT_BLOCK_SIGN, S_AT_PARITY, side)
+        inner, _ = _s_row(params, col, vec, tt, scale)
         rhs += _s_aa_raw(params, (t, tp), col) * inner
 
     # Outer row r: S_at(row; r, x) against _typical_coeff times the one
@@ -762,9 +700,9 @@ def s_compose_check(params: AlgebraParams, row, args, tau) -> dict:
     beta = beta0 / tt - 2.0 * math.pi * t / ell
     tail_tol = max(DEFAULT_QUAD.tail_tol, 1e-8 * scale)
     for r in prefs:
-        const, f = _s_at_curve_const(params, (t, tp), r, S_AT_PARITY)
+        const, f = _s_at_curve_const(params, (t, tp), r)
         coeff = 1j * const * gauss * _typical_coeff(params, r, prefs)
-        rhs += AT_BLOCK_SIGN * _pole_line(alpha_x, coeff, beta, -f, side, tail_tol).value
+        rhs += AT_BLOCK_SIGN * _pole_line(alpha_x, coeff, beta, -f, SINGULAR_CONTOUR_SIDE, tail_tol).value
 
     return identity_report("s_compose", lhs, rhs, row=(t, tp))
 

@@ -604,14 +604,10 @@ def _symmetry(ctx: RunContext):
         worst = 0.0
         for row in ((sets.s_values[0], sets.s_values[-1]), (sets.s_values[-1], sets.s_values[-1])):
             for col in ((sets.s_values[-1], sets.s_values[0]), (sets.s_values[0], sets.s_values[0])):
-                lhs = complex(mv.s_entry_aa(pr, row, col))
-                rhs = complex(mv.s_entry_aa(pr, col, row))
-                worst = max(worst, abs(lhs - rhs))
+                worst = max(worst, abs(mv.s_entry_aa(pr, row, col) - mv.s_entry_aa(pr, col, row)))
         e1, e2 = 0.37, 0.61
         m1, m2 = (Fraction(1), Fraction(2)) if l == 1 else (Fraction(1, 2), Fraction(3, 2))
-        lhs = complex(mv.s_entry_tt(pr, (m1, e1), (m2, e2)))
-        rhs = complex(mv.s_entry_tt(pr, (m2, e2), (m1, e1)))
-        worst = max(worst, abs(lhs - rhs))
+        worst = max(worst, abs(mv.s_entry_tt(pr, (m1, e1), (m2, e2)) - mv.s_entry_tt(pr, (m2, e2), (m1, e1))))
         ctx.add("smatrix.symmetry.n%d.l%d" % (n, l), "S symmetry", worst, n=n, ell=l)
 
 

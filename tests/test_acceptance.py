@@ -347,14 +347,14 @@ def test_criterion_11_s_matrix_structure():
         col = (sets.s_values[-1], sets.s_values[0])
         worst_sym = max(
             worst_sym,
-            abs(mv.s_entry_aa(pr, row, col).value - mv.s_entry_aa(pr, col, row).value),
+            abs(mv.s_entry_aa(pr, row, col) - mv.s_entry_aa(pr, col, row)),
         )
         m1, m2 = sets.m_values[1], sets.m_values[-1]
         worst_sym = max(
             worst_sym,
             abs(
-                mv.s_entry_tt(pr, (m1, 0.37), (m2, 0.61)).value
-                - mv.s_entry_tt(pr, (m2, 0.61), (m1, 0.37)).value
+                mv.s_entry_tt(pr, (m1, 0.37), (m2, 0.61))
+                - mv.s_entry_tt(pr, (m2, 0.61), (m1, 0.37))
             ),
         )
     for (n, l) in ((0, 1), (1, 1), (2, 2), (3, 3), (0, 4)):

@@ -37,6 +37,7 @@ from mockchar.domain import AlgebraParams, AtypicalWLabel, TypicalWLabel
 from mockchar.errors import InvalidParameter
 from mockchar.kernel import eta, theta1, theta3
 from mockchar.modular_verlinde import index_sets
+from mockchar import characters, suites
 from mockchar.suites import DEFAULT_GRID
 
 U, V, TAU = 0.13 + 0.21j, 0.29 + 0.11j, 0.1 + 1.1j
@@ -216,6 +217,24 @@ def test_lattice_structure_constants_exact(alpha_sq):
                 got = lattice_structure_constant(alpha_sq, a, b, c)
                 want = 1 if (a + b - c) % alpha_sq == 0 else 0
                 assert got == want
+
+
+@pytest.mark.parametrize("alpha_sq", [0, -2, 2.5])
+def test_lattice_structure_constant_rejects_a_bad_alpha_sq(alpha_sq):
+    with pytest.raises(InvalidParameter, match="alpha_sq must be a positive integer"):
+        lattice_structure_constant(alpha_sq, 0, 0, 0)
+
+
+def test_lattice_structure_constant_drift_fails_its_report(monkeypatch):
+    # with every phase of the root-of-unity sum set to 1 the sum reads 1 for
+    # every (a, b, c); the check compares it with the Kronecker form, so the
+    # drift is a failed report, not a crash
+    monkeypatch.setattr(characters, "TWO_PI_I", 0.0)
+    assert lattice_structure_constant(2, 0, 1, 0) == 1
+    spec = next(s for s in suites.resolve_checks(("lattice",)) if s.check_id == "lattice.structure-constants")
+    reps = suites._run_one(spec, suites.SuiteConfig(suites=("lattice",)))
+    assert [r.check_id for r in reps] == ["lattice.structure-constants.a%d" % n for n in (2, 3, 4)]
+    assert all(r.status == "fail" for r in reps), reps
 
 
 @pytest.mark.parametrize("alpha_sq", [2, 3, 4])

@@ -1,10 +1,13 @@
 """Sign and phase arbitration tests.
 
-Every transformation law in this library carries a convention switch so that
-the resolved reading and its rejected alternative stay both computable.  These
-tests freeze the arbitration: the resolved variant passes at tight tolerance
-and each alternative fails by a margin orders of magnitude above it, at points
-where the compared values are O(1) so relative and absolute error agree.
+Every sign or phase reading of a transformation law has one switch, so that
+the resolved reading and its rejected alternative both stay computable: a
+frozen constant in modular_verlinde (set to its losing value here with
+monkeypatch), or a variant keyword of appell's right-hand sides and of
+lemma_trafotypchar_check's phase_variant.  These tests freeze the
+arbitration: the resolved reading passes at tight tolerance and each
+alternative fails by a margin orders of magnitude above it, at points where
+the compared values are O(1) so relative and absolute error agree.
 """
 
 import math
@@ -61,59 +64,68 @@ def test_appell_s_transform_correction_sign(variant, K):
     assert _rel(lhs, bad) > 1e-4, (variant, K, _rel(lhs, bad))
 
 
-def test_s_transform_atypical_block_sign_and_parity():
+def test_s_transform_atypical_block_sign_and_parity(monkeypatch):
     pr = AlgebraParams(1, 1)
     good = mv.s_transform_atypical_check(pr, (0, 0), ARGS, MTAU)
     assert good["rel_err"] < 1e-5
-    flipped = mv.s_transform_atypical_check(pr, (0, 0), ARGS, MTAU, at_sign=-1.0)
+    with monkeypatch.context() as m:
+        m.setattr(mv, "AT_BLOCK_SIGN", -1.0)
+        flipped = mv.s_transform_atypical_check(pr, (0, 0), ARGS, MTAU)
     assert flipped["rel_err"] > 1e-2, flipped["rel_err"]
-    unsigned = mv.s_transform_atypical_check(pr, (0, 0), ARGS, MTAU, parity=False)
+    with monkeypatch.context() as m:
+        m.setattr(mv, "S_AT_PARITY", False)
+        unsigned = mv.s_transform_atypical_check(pr, (0, 0), ARGS, MTAU)
     assert unsigned["rel_err"] > 1e-2, unsigned["rel_err"]
 
 
 @pytest.mark.parametrize("n,l,r,gate", [(2, 1, Fraction(1), 1e-3), (2, 2, Fraction(1, 2), 1e-4)])
-def test_t_phase_variant_discrimination(n, l, r, gate):
+def test_t_phase_variant_discrimination(n, l, r, gate, monkeypatch):
     # beta = a - r != 0 at these points, which is what separates the variants
     pr = AlgebraParams(n, l)
     assert pr.a != r
-    good = mv.t_transform_check(pr, (r, 0.17), "typ", ARGS, MTAU, variant="K")
-    bad = mv.t_transform_check(pr, (r, 0.17), "typ", ARGS, MTAU, variant="K2")
+    good = mv.t_transform_check(pr, (r, 0.17), "typ", ARGS, MTAU)
+    monkeypatch.setattr(mv, "T_PHASE_VARIANT", "K2")
+    bad = mv.t_transform_check(pr, (r, 0.17), "typ", ARGS, MTAU)
+    assert bad["variant"] == "K2"
     assert good["rel_err"] < 1e-13
     assert bad["rel_err"] > gate, bad["rel_err"]
 
 
-def test_t_phase_variants_agree_at_beta_zero():
+def test_t_phase_variants_agree_at_beta_zero(monkeypatch):
     # r = a makes the quadratic term identical, so "K2" must NOT fail here;
     # a discriminating test point needs beta != 0
     pr = AlgebraParams(2, 2)
-    good = mv.t_transform_check(pr, (Fraction(1), 0.17), "typ", ARGS, MTAU, variant="K")
-    bad = mv.t_transform_check(pr, (Fraction(1), 0.17), "typ", ARGS, MTAU, variant="K2")
+    good = mv.t_transform_check(pr, (Fraction(1), 0.17), "typ", ARGS, MTAU)
+    monkeypatch.setattr(mv, "T_PHASE_VARIANT", "K2")
+    bad = mv.t_transform_check(pr, (Fraction(1), 0.17), "typ", ARGS, MTAU)
     assert good["rel_err"] < 1e-13
     assert bad["rel_err"] < 1e-13
 
 
-def test_lemma_trafoatyp_half_sign():
+def test_lemma_trafoatyp_half_sign(monkeypatch):
     good = mv.lemma_trafoatyp_check(1, 1, 0, 0, ARGS, MTAU)
-    bad = mv.lemma_trafoatyp_check(1, 1, 0, 0, ARGS, MTAU, half_sign=-1.0)
+    monkeypatch.setattr(mv, "LEMMA_HALF_SIGN", -1.0)
+    bad = mv.lemma_trafoatyp_check(1, 1, 0, 0, ARGS, MTAU)
     assert good["rel_err"] < 1e-5
     assert bad["rel_err"] > 1e-2, bad["rel_err"]
 
 
-def test_lemma_trafoatyp_singular_contour_side():
+def test_lemma_trafoatyp_singular_contour_side(monkeypatch):
     cell = (1, 2, -1, 0)
     good = mv.lemma_trafoatyp_check(*cell, ARGS, MTAU)
-    below = mv.lemma_trafoatyp_check(*cell, ARGS, MTAU, singular_side=-1.0)
-    pv = mv.lemma_trafoatyp_check(*cell, ARGS, MTAU, singular_side="pv")
+    monkeypatch.setattr(mv, "SINGULAR_CONTOUR_SIDE", -1.0)
+    below = mv.lemma_trafoatyp_check(*cell, ARGS, MTAU)
+    monkeypatch.setattr(mv, "SINGULAR_CONTOUR_SIDE", 0.0)
+    pv = mv.lemma_trafoatyp_check(*cell, ARGS, MTAU)
     assert good["rel_err"] < 1e-5
     assert below["rel_err"] > 1e-3, below["rel_err"]
     assert pv["rel_err"] > 1e-3, pv["rel_err"]
 
 
-def test_lemma_trafotypchar_quarter_term():
+def test_lemma_trafotypchar_quarter_term(monkeypatch):
     good = mv.lemma_trafotypchar_check(1, 1, 0, 0, 0, 0.13, ARGS, MTAU)
-    bad = mv.lemma_trafotypchar_check(
-        1, 1, 0, 0, 0, 0.13, ARGS, MTAU, quarter_term=0.25
-    )
+    monkeypatch.setattr(mv, "S_TT_QUARTER_TERM", 0.25)
+    bad = mv.lemma_trafotypchar_check(1, 1, 0, 0, 0, 0.13, ARGS, MTAU)
     assert good["rel_err"] < 1e-5
     assert bad["rel_err"] > 1e-2, bad["rel_err"]
 
@@ -139,6 +151,7 @@ def test_resolved_constants_frozen():
     assert mv.S_AT_PARITY is True
     assert mv.AT_BLOCK_SIGN == 1.0
     assert mv.LEMMA_HALF_SIGN == 1.0
+    assert mv.SINGULAR_CONTOUR_SIDE == 1.0
     assert mv.T_PHASE_VARIANT == "K"
     assert mv.DEF_AM_VARIANT == "mp+1/2,m+1/2"
     assert mv.S_TT_QUARTER_TERM == -0.25

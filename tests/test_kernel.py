@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from mockchar import kernel
 from mockchar.appell import aK
 from mockchar.domain import DEFAULT_QUAD, DEFAULT_TRUNC, POLE_CLEARANCE, QuadratureSpec, TruncationSpec, lattice_distance
-from mockchar.errors import PoleOnContour, PoleProximity, QuadratureNoConvergence, TailBoundExceeded
+from mockchar.errors import InvalidParameter, PoleOnContour, PoleProximity, QuadratureNoConvergence, TailBoundExceeded
 from mockchar.kernel import (
     eta,
     eta_pentagonal,
@@ -179,6 +179,18 @@ def test_gauss_identity_quadrature():
     for alpha, beta in ((1.0, 0.0), (0.7 + 1.3j, -0.4 + 0.2j), (2.5 - 0.8j, 1.1j)):
         rep = gauss_identity_check(alpha, beta)
         assert rep["rel_err"] < 1e-12, rep
+
+
+@pytest.mark.parametrize("level", [2.5, 0])
+def test_theta_rescaling_rejects_a_bad_level(level):
+    with pytest.raises(InvalidParameter, match="level must be a positive integer"):
+        theta1_rescaling_check(level, 0.1, 1j)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0 + 0.5j])
+def test_gauss_identity_rejects_non_decaying_alpha(alpha):
+    with pytest.raises(InvalidParameter, match="Re alpha > 0"):
+        gauss_identity_check(alpha, 0.3)
 
 
 def test_sqrt_principal_branch():
