@@ -11,9 +11,9 @@ curve_e0, and every curve's Gaussian in x has the same drift
 B = (a+1)u - v.  Every function here takes and returns scalars.
 
 The public characters validate u, v and tau once and call private cores
-(_chi_w_atypical, _chi_w_typical, _chi_lattice, _theta_eta) that take plain
-complex numbers and call the kernel's cores; the identity checks below call
-the cores too.
+(_chi_w_atypical, _chi_w_typical, _chi_w_typical_curve, _chi_lattice,
+_theta_eta) that take plain complex numbers and call the kernel's cores; the
+identity checks below and modular_verlinde's checks call the cores too.
 """
 
 from __future__ import annotations
@@ -344,12 +344,13 @@ def chi_w_typical_curve(params: AlgebraParams, r, x, u, v, tau) -> complex:
     into the x-free curve_prefactor.  The result is entire in x: the parity
     sign is locked to the real-axis value.
     """
-    uu = as_complex(u)
-    vv = as_complex(v)
-    tt = as_tau(tau)
-    xx = as_complex(x)
-    gauss = cmath.exp(-2.0 * math.pi * xx * curve_drift(params, uu, vv) + PI_I * tt * params.K * xx * xx)
-    return curve_prefactor(params, r, uu, vv, tt) * gauss
+    return _chi_w_typical_curve(params, r, as_complex(x), as_complex(u), as_complex(v), as_tau(tau))
+
+
+def _chi_w_typical_curve(params: AlgebraParams, r, x: complex, u: complex, v: complex, tau: complex) -> complex:
+    """chi_w_typical_curve on validated arguments."""
+    gauss = cmath.exp(-2.0 * math.pi * x * curve_drift(params, u, v) + PI_I * tau * params.K * x * x)
+    return curve_prefactor(params, r, u, v, tau) * gauss
 
 
 def chi_via_appell(params: AlgebraParams, n_prime, u, v, tau) -> complex:

@@ -124,25 +124,16 @@ def _algebra(args):
 def _eval_registry():
     """name -> callable(args, tol) -> (value, bound) or (value, bound, extra JSON fields).
 
-    tol is the checked --tol or None for the library defaults: series entries
-    truncate at it and report it as their bound, h and h_s use it as the
-    quadrature tolerance, and the closed-form S-matrix entries ignore it.
+    tol is the checked --tol or None for the library defaults: series entries,
+    h among them, truncate at it and report it as their bound, h_s uses it as
+    the quadrature tolerance and reports its node count, and the closed-form
+    S-matrix entries ignore it.
     """
-    from .domain import (
-        DEFAULT_QUAD,
-        DEFAULT_TRUNC,
-        AtypicalWLabel,
-        QuadratureSpec,
-        TruncationSpec,
-        TypicalWLabel,
-    )
+    from .domain import DEFAULT_QUAD, DEFAULT_TRUNC, AtypicalWLabel, TruncationSpec, TypicalWLabel
 
     def series(tol, fn, *xs):
         trunc = DEFAULT_TRUNC if tol is None else TruncationSpec(tail_tol=tol)
         return fn(*xs, trunc=trunc), trunc.tail_tol
-
-    def quadrature(res):
-        return res.value, res.error, {"nodes": res.nodes}
 
     def uvt(args):
         return (
@@ -181,15 +172,16 @@ def _eval_registry():
         return series(tol, aK, parse_int(_require(args, "K"), "K"), u, v, tau)
 
     def do_h(args, tol):
-        from .mordell import mordell_h_quad
+        from .mordell import mordell_h
 
-        return quadrature(mordell_h_quad(*ut(args), quad=None if tol is None else QuadratureSpec(tail_tol=tol)))
+        return series(tol, mordell_h, *ut(args))
 
     def do_h_s(args, tol):
         from .mordell import mordell_h_s_quad
 
         s = parse_real(_require(args, "s"))
-        return quadrature(mordell_h_s_quad(s, *ut(args), tail_tol=DEFAULT_QUAD.tail_tol if tol is None else tol))
+        res = mordell_h_s_quad(s, *ut(args), tail_tol=DEFAULT_QUAD.tail_tol if tol is None else tol)
+        return res.value, res.error, {"nodes": res.nodes}
 
     def do_chi_gl11_typical(args, tol):
         from .characters import chi_gl11_typical

@@ -17,7 +17,9 @@ term of that row, and of the rank-one atypical lemma, is one curve line
 integral: a kernel line integral of one Gaussian (kernel._pole_line).
 
 Every check returns a plain dict with ``lhs``/``rhs``/``abs_err``/``rel_err``
-style keys so callers can apply their own tolerances.
+style keys so callers can apply their own tolerances.  A check validates u,
+v and tau once at its entry and evaluates the characters through their
+private cores.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import (
+    _chi_w_atypical,
+    _chi_w_typical,
+    _chi_w_typical_curve,
     chi_regularized,
-    chi_w_atypical,
-    chi_w_typical,
-    chi_w_typical_curve,
     curve_drift,
     curve_e0,
     curve_prefactor,
@@ -414,7 +416,7 @@ def _character_vector(params: AlgebraParams, u: complex, v: complex, tau: comple
     pairs ((s, s'), chi_A(s/ell, s')) over S x S, {r: C_r} over M and the
     drift B, so chi_T-curve(r, x) = C_r e^{pi i tau K x^2 - 2 pi B x}."""
     sets = index_sets(params)
-    atypicals = [((s, sp), chi_w_atypical(params, AtypicalWLabel(s / params.ell, sp), u, v, tau))
+    atypicals = [((s, sp), _chi_w_atypical(params, AtypicalWLabel(s / params.ell, sp), u, v, tau))
                  for s in sets.s_values for sp in sets.s_values]
     prefs = {r: curve_prefactor(params, r, u, v, tau) for r in sets.m_values}
     return atypicals, prefs, curve_drift(params, u, v)
@@ -463,7 +465,7 @@ def s_transform_atypical_check(params: AlgebraParams, row, args, tau) -> dict:
     u, v = _uv(args)
     tt = as_tau(tau)
 
-    lhs = chi_w_atypical(params, AtypicalWLabel(t / params.ell, tp), u / tt, v / tt, -1.0 / tt)
+    lhs = _chi_w_atypical(params, AtypicalWLabel(t / params.ell, tp), u / tt, v / tt, -1.0 / tt)
     vec = _character_vector(params, u, v, tt)
     value, singular_rows = _s_row(params, (t, tp), vec, tt, abs(lhs))
     rhs = cmath.exp(TWO_PI_I * u * v / tt) * value
@@ -487,7 +489,7 @@ def s_transform_typical_check(params: AlgebraParams, row, args, tau) -> dict:
     xf = float(x)
     u, v = _uv(args)
     tt = as_tau(tau)
-    lhs = chi_w_typical_curve(params, rf, xf, u / tt, v / tt, -1.0 / tt)
+    lhs = _chi_w_typical_curve(params, rf, xf, u / tt, v / tt, -1.0 / tt)
     prefs = {c: curve_prefactor(params, c, u, v, tt) for c in index_sets(params).m_values}
     beta = -2.0 * math.pi * curve_drift(params, u, v) - TWO_PI_I * params.K * xf
     bracket = _typical_coeff(params, rf, prefs) * _gaussian_integral(-math.pi * 1j * tt * params.K, beta)
@@ -502,8 +504,8 @@ def t_transform_check(params: AlgebraParams, label, family: str, args, tau) -> d
     ell, a, K = params.ell, params.a, params.K
     if family == "atyp":
         t, tp = _require_s_pair(params, label)
-        lhs = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), u, v, tt + 1.0)
-        base = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), u, v, tt)
+        lhs = _chi_w_atypical(params, AtypicalWLabel(t / ell, tp), u, v, tt + 1.0)
+        base = _chi_w_atypical(params, AtypicalWLabel(t / ell, tp), u, v, tt)
         rhs = cmath.exp(TWO_PI_I * t * tp / ell) * base
         return identity_report("t_transform_atyp", lhs, rhs, label=(t, tp))
     if family == "typ":
@@ -513,8 +515,8 @@ def t_transform_check(params: AlgebraParams, label, family: str, args, tau) -> d
         beta = a - float(rf)
         quad_term = beta * beta / K if T_PHASE_VARIANT == "K" else beta * beta / (K * K)
         expo = math.pi * 1j * (quad_term + beta + a / 2.0 + 0.25 + K * xf * xf)
-        lhs = chi_w_typical_curve(params, rf, xf, u, v, tt + 1.0)
-        rhs = cmath.exp(expo) * chi_w_typical_curve(params, rf, xf, u, v, tt)
+        lhs = _chi_w_typical_curve(params, rf, xf, u, v, tt + 1.0)
+        rhs = cmath.exp(expo) * _chi_w_typical_curve(params, rf, xf, u, v, tt)
         return identity_report("t_transform_typ", lhs, rhs, label=(rf, xf), variant=T_PHASE_VARIANT)
     raise InvalidParameter("family must be 'atyp' or 'typ'")
 
@@ -540,8 +542,8 @@ def lemma_trafoatyp_check(a: int, ell: int, s: int, t: int, args, tau) -> dict:
     u, v = _uv(args)
     tt = as_tau(tau)
 
-    lhs = chi_w_atypical(pr, AtypicalWLabel(tv / ell, 0), u / tt, v / tt + sv / ell, -1.0 / tt)
-    base = chi_w_atypical(pr, AtypicalWLabel(sv / ell, 0), u, v - tv / ell, tt)
+    lhs = _chi_w_atypical(pr, AtypicalWLabel(tv / ell, 0), u / tt, v / tt + sv / ell, -1.0 / tt)
+    base = _chi_w_atypical(pr, AtypicalWLabel(sv / ell, 0), u, v - tv / ell, tt)
     scale = abs(lhs)
 
     drift = curve_drift(pr, u, v - tv / ell)
@@ -616,7 +618,7 @@ def lemma_trafotypchar_check(
     xf = float(x)
 
     r_left = Fraction(m) - Fraction(sv, ell)
-    lhs = chi_w_typical_curve(pr, r_left, xf, u / tt, v / tt + tv / ell, -1.0 / tt)
+    lhs = _chi_w_typical_curve(pr, r_left, xf, u / tt, v / tt + tv / ell, -1.0 / tt)
 
     coeff = 0.0 + 0.0j
     for mp in range(mp_start, mp_start + K):
@@ -680,7 +682,7 @@ def s_compose_check(params: AlgebraParams, row, args, tau) -> dict:
     tt = as_tau(tau)
     ell, K = params.ell, params.K
 
-    lhs = chi_w_atypical(params, AtypicalWLabel(t / ell, tp), -u, -v, tt)
+    lhs = _chi_w_atypical(params, AtypicalWLabel(t / ell, tp), -u, -v, tt)
     scale = abs(lhs)
     vec = _character_vector(params, u, v, tt)
     atypicals, prefs, drift = vec
@@ -808,8 +810,8 @@ def verlinde_product_at(params: AlgebraParams, row, col, args, tau) -> dict:
     ft = fusion_target(params, (t, tp), (mf, ee))
     direct, windowed = ft["direct"], ft["windowed"]
 
-    chi_direct = chi_w_typical(params, direct, u, v, tt)
-    chi_windowed = chi_w_typical(params, windowed, u, v, tt)
+    chi_direct = _chi_w_typical(params, direct, u, v, tt)
+    chi_windowed = _chi_w_typical(params, windowed, u, v, tt)
     window_err = rel_err(chi_direct, chi_windowed)
 
     sc = structure_constant(params, (t, tp), (mf, ee), (ft["m_windowed"], windowed.e_prime))
@@ -866,17 +868,17 @@ def verlinde_product_aa(
     x0 = (s + t) / ell
     y = sp + tp
 
-    upper = chi_w_atypical(params, AtypicalWLabel(x0 + m_cutoff + 1, y), u, v, tt)
-    lower = chi_w_atypical(params, AtypicalWLabel(x0, y), u, v, tt)
+    upper = _chi_w_atypical(params, AtypicalWLabel(x0 + m_cutoff + 1, y), u, v, tt)
+    lower = _chi_w_atypical(params, AtypicalWLabel(x0, y), u, v, tt)
     ladder = 0.0 + 0.0j
     for i in range(0, m_cutoff + 1):
-        ladder += chi_w_typical(params, TypicalWLabel(x0 + i + y * a + 0.5, y), u, v, tt)
+        ladder += _chi_w_typical(params, TypicalWLabel(x0 + i + y * a + 0.5, y), u, v, tt)
     tel = identity_report("telescope", upper - lower, ladder)
 
     # ell'-periodicity lets the summed flow label be reduced into the window
     reduced = y - ell * ((y + ell // 2) // ell)
-    chi_sum = chi_w_atypical(params, AtypicalWLabel(x0, y), u, v, tt)
-    chi_red = chi_w_atypical(params, AtypicalWLabel(x0, int(reduced)), u, v, tt)
+    chi_sum = _chi_w_atypical(params, AtypicalWLabel(x0, y), u, v, tt)
+    chi_red = _chi_w_atypical(params, AtypicalWLabel(x0, int(reduced)), u, v, tt)
     label_rel_err = abs(chi_sum - chi_red) / max(abs(chi_sum), 1.0)
 
     tail = max(

@@ -1,7 +1,12 @@
-"""Mordell-type line integrals h and h_s and their shift identity.
+"""Mordell-type integrals h and h_s and their shift identity.
 
 h(u; tau)   = int_R e^{pi i tau x^2 - 2 pi u x} / cosh(pi x) dx
 h_s(u; tau) = int_R q^{x^2/2} z^{ix} / cosh(pi(x - is)) dx   for 0 <= |s| <= 1
+
+h is taken in closed form (Zwegers, thesis, Utrecht 2002, ch. 1):
+h(u; tau) = R(u; tau) + (-i tau)^{-1/2} e^{pi i u^2/tau} R(u/tau; -1/tau),
+with R a series of erfc-weighted Gaussians summed to a tail tolerance, so h
+needs no quadrature.
 
 The h_s kernel has its poles at x = i(s + k + 1/2), k in Z, so one of them
 lies within 1/2 of the real axis and, at s near +-1/2, next to it.  Since
@@ -17,8 +22,8 @@ with sigma = -1.  An explicit eps instead takes the line R - i*eps, eps in
 it gives the same value, and it is the independent reference of the default
 route.
 
-The integrands built here (h and the contour oracle) are numpy expressions;
-each builder imports numpy when it runs.
+Only the quadratures, h_s and the contour oracle, load numpy: their
+integrands are numpy expressions, and each builder imports numpy when it runs.
 """
 
 from __future__ import annotations
@@ -26,19 +31,15 @@ from __future__ import annotations
 import cmath
 import math
 
-from .domain import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    as_complex,
-    as_tau,
-    contour_depth,
-    identity_report,
-)
-from .errors import InvalidParameter
+from .domain import (DEFAULT_QUAD, DEFAULT_TRUNC, QuadratureSpec, TruncationSpec, as_complex, as_tau,
+                     contour_depth, identity_report)
+from .errors import InvalidParameter, RangeExceeded, TailBoundExceeded
 from .kernel import QuadratureResult, _pole_line, integrate_line
 
 _TWO_PI = 2.0 * math.pi
 _PI_I = 1j * math.pi
+# the largest -ln(tol) that R honours: e^{pi y reach^2} must stay a double
+_MAX_TAIL_LOG = 700.0
 
 
 def h_window(u: complex, tau: complex) -> float:
@@ -46,42 +47,46 @@ def h_window(u: complex, tau: complex) -> float:
     return 8.0 + (abs(u.real) + abs(u.imag)) / tau.imag
 
 
-def _quad_for(u: complex, tau: complex, quad: QuadratureSpec | None) -> QuadratureSpec:
-    base = DEFAULT_QUAD if quad is None else quad
-    return QuadratureSpec(
-        half_width=max(base.half_width, h_window(u, tau)),
-        nodes=base.nodes,
-        tail_tol=base.tail_tol,
-        max_nodes=base.max_nodes,
-    )
+def _zwegers_r(u: complex, tau: complex, lead: complex, trunc: TruncationSpec) -> complex:
+    """e^lead R(u; tau), R(u; tau) = sum_{nu in 1/2 + Z} [sgn(nu) - erf((nu + a) sqrt(2 pi y))]
+    (-1)^{nu - 1/2} e^{-pi i nu^2 tau - 2 pi i nu u}, y = Im tau, a = Im u / y.
+
+    The bracket is erfc(x) for nu > 0 and -erfc(-x) for nu < 0, with
+    x = (nu + a) sqrt(2 pi y), so it keeps its digits where it is small.  A
+    term's size is e^{pi y((nu + a)^2 - a^2)} times its bracket.  Between 0 and
+    -a the bracket lies in [1, 2] and the term is at most 2.  Beyond them the
+    bracket is an erfc tail, and the term is below e^{-pi y((nu + a)^2 + a^2)}.
+    So the sum runs from 0 and -a out to where pi y (nu + a)^2 reaches
+    -ln(tail_tol).  Farther out erfc underflows while the exponential
+    overflows, and the term would be inf * 0.  lead joins every term's
+    exponent, where the terms' e^{-pi y a^2} offsets it: exponentiated on its
+    own it can overflow while e^lead R fits in a double.
+    """
+    y = tau.imag
+    a = u.imag / y
+    reach = math.sqrt(min(-math.log(trunc.tail_tol), _MAX_TAIL_LOG) / (math.pi * y))
+    lo, hi = min(-a - reach, 0.0), max(-a + reach, 0.0)
+    if not hi - lo <= max(trunc.max_terms, 4096):
+        raise TailBoundExceeded("R needs %.3g terms at Im tau = %g" % (hi - lo, y))
+    scale = math.sqrt(_TWO_PI * y)
+    acc = 0.0j
+    for k in range(math.ceil(lo - 0.5), math.floor(hi - 0.5) + 1):
+        nu = k + 0.5
+        x = (nu + a) * scale
+        term = (math.erfc(x) if k >= 0 else -math.erfc(-x)) * cmath.exp(lead - _PI_I * nu * (nu * tau + 2.0 * u))
+        acc += -term if k & 1 else term
+    return acc
 
 
-def mordell_h_quad(u, tau, quad: QuadratureSpec | None = None) -> QuadratureResult:
-    import numpy as np
-
-    uu = as_complex(u)
-    tt = as_tau(tau)
-
-    def integrand(x):
-        return np.exp(_PI_I * tt * x * x - _TWO_PI * uu * x) / np.cosh(math.pi * x)
-
-    return integrate_line(integrand, _quad_for(uu, tt, quad))
-
-
-def mordell_h(u, tau) -> complex:
-    """h(u; tau), with u stepped by +-tau (at most 64 times) to |Im u| <= Im tau/2
-    through h(u) + e^{-2 pi i u - pi i tau} h(u + tau) = 2 e^{-pi i u - pi i tau/4}:
-    farther out the quadrature's terms cancel up to 1e7 times |h|."""
+def mordell_h(u, tau, trunc: TruncationSpec = DEFAULT_TRUNC) -> complex:
+    """h(u; tau) = R(u; tau) + (-i tau)^{-1/2} e^{pi i u^2/tau} R(u/tau; -1/tau),
+    each R summed to trunc.tail_tol."""
     uu, tt = as_complex(u), as_tau(tau)
-    a, b = 0.0j, 1.0 + 0.0j  # h(u) = a + b h(uu) as uu steps
-    for _ in range(64):
-        if 2.0 * abs(uu.imag) <= tt.imag:
-            break
-        step = -1.0 if uu.imag > 0.0 else 1.0
-        a += b * 2.0 * cmath.exp(-step * _PI_I * uu - _PI_I * tt / 4.0)
-        b *= -cmath.exp(-step * 2.0 * _PI_I * uu - _PI_I * tt)
-        uu += step * tt
-    return a + b * mordell_h_quad(uu, tt).value
+    try:
+        return _zwegers_r(uu, tt, 0.0, trunc) + _zwegers_r(
+            uu / tt, -1.0 / tt, _PI_I * uu * uu / tt, trunc) / cmath.sqrt(-1j * tt)
+    except OverflowError:
+        raise RangeExceeded("h(u; tau) leaves the double range") from None
 
 
 def mordell_h_s_quad(
@@ -124,14 +129,13 @@ def mordell_h_contour(s: float, u, tau) -> complex:
 
     uu = as_complex(u)
     tt = as_tau(tau)
-    s = float(s)
-    s_c = complex(0.0, s)
+    s_c = complex(0.0, float(s))
 
     def integrand(t):
         x = t + s_c
         return np.exp(_PI_I * tt * x * x - _TWO_PI * uu * x) / np.cosh(math.pi * t)
 
-    return integrate_line(integrand, _quad_for(uu, tt, None)).value
+    return integrate_line(integrand, QuadratureSpec(half_width=h_window(uu, tt))).value
 
 
 def verify_mordell_shift(s: float, u, tau) -> dict:

@@ -11,9 +11,9 @@ import pytest
 
 from mockchar.cli import main, parse_complex
 from mockchar.errors import InvalidParameter, QuadratureNoConvergence
-from mockchar.domain import QuadratureSpec, TruncationSpec
+from mockchar.domain import TruncationSpec
 from mockchar.kernel import theta1
-from mockchar.mordell import mordell_h, mordell_h_quad
+from mockchar.mordell import mordell_h
 from mockchar.report import SCHEMA, strip_volatile
 
 
@@ -91,16 +91,17 @@ def test_eval_series_truncates_at_tol(capsys):
     assert abs(complex(doc["re"], doc["im"]) - theta1(u, tau)) <= 1e-4
 
 
-def test_eval_h_uses_tol_as_quadrature_tolerance(capsys):
-    code, out, _ = run(capsys, "eval", "h", "--u", "0", "--tau", "i", "--tol", "1e-5",
-                       "--format", "json")
+def test_eval_h_truncates_at_tol(capsys):
+    u, tau = 0.13 + 0.07j, 0.3 + 0.6j
+    code, out, _ = run(capsys, "eval", "h", "--u", "0.13+0.07i", "--tau", "0.3+0.6i",
+                       "--tol", "1e-5", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    res = mordell_h_quad(0.0, 1j, QuadratureSpec(tail_tol=1e-5))
-    assert (doc["re"], doc["im"], doc["bound"], doc["nodes"]) == (
-        res.value.real, res.value.imag, res.error, res.nodes)
-    assert doc["nodes"] < mordell_h_quad(0.0, 1j).nodes
-    assert abs(complex(doc["re"], doc["im"]) - mordell_h(0.0, 1j)) <= 1e-5
+    assert doc["bound"] == 1e-5
+    loose = TruncationSpec(tail_tol=1e-5)
+    assert complex(doc["re"], doc["im"]) == mordell_h(u, tau, loose)
+    assert mordell_h(u, tau, loose) != mordell_h(u, tau)  # a shorter sum really ran
+    assert abs(complex(doc["re"], doc["im"]) - mordell_h(u, tau)) <= 1e-5
 
 
 def test_eval_json_format(capsys):
@@ -116,13 +117,15 @@ def test_eval_json_format(capsys):
 
 
 def test_eval_json_reports_quadrature_nodes(capsys):
-    for args in (("h", "--u", "0", "--tau", "i"), ("h_s", "--s", "0.5", "--u", "0.1", "--tau", "i")):
+    code, out, _ = run(capsys, "eval", "h_s", "--s", "0.5", "--u", "0.1", "--tau", "i", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert isinstance(doc["nodes"], int) and 64 < doc["nodes"] <= 1025, doc
+    # h and theta1 are series: no nodes
+    for args in (("h", "--u", "0", "--tau", "i"), ("theta1", "--u", "0.1", "--tau", "i")):
         code, out, _ = run(capsys, "eval", *args, "--format", "json")
         assert code == 0
-        doc = json.loads(out)
-        assert isinstance(doc["nodes"], int) and 64 < doc["nodes"] <= 1025, doc
-    code, out, _ = run(capsys, "eval", "theta1", "--u", "0.1", "--tau", "i", "--format", "json")
-    assert "nodes" not in json.loads(out)
+        assert "nodes" not in json.loads(out)
 
 
 def test_eval_h_s_at_large_im_tau_reports_a_tight_bound(capsys):

@@ -106,9 +106,20 @@ def test_eval_theta1_loads_only_domain_and_kernel():
 
 
 def test_quadrature_loads_numpy():
-    got = loaded_after(cli_runs(["eval", "h", "--u", "0", "--tau", "i"]))
+    got = loaded_after(cli_runs(["eval", "h_s", "--s", "0", "--u", "0", "--tau", "i"]))
     assert got["numpy"]
     assert "mordell" in got["mockchar"]
+
+
+def test_mordell_h_loads_no_numpy():
+    # h is Zwegers' closed form, a series: no quadrature runs
+    got = loaded_after(cli_runs(["eval", "h", "--u", "0", "--tau", "i"]))
+    assert not got["numpy"]
+    assert "mordell" in got["mockchar"]
+    assert not loaded_after("import mockchar\nmockchar.mordell_h(0.1, 1j)")["numpy"]
+    got = loaded_after("from mockchar.appell import aK_s_transform_rhs\n"
+                       "aK_s_transform_rhs(3, 0.17 + 0.05j, 0.31, 1.2j)")
+    assert not got["numpy"]
 
 
 def test_every_export_resolves():

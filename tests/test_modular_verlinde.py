@@ -452,7 +452,7 @@ def test_s_compose_computes_each_curve_and_character_once(monkeypatch):
     # |M| prefactors and |S|^2 characters plus the left-hand side.
     pr = AlgebraParams(2, 1)
     sets = mv.index_sets(pr)
-    calls = {"curve_prefactor": 0, "chi_w_atypical": 0}
+    calls = {"curve_prefactor": 0, "_chi_w_atypical": 0}
 
     def counted(name):
         fn = getattr(mv, name)
@@ -467,7 +467,7 @@ def test_s_compose_computes_each_curve_and_character_once(monkeypatch):
         monkeypatch.setattr(mv, name, counted(name))
     rep = mv.s_compose_check(pr, (0, 0), ARGS, TAU)
     assert calls["curve_prefactor"] <= len(sets.m_values), calls
-    assert calls["chi_w_atypical"] <= len(sets.s_values) ** 2 + 1, calls
+    assert calls["_chi_w_atypical"] <= len(sets.s_values) ** 2 + 1, calls
     # computing them once changes no bit of the result (the value of the
     # quadrature on the nested k*h grid, with the series summed by term ratios
     # and the S_tt phases reduced exactly)

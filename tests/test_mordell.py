@@ -3,6 +3,8 @@
 The frozen value of h(0; i) comes from node-doubled quadrature converged at
 two different node caps during development; it also survives every shift and
 contour identity below, which are computed through independent code paths.
+h is Zwegers' closed form; h_0 = h is also a quadrature (mordell_h_s_quad
+at s = 0), which these tests use as the independent route to h.
 """
 
 import math
@@ -11,13 +13,12 @@ import numpy as np
 import pytest
 
 from mockchar.domain import QuadratureSpec, contour_depth
-from mockchar.errors import InvalidParameter, QuadratureNoConvergence
+from mockchar.errors import InvalidParameter, QuadratureNoConvergence, RangeExceeded, TailBoundExceeded
 from mockchar.kernel import integrate_line
 from mockchar.mordell import (
     h_window,
     mordell_h,
     mordell_h_contour,
-    mordell_h_quad,
     mordell_h_s,
     mordell_h_s_quad,
     verify_contour_identity,
@@ -33,14 +34,15 @@ def test_h_at_origin_frozen_value():
 
 
 def test_h_at_origin_node_count():
-    # h(0; i) converges at the third doubling of the default 64 intervals
-    assert mordell_h_quad(0.0, 1j).nodes == 513
+    # h = h_0, whose quadrature at (0; i) converges on the first integrand
+    # pass: the default 64 intervals refined twice
+    assert mordell_h_s_quad(0.0, 0.0, 1j).nodes == 257
 
 
 def test_h_quad_reports_its_error():
-    res = mordell_h_quad(0.1 + 0.05j, 1.3j)
+    res = mordell_h_s_quad(0.0, 0.1 + 0.05j, 1.3j)
     assert res.error < 1e-10
-    assert abs(mordell_h(0.1 + 0.05j, 1.3j) - res.value) == 0.0
+    assert abs(mordell_h(0.1 + 0.05j, 1.3j) - res.value) <= res.error
 
 
 def test_h_is_even_in_u():
@@ -139,7 +141,7 @@ STALL_INPUTS = [
 @pytest.mark.parametrize("u,tau", STALL_INPUTS)
 def test_h_with_heavy_cancellation_meets_its_reported_error(u, tau):
     mp = pytest.importorskip("mpmath")
-    res = mordell_h_quad(u, tau)
+    res = mordell_h_s_quad(0.0, u, tau)
     assert res.nodes <= 1 << 14, res
     with mp.workdps(30):
         uu, tt = mp.mpc(u), mp.mpc(tau)
@@ -148,6 +150,7 @@ def test_h_with_heavy_cancellation_meets_its_reported_error(u, tau):
             [-mp.inf, -2, -1, 0, mp.inf],
         ))
     assert abs(res.value - ref) <= res.error, (res, ref)
+    assert abs(mordell_h(u, tau) - ref) <= 1e-14 * abs(ref)
 
 
 def test_half_shift_explicit_depth_window_follows_tilt():
@@ -200,8 +203,9 @@ def test_window_grows_with_argument():
 
 
 def test_capped_quadrature_raises():
+    # h_0's window at Im tau = 1e-20 is beyond what the node cap resolves
     with pytest.raises(QuadratureNoConvergence):
-        mordell_h_quad(0.1, 1j, QuadratureSpec(half_width=6.0, nodes=4, max_nodes=8))
+        mordell_h_s_quad(0.0, 0.1, 1e-20j)
 
 
 def _mp_h_s_below(s, u, tau):
@@ -241,10 +245,9 @@ def _mp_h(u, tau):
         ))
 
 
-# |Im u| from 0.75 to 3 Im tau, above and below the axis, so the elliptic
-# step of mordell_h runs up to three times in either direction.  At
-# u = 0.2 + 3.9i the direct trapezoid is off by 5e-13 relative: its terms
-# cancel ~1e7 times |h|.
+# |Im u| from 0.75 to 3 Im tau, above and below the axis.  At u = 0.2 + 3.9i
+# the trapezoid of h_0 is off by 2e-12 relative: its terms cancel ~1e7 times
+# |h|, and its reported error covers that.
 STEP_INPUTS = [
     (0.2 + 3.9j, 1.3j),
     (0.2 + 2.6j, 1.3j),
@@ -260,8 +263,51 @@ STEP_INPUTS = [
 def test_h_off_axis_matches_direct_quadrature_and_mpmath(u, tau):
     ref = _mp_h(u, tau)
     assert abs(mordell_h(u, tau) - ref) <= 1e-14 * abs(ref)
-    direct = mordell_h_quad(u, tau)
+    direct = mordell_h_s_quad(0.0, u, tau)
     assert abs(mordell_h(u, tau) - direct.value) <= direct.error + 1e-14 * abs(ref)
+
+
+# small Im tau and Re tau near -1/2, where stepping u by tau before the
+# quadrature lost 3.5e-5 and 4.5e-7 relative
+SMALL_IM_TAU_INPUTS = [
+    (0.12 + 0.09j, -0.49 + 0.05j),
+    (-0.16 - 0.29j, -0.38 + 0.1j),
+]
+
+
+@pytest.mark.parametrize("u,tau", SMALL_IM_TAU_INPUTS)
+def test_h_at_small_im_tau_matches_mpmath_and_h0_quadrature(u, tau):
+    ref = _mp_h(u, tau)
+    assert abs(mordell_h(u, tau) - ref) <= 1e-14 * abs(ref)
+    assert abs(mordell_h(u, tau) - mordell_h_s_quad(0.0, u, tau).value) <= 1e-14 * abs(ref)
+
+
+def test_h_series_too_long_raises_tail_bound():
+    # at Im tau = 1e-6, R(u; tau) needs ~5e5 terms
+    with pytest.raises(TailBoundExceeded):
+        mordell_h(0.1 + 0.5j, 1e-6j)
+
+
+def test_h_near_the_double_range():
+    # h(5; 0.1i) ~ e^{636}, though e^{pi i u^2/tau} = e^{785} alone overflows
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = complex(mp.quad(lambda x: mp.exp(-0.1 * mp.pi * x * x - 10 * mp.pi * x) / mp.cosh(mp.pi * x),
+                              [-mp.inf, -80, -45, -10, 0, mp.inf]))
+    assert abs(mordell_h(5.0, 0.1j) - ref) <= 1e-12 * abs(ref)
+    # h(30; 0.05i) ~ e^{pi 29.5^2 / 0.05} does not fit
+    with pytest.raises(RangeExceeded):
+        mordell_h(30.0, 0.05j)
+
+
+@pytest.mark.parametrize("u,tau", [(0.3, 100j), (0.2 + 0.1j, 20j)])
+def test_h_at_large_im_tau_is_finite(u, tau):
+    # far out in an R sum erfc underflows while the exponential overflows;
+    # the sum stops before the two meet as inf * 0
+    value = mordell_h(u, tau)
+    assert math.isfinite(value.real) and math.isfinite(value.imag)
+    ref = _mp_h(u, tau)
+    assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
 
